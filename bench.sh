@@ -38,8 +38,8 @@ case "${1:-}" in
 smoke)
     # One abbreviated pass so CI catches benchmarks that fail to build or
     # error out, without paying for stable numbers.
-    exec go test -run '^$' -bench "$BENCH|BenchmarkReplicationSetup|BenchmarkTQuantile" \
-        -benchtime 1x -benchmem $PKGS ./internal/stats
+    exec go test -run '^$' -bench "$BENCH|BenchmarkReplicationSetup|BenchmarkTQuantile|BenchmarkRoundRobinSchedule|BenchmarkStrictCoSchedule|BenchmarkRelaxedCoSchedule" \
+        -benchtime 1x -benchmem $PKGS ./internal/stats ./internal/sched
     ;;
 json)
     label="${2:?usage: ./bench.sh json <label> [out.json]}"

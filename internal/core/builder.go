@@ -662,7 +662,7 @@ func (sys *System) schedulerStep(timestamp *san.ExtPlace[int64]) {
 		h.queue.Record(depth)
 	}
 
-	sys.acts.reset()
+	sys.acts.Reset()
 	sys.sched.Schedule(now, views, pviews, &sys.acts)
 	sys.applyActions(now, &sys.acts)
 

@@ -142,17 +142,23 @@ func (a *Actions) Preempt(vcpu int) {
 	a.preempts = append(a.preempts, vcpu)
 }
 
-// Assigns returns the recorded assignments.
+// Assigns returns a copy of the recorded assignments.
 func (a *Actions) Assigns() []Assign { return append([]Assign(nil), a.assigns...) }
 
-// Preempts returns the recorded preemptions.
+// Preempts returns a copy of the recorded preemptions.
 func (a *Actions) Preempts() []int { return append([]int(nil), a.preempts...) }
+
+// Recorded returns the recorded assignments and preemptions without
+// copying. The slices alias the accumulator: they are valid until the next
+// Reset, Assign or Preempt and must not be modified.
+func (a *Actions) Recorded() (assigns []Assign, preempts []int) { return a.assigns, a.preempts }
 
 // Empty reports whether no decision was recorded.
 func (a *Actions) Empty() bool { return len(a.assigns) == 0 && len(a.preempts) == 0 }
 
-// reset clears the recorded decisions, retaining capacity for reuse.
-func (a *Actions) reset() {
+// Reset clears the recorded decisions, retaining capacity so an engine can
+// reuse one Actions for every tick without allocating.
+func (a *Actions) Reset() {
 	a.assigns = a.assigns[:0]
 	a.preempts = a.preempts[:0]
 }
@@ -165,6 +171,13 @@ func (a *Actions) reset() {
 // Implementations may keep internal state across calls (run queues, skew
 // counters); a fresh Scheduler is constructed for every replication, so no
 // reset mechanism is needed.
+//
+// The vcpus and pcpus slices are buffers the engine refills in place every
+// tick: a scheduler must not retain them, or acts, past the call. The VCPU
+// set and each VCPU's VM membership (ID, VM, Sibling) are fixed for a
+// scheduler's lifetime — only the state fields change, and a VM that is
+// not admitted on a host shows up as Parked statuses, not as missing
+// views — so a scheduler may derive the gang topology once (see Gangs).
 type Scheduler interface {
 	// Name identifies the algorithm in reports.
 	Name() string
@@ -179,46 +192,97 @@ type SchedulerFactory func() Scheduler
 // SiblingsOf groups VCPU IDs by VM, derived from the views. Schedulers use
 // it to discover gang membership.
 func SiblingsOf(vcpus []VCPUView) map[int][]int {
-	byVM := make(map[int][]int)
-	var order []int
-	for _, v := range vcpus {
-		if _, seen := byVM[v.VM]; !seen {
-			order = append(order, v.VM)
-		}
-		byVM[v.VM] = append(byVM[v.VM], v.ID)
-	}
-	for _, vm := range order {
-		ids := byVM[vm]
-		sort.Slice(ids, func(i, j int) bool {
-			return vcpus[ids[i]].Sibling < vcpus[ids[j]].Sibling
-		})
+	var g Gangs
+	g.Derive(vcpus)
+	byVM := make(map[int][]int, g.Len())
+	for i, vm := range g.VMs() {
+		byVM[vm] = g.Members(i)
 	}
 	return byVM
 }
 
-// VMs returns the distinct VM indices present in the views in ascending
-// order. Schedulers iterate it instead of ranging over the SiblingsOf map,
-// which would visit VMs in nondeterministic order.
-func VMs(vcpus []VCPUView) []int {
-	seen := make(map[int]bool)
-	var vms []int
-	for _, v := range vcpus {
-		if !seen[v.VM] {
-			seen[v.VM] = true
-			vms = append(vms, v.VM)
-		}
-	}
-	sort.Ints(vms)
-	return vms
+// Gangs is the VM topology of a system, derived from the scheduler views:
+// the VM ids in ascending order, each VM's VCPU ids in sibling order, and
+// each VM id's position. Under the Scheduler contract the topology is
+// fixed for a scheduler's lifetime, so a scheduler derives it on its first
+// call and reuses it; the zero value holds no topology yet. VM ids must be
+// non-negative, as the framework's views always are.
+type Gangs struct {
+	vms     []int   // ascending distinct VM ids
+	members [][]int // members[i]: VCPU ids of vms[i], sibling order
+	pos     []int   // pos[vm]: index of vm in vms, or -1
+	nvcpus  int     // len(vcpus) of the view derived from
+	derived bool
 }
 
-// IdlePCPUs returns the IDs of idle PCPUs in ascending order.
-func IdlePCPUs(pcpus []PCPUView) []int {
-	var idle []int
-	for _, p := range pcpus {
-		if p.Idle() {
-			idle = append(idle, p.ID)
+// Derive builds the topology from vcpus unless it was already derived from
+// a view of the same length, and reports whether it (re)built. Schedulers
+// call it at the top of every Schedule, resizing any per-VCPU or per-VM
+// state when it returns true.
+func (g *Gangs) Derive(vcpus []VCPUView) bool {
+	if g.derived && g.nvcpus == len(vcpus) {
+		return false
+	}
+	g.derived, g.nvcpus = true, len(vcpus)
+	maxVM := -1
+	for _, v := range vcpus {
+		if v.VM > maxVM {
+			maxVM = v.VM
 		}
 	}
-	return idle
+	g.pos = make([]int, maxVM+1)
+	for i := range g.pos {
+		g.pos[i] = -1
+	}
+	g.vms = g.vms[:0]
+	for _, v := range vcpus {
+		if g.pos[v.VM] < 0 {
+			g.pos[v.VM] = 0 // mark seen; positions assigned below
+			g.vms = append(g.vms, v.VM)
+		}
+	}
+	sort.Ints(g.vms)
+	g.members = make([][]int, len(g.vms))
+	for i, vm := range g.vms {
+		g.pos[vm] = i
+	}
+	for _, v := range vcpus {
+		i := g.pos[v.VM]
+		g.members[i] = append(g.members[i], v.ID)
+	}
+	for _, ids := range g.members {
+		sort.Slice(ids, func(i, j int) bool {
+			return vcpus[ids[i]].Sibling < vcpus[ids[j]].Sibling
+		})
+	}
+	return true
+}
+
+// Len returns the number of VMs.
+func (g *Gangs) Len() int { return len(g.vms) }
+
+// VMs returns the VM ids in ascending order. The slice is shared: callers
+// must not modify it.
+func (g *Gangs) VMs() []int { return g.vms }
+
+// Members returns the VCPU ids, in sibling order, of the VM at position i
+// of VMs(). The slice is shared: callers must not modify it.
+func (g *Gangs) Members(i int) []int { return g.members[i] }
+
+// Pos returns the position of VM id vm in VMs().
+func (g *Gangs) Pos(vm int) int { return g.pos[vm] }
+
+// IdlePCPUs returns the IDs of idle PCPUs in ascending order.
+func IdlePCPUs(pcpus []PCPUView) []int { return AppendIdlePCPUs(nil, pcpus) }
+
+// AppendIdlePCPUs appends the IDs of idle PCPUs, in ascending order, to dst
+// and returns the extended slice. Schedulers pass a reused buffer
+// truncated to zero length, so the per-tick scan does not allocate.
+func AppendIdlePCPUs(dst []int, pcpus []PCPUView) []int {
+	for _, p := range pcpus {
+		if p.Idle() {
+			dst = append(dst, p.ID)
+		}
+	}
+	return dst
 }

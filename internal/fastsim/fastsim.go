@@ -46,8 +46,12 @@ type vmState struct {
 	blocked  bool
 	numReady int
 	gen      *workload.Generator
-	pending  *workload.Workload // generated but not yet dispatched
-	vcpus    []int              // global VCPU ids, sibling order
+	vcpus    []int // global VCPU ids, sibling order
+
+	// pending is the workload generated but not yet dispatched, held by
+	// value so a dispatch does not allocate; valid while hasPending.
+	pending    workload.Workload
+	hasPending bool
 
 	jobs     int64 // workloads dispatched (in the measured window)
 	unblocks int64 // barrier releases (in the measured window)
@@ -81,6 +85,14 @@ type Engine struct {
 
 	// Tracer, if any, observes schedule-in/out transitions.
 	tracer Tracer
+
+	// Per-tick scratch refilled in place, as core.System's scheduler step
+	// does: the views handed to the scheduler, its Actions accumulator,
+	// and process's per-VM spinlock-preemption mask.
+	views     []core.VCPUView
+	pviews    []core.PCPUView
+	acts      core.Actions
+	preempted []bool
 }
 
 // Stats is the fast engine's counter snapshot, the tick-loop counterpart
@@ -139,15 +151,25 @@ func New(cfg core.SystemConfig, sched core.Scheduler, seed uint64) (*Engine, err
 		return nil, fmt.Errorf("fastsim: fault plans require the SAN engine")
 	}
 	src := rng.New(seed)
-	e := &Engine{cfg: cfg, sched: sched}
+	// Every per-VCPU slice is allocated at its final size, the VMs'
+	// id lists and the three tick counters each share one backing array:
+	// engine set-up is a per-cell cost of every experiment grid.
+	n := cfg.TotalVCPUs()
+	e := &Engine{
+		cfg: cfg, sched: sched,
+		vcpus: make([]vcpuState, 0, n),
+		vms:   make([]vmState, 0, len(cfg.VMs)),
+	}
+	ids := make([]int, n)
 	for i, vmCfg := range cfg.VMs {
 		gen, err := workload.NewGenerator(vmCfg.Workload, src.Split())
 		if err != nil {
 			return nil, fmt.Errorf("fastsim: VM %d: %w", i, err)
 		}
-		vm := vmState{gen: gen, syncKind: vmCfg.Workload.SyncKind}
-		for k := 0; k < vmCfg.VCPUs; k++ {
-			vm.vcpus = append(vm.vcpus, len(e.vcpus))
+		first := len(e.vcpus)
+		vm := vmState{gen: gen, syncKind: vmCfg.Workload.SyncKind, vcpus: ids[first : first+vmCfg.VCPUs]}
+		for k := range vm.vcpus {
+			vm.vcpus[k] = len(e.vcpus)
 			e.vcpus = append(e.vcpus, vcpuState{
 				vm: i, sibling: k,
 				status: core.Inactive, pcpu: -1, lastIn: -1,
@@ -159,9 +181,8 @@ func New(cfg core.SystemConfig, sched core.Scheduler, seed uint64) (*Engine, err
 	for i := range e.pcpus {
 		e.pcpus[i] = -1
 	}
-	e.activeTicks = make([]int64, len(e.vcpus))
-	e.busyTicks = make([]int64, len(e.vcpus))
-	e.pcpuTicks = make([]int64, cfg.PCPUs)
+	ticks := make([]int64, 2*n+cfg.PCPUs)
+	e.activeTicks, e.busyTicks, e.pcpuTicks = ticks[:n:n], ticks[n:2*n:2*n], ticks[2*n:]
 	return e, nil
 }
 
@@ -211,7 +232,7 @@ func (e *Engine) RunInterval(warmup, horizon int64) (map[string]float64, error) 
 // without progress (an inactive holder cannot complete mid-step, so the
 // per-VM predicate is stable across the loop).
 func (e *Engine) process() {
-	preempted := make([]bool, len(e.vms))
+	preempted := e.preempted
 	for vi := range e.vms {
 		preempted[vi] = e.vms[vi].syncKind == workload.SyncSpinlock && e.lockHolderPreempted(vi)
 	}
@@ -253,17 +274,17 @@ func (e *Engine) jobFlow() {
 				}
 				progress = true
 			}
-			if vm.pending == nil && !vm.blocked && vm.numReady > 0 {
-				w := vm.gen.Next()
-				vm.pending = &w
+			if !vm.hasPending && !vm.blocked && vm.numReady > 0 {
+				vm.pending = vm.gen.Next()
+				vm.hasPending = true
 				progress = true
 			}
-			if vm.pending != nil && vm.numReady > 0 && e.dispatchable(vi) {
-				e.dispatch(vm, *vm.pending)
+			if vm.hasPending && vm.numReady > 0 && e.dispatchable(vi) {
+				e.dispatch(vm, vm.pending)
 				if e.now >= e.warmup {
 					vm.jobs++
 				}
-				vm.pending = nil
+				vm.hasPending = false
 				progress = true
 			}
 			done = !progress
@@ -363,7 +384,15 @@ func (e *Engine) hypervisorStep() error {
 		}
 	}
 
-	views := make([]core.VCPUView, len(e.vcpus))
+	if e.views == nil {
+		// Sized at the first tick rather than in New, so building an
+		// engine costs no more than its model state. Every run loop
+		// starts with this step, so process finds preempted sized too.
+		e.views = make([]core.VCPUView, len(e.vcpus))
+		e.pviews = make([]core.PCPUView, len(e.pcpus))
+		e.preempted = make([]bool, len(e.vms))
+	}
+	views := e.views
 	for id := range e.vcpus {
 		v := &e.vcpus[id]
 		views[id] = core.VCPUView{
@@ -379,14 +408,14 @@ func (e *Engine) hypervisorStep() error {
 			Runtime:         v.runtime,
 		}
 	}
-	pviews := make([]core.PCPUView, len(e.pcpus))
+	pviews := e.pviews
 	for i, v := range e.pcpus {
 		pviews[i] = core.PCPUView{ID: i, VCPU: v}
 	}
 
-	var acts core.Actions
-	e.sched.Schedule(e.now, views, pviews, &acts)
-	return e.apply(&acts)
+	e.acts.Reset()
+	e.sched.Schedule(e.now, views, pviews, &e.acts)
+	return e.apply(&e.acts)
 }
 
 // scheduleOut transitions a VCPU to INACTIVE, freeing its PCPU.
@@ -409,7 +438,8 @@ func (e *Engine) scheduleOut(id int, expired bool) {
 // apply validates and applies the scheduling function's decisions:
 // preemptions first, then assignments — mirroring core.System.
 func (e *Engine) apply(acts *core.Actions) error {
-	for _, id := range acts.Preempts() {
+	assigns, preempts := acts.Recorded()
+	for _, id := range preempts {
 		if id < 0 || id >= len(e.vcpus) {
 			return fmt.Errorf("fastsim: scheduler %q preempted unknown VCPU %d", e.sched.Name(), id)
 		}
@@ -418,7 +448,7 @@ func (e *Engine) apply(acts *core.Actions) error {
 		}
 		e.scheduleOut(id, false)
 	}
-	for _, a := range acts.Assigns() {
+	for _, a := range assigns {
 		switch {
 		case a.VCPU < 0 || a.VCPU >= len(e.vcpus):
 			return fmt.Errorf("fastsim: scheduler %q assigned unknown VCPU %d", e.sched.Name(), a.VCPU)

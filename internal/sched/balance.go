@@ -15,14 +15,14 @@ import (
 type Balance struct {
 	timeslice int64
 	queues    [][]int // per-PCPU run queues of waiting VCPUs
-	homes     map[int]int
+	queued    []bool  // per VCPU id: waiting in some run queue
 }
 
 var _ core.Scheduler = (*Balance)(nil)
 
 // NewBalance returns a balance scheduler granting the given timeslice.
 func NewBalance(timeslice int64) *Balance {
-	return &Balance{timeslice: timeslice, homes: make(map[int]int)}
+	return &Balance{timeslice: timeslice}
 }
 
 // Name implements core.Scheduler.
@@ -33,27 +33,33 @@ func (b *Balance) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUView
 	if b.queues == nil {
 		b.queues = make([][]int, len(pcpus))
 	}
+	if b.queued == nil {
+		b.queued = make([]bool, len(vcpus))
+	}
 	// Enqueue newly inactive VCPUs onto the shortest run queue that holds
 	// no sibling (the balance placement rule).
 	for _, v := range vcpus {
 		if v.Status != core.Inactive {
 			continue
 		}
-		if _, queued := b.homes[v.ID]; queued {
+		if b.queued[v.ID] {
 			continue
 		}
 		q := b.pickQueue(v, vcpus)
 		b.queues[q] = append(b.queues[q], v.ID)
-		b.homes[v.ID] = q
+		b.queued[v.ID] = true
 	}
 	// Each idle PCPU serves the head of its own run queue.
 	for _, p := range pcpus {
 		if !p.Idle() || len(b.queues[p.ID]) == 0 {
 			continue
 		}
-		id := b.queues[p.ID][0]
-		b.queues[p.ID] = b.queues[p.ID][1:]
-		delete(b.homes, id)
+		// Pop by shifting the tail down so the queue's backing array is
+		// reused instead of re-grown.
+		q := b.queues[p.ID]
+		id := q[0]
+		b.queues[p.ID] = append(q[:0], q[1:]...)
+		b.queued[id] = false
 		acts.Assign(id, p.ID, b.timeslice)
 	}
 }

@@ -71,7 +71,7 @@ func TestBalancePrefersSiblingFreeQueue(t *testing.T) {
 	// must be placed on queue 1 even though queue 0 is shorter after
 	// accounting... both empty-length ties break to sibling-free.
 	b.queues = [][]int{{1}, {}}
-	b.homes = map[int]int{1: 0}
+	b.queued = []bool{false, true}
 	vcpus := []core.VCPUView{
 		{ID: 0, VM: 0, Sibling: 0, Status: core.Inactive, PCPU: -1},
 		{ID: 1, VM: 0, Sibling: 1, Status: core.Inactive, PCPU: -1},
@@ -79,7 +79,7 @@ func TestBalancePrefersSiblingFreeQueue(t *testing.T) {
 	pcpus := []core.PCPUView{{ID: 0, VCPU: 8}, {ID: 1, VCPU: 9}} // both busy
 	var acts core.Actions
 	b.Schedule(0, vcpus, pcpus, &acts)
-	if got := b.homes[0]; got != 1 {
-		t.Fatalf("sibling placed on queue %d, want 1", got)
+	if got := b.queues[1]; len(got) != 1 || got[0] != 0 {
+		t.Fatalf("queues = %v, want the sibling alone on queue 1", b.queues)
 	}
 }

@@ -25,13 +25,26 @@ func benchViews() ([]core.VCPUView, []core.PCPUView) {
 	return vcpus, pcpus
 }
 
+// benchSchedule times Schedule alone: one Actions is reused with a reset,
+// as the engines do, and each iteration flips a few VCPUs between INACTIVE
+// and READY so the co-schedulers leave the all-inactive first-tick path.
+// The views are not updated from the decisions; the benchmark measures a
+// scheduler's per-call cost, not a trajectory.
 func benchSchedule(b *testing.B, s core.Scheduler) {
 	b.Helper()
 	vcpus, pcpus := benchViews()
+	var acts core.Actions
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var acts core.Actions
+		for _, id := range [...]int{i % len(vcpus), (i + 3) % len(vcpus)} {
+			if vcpus[id].Status == core.Inactive {
+				vcpus[id].Status = core.Ready
+			} else {
+				vcpus[id].Status = core.Inactive
+			}
+		}
+		acts.Reset()
 		s.Schedule(int64(i), vcpus, pcpus, &acts)
 	}
 }

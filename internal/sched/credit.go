@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"vcpusim/internal/core"
 )
@@ -20,6 +21,18 @@ type Credit struct {
 
 	credits  []float64
 	lastFill int64
+	gangs    core.Gangs
+
+	// Per-call scratch, reused so a tick does not allocate.
+	waiting []candidate
+	idle    []int
+}
+
+// candidate is a VCPU waiting for a PCPU, keyed for the richest-first
+// grant order.
+type candidate struct {
+	credit float64
+	id     int
 }
 
 var _ core.Scheduler = (*Credit)(nil)
@@ -48,7 +61,7 @@ func (c *Credit) Name() string { return "Credit" }
 
 // Schedule implements core.Scheduler.
 func (c *Credit) Schedule(now int64, vcpus []core.VCPUView, pcpus []core.PCPUView, acts *core.Actions) {
-	if c.credits == nil {
+	if c.gangs.Derive(vcpus) {
 		c.credits = make([]float64, len(vcpus))
 		c.lastFill = now
 	}
@@ -62,16 +75,14 @@ func (c *Credit) Schedule(now int64, vcpus []core.VCPUView, pcpus []core.PCPUVie
 	// VM's VCPUs; cap accumulation at one period's worth to bound bursts.
 	if now-c.lastFill >= c.period {
 		c.lastFill = now
-		byVM := core.SiblingsOf(vcpus)
-		vms := core.VMs(vcpus)
 		totalWeight := 0.0
-		for _, vm := range vms {
+		for _, vm := range c.gangs.VMs() {
 			totalWeight += c.weight(vm)
 		}
 		if totalWeight > 0 {
 			capacity := float64(c.period) * float64(len(pcpus))
-			for _, vm := range vms {
-				gang := byVM[vm]
+			for i, vm := range c.gangs.VMs() {
+				gang := c.gangs.Members(i)
 				share := capacity * c.weight(vm) / totalWeight / float64(len(gang))
 				for _, id := range gang {
 					c.credits[id] += share
@@ -82,25 +93,26 @@ func (c *Credit) Schedule(now int64, vcpus []core.VCPUView, pcpus []core.PCPUVie
 			}
 		}
 	}
-	// Grant idle PCPUs to the richest waiting VCPUs.
-	var waiting []int
+	// Grant idle PCPUs to the richest waiting VCPUs. IDs are unique, so
+	// the order is total and any correct sort yields it.
+	c.waiting = c.waiting[:0]
 	for _, v := range vcpus {
 		if v.Status == core.Inactive {
-			waiting = append(waiting, v.ID)
+			c.waiting = append(c.waiting, candidate{credit: c.credits[v.ID], id: v.ID})
 		}
 	}
-	sort.Slice(waiting, func(i, j int) bool {
-		if c.credits[waiting[i]] != c.credits[waiting[j]] {
-			return c.credits[waiting[i]] > c.credits[waiting[j]]
+	slices.SortFunc(c.waiting, func(a, b candidate) int {
+		if a.credit != b.credit {
+			return -cmp.Compare(a.credit, b.credit)
 		}
-		return waiting[i] < waiting[j]
+		return cmp.Compare(a.id, b.id)
 	})
-	idle := core.IdlePCPUs(pcpus)
-	for i, p := range idle {
-		if i >= len(waiting) {
+	c.idle = core.AppendIdlePCPUs(c.idle[:0], pcpus)
+	for i, p := range c.idle {
+		if i >= len(c.waiting) {
 			break
 		}
-		acts.Assign(waiting[i], p, c.timeslice)
+		acts.Assign(c.waiting[i].id, p, c.timeslice)
 	}
 }
 

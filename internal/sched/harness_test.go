@@ -11,13 +11,19 @@ import (
 // test schedulers in isolation: no workloads, every VCPU always wants a
 // PCPU, statuses are READY or INACTIVE. It mirrors the engine's tick
 // ordering (runtime accounting, timeslice expiry, scheduling function,
-// action application with validation).
+// action application with validation). Like the engines it hands the
+// scheduler reused view buffers and one reused Actions, so a tick
+// allocates only what the scheduler does.
 type harness struct {
 	t     *testing.T
 	vcpus []core.VCPUView
 	pcpus []core.PCPUView
 	sched core.Scheduler
 	now   int64
+
+	vbuf []core.VCPUView
+	pbuf []core.PCPUView
+	acts core.Actions
 }
 
 // newHarness builds a harness with the given VM sizes (VCPUs per VM).
@@ -56,16 +62,18 @@ func (h *harness) tick() {
 			}
 		}
 	}
-	var acts core.Actions
-	h.sched.Schedule(h.now, append([]core.VCPUView(nil), h.vcpus...),
-		append([]core.PCPUView(nil), h.pcpus...), &acts)
-	for _, id := range acts.Preempts() {
+	h.vbuf = append(h.vbuf[:0], h.vcpus...)
+	h.pbuf = append(h.pbuf[:0], h.pcpus...)
+	h.acts.Reset()
+	h.sched.Schedule(h.now, h.vbuf, h.pbuf, &h.acts)
+	assigns, preempts := h.acts.Recorded()
+	for _, id := range preempts {
 		if id < 0 || id >= len(h.vcpus) || h.vcpus[id].PCPU < 0 {
 			h.t.Fatalf("t=%d: invalid preempt of VCPU %d", h.now, id)
 		}
 		h.deschedule(id)
 	}
-	for _, a := range acts.Assigns() {
+	for _, a := range assigns {
 		switch {
 		case a.VCPU < 0 || a.VCPU >= len(h.vcpus):
 			h.t.Fatalf("t=%d: assign of unknown VCPU %d", h.now, a.VCPU)

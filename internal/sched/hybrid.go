@@ -21,6 +21,10 @@ type Hybrid struct {
 	concurrent map[int]bool
 	name       string
 	next       int // round-robin pointer over schedulable entities
+
+	gangs    core.Gangs
+	entities []entity // derived with gangs, VM order
+	idle     []int    // per-call idle-PCPU scratch
 }
 
 var _ core.Scheduler = (*Hybrid)(nil)
@@ -61,24 +65,27 @@ type entity struct {
 
 // Schedule implements core.Scheduler.
 func (h *Hybrid) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUView, acts *core.Actions) {
-	byVM := core.SiblingsOf(vcpus)
-	vms := core.VMs(vcpus)
-	var entities []entity
-	for _, vm := range vms {
-		if h.concurrent[vm] {
-			entities = append(entities, entity{vcpus: byVM[vm]})
-			continue
-		}
-		for _, id := range byVM[vm] {
-			entities = append(entities, entity{vcpus: []int{id}})
+	if h.gangs.Derive(vcpus) {
+		h.entities = h.entities[:0]
+		for i, vm := range h.gangs.VMs() {
+			gang := h.gangs.Members(i)
+			if h.concurrent[vm] {
+				h.entities = append(h.entities, entity{vcpus: gang})
+				continue
+			}
+			for k := range gang {
+				h.entities = append(h.entities, entity{vcpus: gang[k : k+1]})
+			}
 		}
 	}
+	entities := h.entities
 	if len(entities) == 0 {
 		return
 	}
 	h.next %= len(entities)
 
-	idle := core.IdlePCPUs(pcpus)
+	h.idle = core.AppendIdlePCPUs(h.idle[:0], pcpus)
+	idle := h.idle
 	scheduledFirst := -1
 	for i := 0; i < len(entities) && len(idle) > 0; i++ {
 		pos := (h.next + i) % len(entities)

@@ -32,8 +32,13 @@ type RelaxedCo struct {
 	exitSkew  int64
 
 	queue  *vcpuQueue
-	skew   []int64
-	coMode []bool
+	gangs  core.Gangs
+	skew   []int64 // per VCPU id
+	coMode []bool  // per VM position in gangs
+
+	// Per-call scratch, reused so a tick does not allocate.
+	inactive []bool
+	idle     []int
 }
 
 var _ core.Scheduler = (*RelaxedCo)(nil)
@@ -71,35 +76,29 @@ func (r *RelaxedCo) Name() string { return "RCS" }
 
 // Schedule implements core.Scheduler.
 func (r *RelaxedCo) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUView, acts *core.Actions) {
-	byVM := core.SiblingsOf(vcpus)
-	vms := core.VMs(vcpus)
-	if r.skew == nil {
+	if r.gangs.Derive(vcpus) {
 		r.skew = make([]int64, len(vcpus))
-		r.coMode = make([]bool, len(vms))
+		r.coMode = make([]bool, r.gangs.Len())
+		r.inactive = make([]bool, len(vcpus))
 	}
 
-	r.updateSkews(vcpus, vms, byVM)
-	r.updateCoMode(vms, byVM)
-
-	vmIndex := make(map[int]int, len(vms))
-	for i, vm := range vms {
-		vmIndex[vm] = i
-	}
+	r.updateSkews(vcpus)
+	r.updateCoMode()
 
 	// Effective state for this tick: statuses after our own co-stops.
-	inactive := make([]bool, len(vcpus))
+	inactive := r.inactive
 	for _, v := range vcpus {
 		inactive[v.ID] = v.Status == core.Inactive
 	}
-	idle := core.IdlePCPUs(pcpus)
+	idle := core.AppendIdlePCPUs(r.idle[:0], pcpus)
 
 	// Co-stop: entering or staying in co-mode forcibly deschedules every
 	// running member; the gang may only return via a co-start.
-	for vi, vm := range vms {
+	for vi := range r.coMode {
 		if !r.coMode[vi] {
 			continue
 		}
-		for _, id := range byVM[vm] {
+		for _, id := range r.gangs.Members(vi) {
 			if !inactive[id] {
 				acts.Preempt(id)
 				inactive[id] = true
@@ -108,6 +107,7 @@ func (r *RelaxedCo) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUVi
 			}
 		}
 	}
+	r.idle = idle
 
 	r.queue.admitInactive(vcpus)
 
@@ -116,12 +116,12 @@ func (r *RelaxedCo) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUVi
 	// otherwise it is skipped and the VM waits. Everyone else
 	// single-starts.
 	for len(idle) > 0 {
-		id, coStart, ok := r.nextEligible(vcpus, byVM, vmIndex, inactive, len(idle))
+		id, coStart, ok := r.nextEligible(vcpus, inactive, len(idle))
 		if !ok {
 			break
 		}
 		if coStart {
-			for _, g := range byVM[vcpus[id].VM] {
+			for _, g := range r.gangs.Members(r.gangs.Pos(vcpus[id].VM)) {
 				acts.Assign(g, idle[0], r.timeslice)
 				idle = idle[1:]
 				inactive[g] = false
@@ -139,9 +139,9 @@ func (r *RelaxedCo) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUVi
 // updateSkews advances the cumulative skew counters: +1 per tick a VCPU is
 // descheduled while a sibling runs; -1 (floored at zero) per tick it runs
 // or while its whole gang is stopped.
-func (r *RelaxedCo) updateSkews(vcpus []core.VCPUView, vms []int, byVM map[int][]int) {
-	for _, vm := range vms {
-		gang := byVM[vm]
+func (r *RelaxedCo) updateSkews(vcpus []core.VCPUView) {
+	for vi := 0; vi < r.gangs.Len(); vi++ {
+		gang := r.gangs.Members(vi)
 		anyActive := false
 		for _, id := range gang {
 			if vcpus[id].Status.Active() {
@@ -160,10 +160,10 @@ func (r *RelaxedCo) updateSkews(vcpus []core.VCPUView, vms []int, byVM map[int][
 }
 
 // updateCoMode applies the enter/exit hysteresis per VM.
-func (r *RelaxedCo) updateCoMode(vms []int, byVM map[int][]int) {
-	for vi, vm := range vms {
+func (r *RelaxedCo) updateCoMode() {
+	for vi := range r.coMode {
 		var max int64
-		for _, id := range byVM[vm] {
+		for _, id := range r.gangs.Members(vi) {
 			if r.skew[id] > max {
 				max = r.skew[id]
 			}
@@ -176,26 +176,30 @@ func (r *RelaxedCo) updateCoMode(vms []int, byVM map[int][]int) {
 	}
 }
 
-// nextEligible scans the queue head-first for the next schedulable VCPU.
-// For a co-mode VM the whole gang must be inactive and fit in the idle
-// PCPUs (returning coStart=true); otherwise the entry is skipped.
-func (r *RelaxedCo) nextEligible(vcpus []core.VCPUView, byVM map[int][]int, vmIndex map[int]int, inactive []bool, idle int) (id int, coStart, ok bool) {
-	for _, cand := range r.queue.snapshot() {
+// nextEligible scans the queue head-first for the next schedulable VCPU,
+// dropping entries that are no longer INACTIVE as it goes. For a co-mode
+// VM the whole gang must be inactive and fit in the idle PCPUs (returning
+// coStart=true); otherwise the entry is skipped.
+func (r *RelaxedCo) nextEligible(vcpus []core.VCPUView, inactive []bool, idle int) (id int, coStart, ok bool) {
+	q := r.queue
+	for i := 0; i < len(q.order); {
+		cand := q.order[i]
 		if !inactive[cand] {
-			r.queue.remove(cand)
+			q.removeAt(i)
 			continue
 		}
-		vm := vcpus[cand].VM
-		gang := byVM[vm]
+		vi := r.gangs.Pos(vcpus[cand].VM)
+		gang := r.gangs.Members(vi)
 		if len(gang) <= idle && gangInactive(gang, inactive) {
 			// Best-effort co-start, opportunistic outside co-mode and
 			// mandatory inside it.
 			return cand, true, true
 		}
-		if !r.coMode[vmIndex[vm]] {
+		if !r.coMode[vi] {
 			return cand, false, true
 		}
 		// Forced co-start not possible this tick: the VM waits.
+		i++
 	}
 	return 0, false, false
 }

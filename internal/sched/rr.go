@@ -10,8 +10,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"vcpusim/internal/core"
 )
@@ -26,6 +27,7 @@ import (
 type RoundRobin struct {
 	timeslice int64
 	cursor    int
+	idle      []int // per-call idle-PCPU scratch
 }
 
 var _ core.Scheduler = (*RoundRobin)(nil)
@@ -45,9 +47,9 @@ func (r *RoundRobin) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUV
 		return
 	}
 	r.cursor %= len(vcpus)
-	idle := core.IdlePCPUs(pcpus)
+	r.idle = core.AppendIdlePCPUs(r.idle[:0], pcpus)
 	scanned := 0
-	for _, p := range idle {
+	for _, p := range r.idle {
 		assigned := false
 		for ; scanned < len(vcpus); scanned++ {
 			id := (r.cursor + scanned) % len(vcpus)
@@ -66,42 +68,57 @@ func (r *RoundRobin) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUV
 }
 
 // vcpuQueue is a FIFO of waiting VCPUs with set semantics: a VCPU appears
-// at most once. Shared by the queue-based schedulers.
+// at most once. Membership is a slice indexed by VCPU id, grown on demand,
+// so steady-state pushes and removals do not allocate.
 type vcpuQueue struct {
 	order  []int
-	member map[int]bool
+	member []bool
+	fresh  []waiter // admitInactive scratch
 }
 
-func newVCPUQueue() *vcpuQueue {
-	return &vcpuQueue{member: make(map[int]bool)}
+// waiter is an admission candidate's sort key.
+type waiter struct {
+	runtime int64
+	id      int
 }
+
+func newVCPUQueue() *vcpuQueue { return &vcpuQueue{} }
 
 // admitInactive appends every INACTIVE VCPU not yet queued. VCPUs admitted
 // in the same call are ordered least-served first (ascending cumulative
 // Runtime, then ID): when several VCPUs deschedule in the same tick, naive
 // ID order would systematically favor low IDs at every synchronized
-// expiry wave.
+// expiry wave. IDs are unique, so the order is total and any correct sort
+// yields it.
 func (q *vcpuQueue) admitInactive(vcpus []core.VCPUView) {
-	var fresh []core.VCPUView
-	for _, v := range vcpus {
-		if v.Status == core.Inactive && !q.member[v.ID] {
-			fresh = append(fresh, v)
+	fresh := q.fresh[:0]
+	for i := range vcpus {
+		v := &vcpus[i]
+		if v.Status == core.Inactive && !q.has(v.ID) {
+			fresh = append(fresh, waiter{runtime: v.Runtime, id: v.ID})
 		}
 	}
-	sort.Slice(fresh, func(i, j int) bool {
-		if fresh[i].Runtime != fresh[j].Runtime {
-			return fresh[i].Runtime < fresh[j].Runtime
+	slices.SortFunc(fresh, func(a, b waiter) int {
+		if c := cmp.Compare(a.runtime, b.runtime); c != 0 {
+			return c
 		}
-		return fresh[i].ID < fresh[j].ID
+		return cmp.Compare(a.id, b.id)
 	})
-	for _, v := range fresh {
-		q.push(v.ID)
+	for _, w := range fresh {
+		q.push(w.id)
 	}
+	q.fresh = fresh
 }
 
+// has reports whether id is queued.
+func (q *vcpuQueue) has(id int) bool { return id < len(q.member) && q.member[id] }
+
 func (q *vcpuQueue) push(id int) {
-	if q.member[id] {
+	if q.has(id) {
 		return
+	}
+	if id >= len(q.member) {
+		q.member = append(q.member, make([]bool, id+1-len(q.member))...)
 	}
 	q.order = append(q.order, id)
 	q.member[id] = true
@@ -112,29 +129,26 @@ func (q *vcpuQueue) pop() (int, bool) {
 		return 0, false
 	}
 	id := q.order[0]
-	q.order = q.order[1:]
-	delete(q.member, id)
+	q.removeAt(0)
 	return id, true
 }
 
 // remove deletes id from the queue wherever it is.
 func (q *vcpuQueue) remove(id int) {
-	if !q.member[id] {
+	if !q.has(id) {
 		return
 	}
-	for i, v := range q.order {
-		if v == id {
-			q.order = append(q.order[:i], q.order[i+1:]...)
-			break
-		}
-	}
-	delete(q.member, id)
+	q.removeAt(slices.Index(q.order, id))
+}
+
+// removeAt deletes the entry at position i, shifting the tail down in
+// place so the backing array is reused.
+func (q *vcpuQueue) removeAt(i int) {
+	q.member[q.order[i]] = false
+	q.order = append(q.order[:i], q.order[i+1:]...)
 }
 
 // len returns the number of queued VCPUs.
 func (q *vcpuQueue) len() int { return len(q.order) }
-
-// snapshot returns the queue contents head-first.
-func (q *vcpuQueue) snapshot() []int { return append([]int(nil), q.order...) }
 
 func (q *vcpuQueue) String() string { return fmt.Sprint(q.order) }

@@ -123,7 +123,7 @@ func TestVCPUQueueAdmitLeastServedFirst(t *testing.T) {
 		{ID: 3, Status: core.Inactive, Runtime: 30},
 	}
 	q.admitInactive(views)
-	got := q.snapshot()
+	got := q.order
 	want := []int{2, 3, 0} // runtime ascending, ties by ID; READY skipped
 	if len(got) != len(want) {
 		t.Fatalf("queue %v, want %v", got, want)

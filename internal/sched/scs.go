@@ -17,6 +17,8 @@ import (
 type StrictCo struct {
 	timeslice int64
 	next      int // round-robin pointer over VM indices
+	gangs     core.Gangs
+	idle      []int // per-call idle-PCPU scratch
 }
 
 var _ core.Scheduler = (*StrictCo)(nil)
@@ -31,21 +33,22 @@ func (s *StrictCo) Name() string { return "SCS" }
 
 // Schedule implements core.Scheduler.
 func (s *StrictCo) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUView, acts *core.Actions) {
-	idle := core.IdlePCPUs(pcpus)
+	s.idle = core.AppendIdlePCPUs(s.idle[:0], pcpus)
+	idle := s.idle
 	if len(idle) == 0 {
 		return
 	}
-	byVM := core.SiblingsOf(vcpus)
-	vms := core.VMs(vcpus)
-	if len(vms) == 0 {
+	s.gangs.Derive(vcpus)
+	n := s.gangs.Len()
+	if n == 0 {
 		return
 	}
-	s.next %= len(vms)
+	s.next %= n
 
 	scheduledFirst := -1
-	for i := 0; i < len(vms) && len(idle) > 0; i++ {
-		pos := (s.next + i) % len(vms)
-		gang := byVM[vms[pos]]
+	for i := 0; i < n && len(idle) > 0; i++ {
+		pos := (s.next + i) % n
+		gang := s.gangs.Members(pos)
 		if len(gang) > len(idle) || !allInactive(gang, vcpus) {
 			continue
 		}
@@ -58,7 +61,7 @@ func (s *StrictCo) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUVie
 		}
 	}
 	if scheduledFirst >= 0 {
-		s.next = (scheduledFirst + 1) % len(vms)
+		s.next = (scheduledFirst + 1) % n
 	}
 }
 
