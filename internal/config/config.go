@@ -152,10 +152,11 @@ type Experiment struct {
 	Replications Replications `json:"replications,omitempty"`
 	// Faults is an optional fault-injection campaign (SAN engine only).
 	Faults *faults.Plan `json:"faults,omitempty"`
-	// Contract is the determinism contract version (1 or 2); default 1,
-	// the byte-frozen original engine. 2 selects the ziggurat-sampling
-	// calendar-queue fast path, whose trajectories are self-reproducible
-	// but diverge from v1's.
+	// Contract is the determinism contract version (1 or 2), which
+	// selects the variate stream; default 1, inversion/Box-Muller
+	// sampling. 2 selects ziggurat sampling, whose trajectories are
+	// self-reproducible but diverge from v1's wherever exponential or
+	// normal clocks are drawn.
 	Contract int `json:"contract,omitempty"`
 }
 

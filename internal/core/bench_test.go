@@ -58,9 +58,10 @@ func BenchmarkRunnerFig8(b *testing.B) {
 }
 
 // BenchmarkRunnerFig8V2 is BenchmarkRunnerFig8 compiled under
-// determinism contract v2 (calendar-queue kernel; the Figure 8 model's
-// clocks are deterministic, so the ziggurat never engages here and the
-// delta isolates the kernel swap on the paper's own workload shape).
+// determinism contract v2. The Figure 8 model's clocks are deterministic,
+// so the ziggurat never engages and both contracts run the identical
+// program: the pair shows the contract costs nothing where it does not
+// apply.
 func BenchmarkRunnerFig8V2(b *testing.B) {
 	cfg := benchFig8Config(2)
 	const horizon = 10000

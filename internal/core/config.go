@@ -45,8 +45,8 @@ type SystemConfig struct {
 	// to one built before the faults subsystem existed.
 	Faults *faults.Plan
 	// Contract is the determinism contract version the SAN program is
-	// compiled under (san.ContractV1 or san.ContractV2); 0 selects
-	// san.DefaultContract, i.e. the byte-frozen v1 engine.
+	// compiled under (san.ContractV1 or san.ContractV2), which selects
+	// the variate stream; 0 selects san.DefaultContract, i.e. v1.
 	Contract int
 }
 

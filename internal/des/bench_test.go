@@ -1,6 +1,10 @@
 package des
 
-import "testing"
+import (
+	"testing"
+
+	"vcpusim/internal/rng"
+)
 
 func BenchmarkScheduleAndStep(b *testing.B) {
 	k := NewKernel()
@@ -43,5 +47,37 @@ func BenchmarkCancel(b *testing.B) {
 			b.Fatal(err)
 		}
 		k.Cancel(ev)
+	}
+}
+
+// BenchmarkChurnHeapKernel measures steady-state pop+reschedule churn with
+// reusable arena events at a queue depth of 64 and exponential inter-event
+// gaps — the tandem-64 SAN executor's event-list workload, without the
+// executor around it.
+func BenchmarkChurnHeapKernel(b *testing.B) {
+	k := NewKernel()
+	r := rng.New(1)
+	const depth = 64
+	k.Reserve(depth)
+	var current *Event
+	for i := 0; i < depth; i++ {
+		var ev *Event
+		ev, err := k.NewEvent(0, "churn", func() { current = ev })
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := k.ScheduleEventAt(ev, r.ExpInv()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !k.Step() {
+			b.Fatal("queue dried up")
+		}
+		if err := k.ScheduleEventAt(current, k.Now()+r.ExpInv()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

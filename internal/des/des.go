@@ -1,6 +1,8 @@
 // Package des implements the discrete-event simulation kernel underneath the
-// SAN engine: a future-event list ordered by (time, priority, sequence), a
-// simulation clock, and event cancellation.
+// SAN engine: a binary-heap future-event list ordered by (time, priority,
+// sequence), a simulation clock, and event cancellation. Every determinism
+// contract runs on this one kernel; contracts differ only in their variate
+// streams.
 //
 // Determinism: events scheduled for the same time fire in priority order
 // (lower first) and, within a priority, in scheduling order. Given the same
@@ -22,17 +24,9 @@ type Event struct {
 	time     float64
 	priority int
 	seq      uint64
-	index    int // heap index or position in calendar bucket; -1 when not queued
+	index    int // heap index; -1 when not queued
 	handler  Handler
 	name     string
-	// Calendar-queue bookkeeping (unused in heap mode): the bucket the
-	// event lives in, its year index floor(time/width), and the intrusive
-	// singly-linked list threading the events of one bucket in sorted
-	// order. Intrusive links keep enqueue, dequeue, and resize rehashing
-	// allocation-free; only the bucket-head array is ever (re)allocated.
-	bucket  int32
-	calN    int64
-	calNext *Event
 }
 
 // Time returns the simulation time the event is scheduled for.
@@ -45,8 +39,10 @@ func (e *Event) Name() string { return e.name }
 // cancelled).
 func (e *Event) Pending() bool { return e.index >= 0 }
 
-// Kernel is a discrete-event simulation executor. The zero value is not
-// usable; construct with NewKernel.
+// Kernel is a discrete-event simulation executor over a binary-heap event
+// list. The (time, priority, seq) order is total, so the pop sequence — and
+// with it the trajectory — depends only on what was scheduled, never on the
+// heap's layout. The zero value is not usable; construct with NewKernel.
 type Kernel struct {
 	now       float64
 	queue     []*Event
@@ -60,26 +56,11 @@ type Kernel struct {
 	// set instead of one per event, and the events' hot fields (time, seq,
 	// index) end up adjacent in memory for the heap's comparisons.
 	arena []Event
-	// cal, when non-nil, replaces the binary heap with the calendar-queue
-	// event list (see calendar.go). Both backends pop in the identical
-	// (time, priority, seq) total order, so they produce the same
-	// trajectory; the calendar is the contract-v2 fast path.
-	cal *calendar
 }
 
 // NewKernel returns a kernel with the clock at zero and an empty event list.
 func NewKernel() *Kernel {
 	return &Kernel{}
-}
-
-// NewCalendarKernel returns a kernel whose event list is a calendar queue
-// with amortized O(1) enqueue/dequeue instead of the O(log n) binary heap.
-// The event API and the pop order are exactly those of NewKernel — the
-// (time, priority, seq) order is total, so the trajectory cannot differ —
-// but the constant factors on the SAN executor's hot path are lower. This
-// is the backend determinism contract v2 selects.
-func NewCalendarKernel() *Kernel {
-	return &Kernel{cal: newCalendar()}
 }
 
 // Now returns the current simulation time.
@@ -93,9 +74,6 @@ func (k *Kernel) Now() float64 { return k.now }
 // NewEvent stay bound to their handlers and can be scheduled again. It
 // never allocates and retains the queue's capacity.
 func (k *Kernel) Reset() {
-	if k.cal != nil {
-		k.cal.reset()
-	}
 	for i, ev := range k.queue {
 		ev.index = -1
 		k.queue[i] = nil
@@ -121,32 +99,17 @@ func (k *Kernel) Cancelled() uint64 { return k.cancelled }
 
 // Len returns the number of pending events.
 func (k *Kernel) Len() int {
-	if k.cal != nil {
-		return k.cal.count
-	}
 	return len(k.queue)
 }
 
 // NextTime returns the scheduled time of the earliest pending event without
-// firing it, or +Inf when the event list is empty. Both backends answer in
-// O(1): the heap from its root, the calendar from its cached head.
+// firing it, or +Inf when the event list is empty, in O(1) from the heap's
+// root.
 func (k *Kernel) NextTime() float64 {
-	if k.cal != nil {
-		return k.cal.nextTime()
-	}
 	if len(k.queue) == 0 {
 		return math.Inf(1)
 	}
 	return k.queue[0].time
-}
-
-// enqueue routes a newly scheduled event to the active event-list backend.
-func (k *Kernel) enqueue(ev *Event) {
-	if k.cal != nil {
-		k.cal.push(ev)
-		return
-	}
-	k.push(ev)
 }
 
 // ErrPast is returned when scheduling before the current time.
@@ -165,7 +128,7 @@ func (k *Kernel) Schedule(t float64, priority int, name string, handler Handler)
 	k.seq++
 	k.scheduled++
 	ev := &Event{time: t, priority: priority, seq: k.seq, handler: handler, name: name}
-	k.enqueue(ev)
+	k.push(ev)
 	return ev, nil
 }
 
@@ -224,7 +187,7 @@ func (k *Kernel) ScheduleEventAt(ev *Event, t float64) error {
 	k.scheduled++
 	ev.time = t
 	ev.seq = k.seq
-	k.enqueue(ev)
+	k.push(ev)
 	return nil
 }
 
@@ -239,11 +202,7 @@ func (k *Kernel) Cancel(ev *Event) {
 	if ev == nil || ev.index < 0 {
 		return
 	}
-	if k.cal != nil {
-		k.cal.remove(ev)
-	} else {
-		k.remove(ev.index)
-	}
+	k.remove(ev.index)
 	k.cancelled++
 }
 
@@ -269,18 +228,10 @@ func (k *Kernel) AdvanceTo(t float64) error {
 // Step fires the next event, advancing the clock to its time. It returns
 // false when no events remain.
 func (k *Kernel) Step() bool {
-	var ev *Event
-	if k.cal != nil {
-		if k.cal.head == nil {
-			return false
-		}
-		ev = k.cal.pop()
-	} else {
-		if len(k.queue) == 0 {
-			return false
-		}
-		ev = k.pop()
+	if len(k.queue) == 0 {
+		return false
 	}
+	ev := k.pop()
 	k.now = ev.time
 	k.fired++
 	ev.handler()

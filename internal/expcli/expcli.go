@@ -31,7 +31,7 @@ func Run(args []string, out io.Writer) (err error) {
 	var (
 		figure   = fs.String("figure", "all", "which experiment: 8, 9, 10, timeslice, skew, balance, lock, hybrid, engines, faults, cluster, or all")
 		engine   = fs.String("engine", "fast", `simulation engine: "fast" or "san"`)
-		contract = fs.Int("contract", 1, "determinism contract version for the SAN engine: 1 (byte-frozen original) or 2 (ziggurat + calendar queue)")
+		contract = fs.Int("contract", 1, "determinism contract version for the SAN engine, which selects the variate stream: 1 (inversion/Box-Muller sampling) or 2 (ziggurat sampling)")
 		seed     = fs.Uint64("seed", 1, "experiment seed")
 		horizon  = fs.Int64("horizon", 20000, "simulated ticks per replication")
 		minRep   = fs.Int("min-reps", 10, "minimum replications per cell")

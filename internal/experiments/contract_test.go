@@ -13,9 +13,9 @@ import (
 // TestGoldenContractGridEquivalence renders Figure 9 on the SAN engine
 // under contract 1 and contract 2: the tables must be byte-identical.
 // The experiment grid's workload clocks are all deterministic or
-// imperatively sampled, so the v2 engine (calendar queue, ziggurat
-// lowering) must reproduce the v1 trajectories exactly — this is the
-// strongest possible form of the v1-vs-v2 agreement check.
+// imperatively sampled, so the v2 engine (ziggurat lowering) must
+// reproduce the v1 trajectories exactly — this is the strongest possible
+// form of the v1-vs-v2 agreement check.
 func TestGoldenContractGridEquivalence(t *testing.T) {
 	render := func(contract int) string {
 		p := quickParams()

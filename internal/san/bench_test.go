@@ -64,9 +64,9 @@ func BenchmarkRunnerTandem(b *testing.B) {
 
 // BenchmarkRunnerTandemV2 is BenchmarkRunnerTandem compiled under
 // determinism contract v2: the ziggurat exponential sampler replaces the
-// -log(1-U) inversion in every arc plan and the calendar queue replaces
-// the binary heap. The PR 8 acceptance target is >= 1.5x events/s over
-// the v1 run at stations=64 with no allocs/op regression.
+// -log(1-U) inversion in every arc plan. Everything else — executor
+// bookkeeping and the binary-heap kernel — is shared with v1, so the delta
+// against BenchmarkRunnerTandem is the sampler alone.
 func BenchmarkRunnerTandemV2(b *testing.B) {
 	for _, n := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("stations=%d", n), func(b *testing.B) {

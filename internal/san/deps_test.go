@@ -264,7 +264,7 @@ func TestFusedActivitiesCompile(t *testing.T) {
 // counter — must be bit-identical across seeds. Only the number of
 // priority-scan restarts may differ.
 func TestFusedVsUnfusedBitIdentity(t *testing.T) {
-	run := func(opts ...CompileOption) ([]Results, []Stats) {
+	compile := func(opts ...CompileOption) *Program {
 		prog, err := Compile(buildChainModel(), opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -272,6 +272,47 @@ func TestFusedVsUnfusedBitIdentity(t *testing.T) {
 		if len(opts) == 0 && len(prog.FusedActivities()) == 0 {
 			t.Fatal("fusion not active; test would be vacuous")
 		}
+		return prog
+	}
+	requireSameRuns(t, compile(), compile(WithoutFusion()))
+}
+
+// TestFusedTouchMatchesPerStepTouch: on a narrow dirty arena a compiled
+// firing marks its whole touch set with one OR of its fireTouch row; on a
+// wide arena it touches place by place. Both must mark the same dirty
+// state, so stripping the fused rows leaves the trajectory bit-identical.
+// The models cover the dense three-word touch masks (chain) and the
+// sparse touch ops (tandem: no instantaneous activities).
+func TestFusedTouchMatchesPerStepTouch(t *testing.T) {
+	for _, build := range []func() *Model{buildChainModel, func() *Model { return buildTandem(16) }} {
+		fused, err := Compile(build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		perStep, err := Compile(build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stripped := 0
+		for _, ap := range append(append([]*actPlan(nil), perStep.timed...), perStep.instants...) {
+			if ap.fireTouch != nil {
+				ap.fireTouch = nil
+				stripped++
+			}
+		}
+		if stripped == 0 {
+			t.Fatalf("%s: no fused touches compiled; test would be vacuous", fused.Model().Name())
+		}
+		requireSameRuns(t, fused, perStep)
+	}
+}
+
+// requireSameRuns runs both programs over the same five seeds and fails
+// unless every reward value, counter and engine statistic is
+// bit-identical.
+func requireSameRuns(t *testing.T, a, b *Program) {
+	t.Helper()
+	run := func(prog *Program) ([]Results, []Stats) {
 		in, err := prog.NewInstance()
 		if err != nil {
 			t.Fatal(err)
@@ -289,27 +330,25 @@ func TestFusedVsUnfusedBitIdentity(t *testing.T) {
 		}
 		return results, stats
 	}
-	fusedRes, fusedStats := run()
-	plainRes, plainStats := run(WithoutFusion())
-	for i := range fusedRes {
-		for name, v := range fusedRes[i].Rates {
-			if math.Float64bits(v) != math.Float64bits(plainRes[i].Rates[name]) {
-				t.Errorf("seed %d: rate %s differs: fused %x plain %x",
-					i+1, name, v, plainRes[i].Rates[name])
+	aRes, aStats := run(a)
+	bRes, bStats := run(b)
+	for i := range aRes {
+		for name, v := range aRes[i].Rates {
+			if math.Float64bits(v) != math.Float64bits(bRes[i].Rates[name]) {
+				t.Errorf("seed %d: rate %s differs: %x vs %x", i+1, name, v, bRes[i].Rates[name])
 			}
 		}
-		for name, v := range fusedRes[i].Impulses {
-			if math.Float64bits(v) != math.Float64bits(plainRes[i].Impulses[name]) {
-				t.Errorf("seed %d: impulse %s differs: fused %x plain %x",
-					i+1, name, v, plainRes[i].Impulses[name])
+		for name, v := range aRes[i].Impulses {
+			if math.Float64bits(v) != math.Float64bits(bRes[i].Impulses[name]) {
+				t.Errorf("seed %d: impulse %s differs: %x vs %x", i+1, name, v, bRes[i].Impulses[name])
 			}
 		}
-		if fusedRes[i].Events != plainRes[i].Events || fusedRes[i].Firings != plainRes[i].Firings {
-			t.Errorf("seed %d: counters differ: fused %d/%d plain %d/%d", i+1,
-				fusedRes[i].Events, fusedRes[i].Firings, plainRes[i].Events, plainRes[i].Firings)
+		if aRes[i].Events != bRes[i].Events || aRes[i].Firings != bRes[i].Firings {
+			t.Errorf("seed %d: counters differ: %d/%d vs %d/%d", i+1,
+				aRes[i].Events, aRes[i].Firings, bRes[i].Events, bRes[i].Firings)
 		}
-		if !reflect.DeepEqual(fusedStats[i], plainStats[i]) {
-			t.Errorf("seed %d: stats differ:\nfused %+v\nplain %+v", i+1, fusedStats[i], plainStats[i])
+		if !reflect.DeepEqual(aStats[i], bStats[i]) {
+			t.Errorf("seed %d: stats differ:\n%+v\n%+v", i+1, aStats[i], bStats[i])
 		}
 	}
 }

@@ -14,9 +14,8 @@ import (
 var updateGoldenV2 = flag.Bool("update", false, "rewrite the contract-v2 golden fixture from the current engine")
 
 // goldenV2Cases are the (model, seed) cells pinned by the contract-v2
-// golden: exponential-clock models where the ziggurat sampler and the
-// calendar-queue kernel both engage, so the fixture freezes the v2
-// trajectory specifically (a v1 run of the same cells produces different
+// golden: exponential-clock models where the ziggurat sampler engages, so
+// the fixture freezes the v2 trajectory specifically (a v1 run of the same cells produces different
 // numbers — see TestGoldenContractV2DivergesFromV1).
 func goldenV2Cases() []struct {
 	name    string
@@ -72,7 +71,7 @@ func runGoldenV2Case(t *testing.T, build func() *Model, horizon float64, seed ui
 }
 
 // TestGoldenContractV2Determinism pins the contract-v2 engine bit for
-// bit: ziggurat draw order and calendar-queue pop order must reproduce
+// bit: ziggurat draw order and the kernel's pop order must reproduce
 // this fixture exactly on every platform and parallelism level. Run with
 // -update to re-record — only legitimate when a change intentionally
 // declares a NEW contract version; silently re-recording v2 breaks the
@@ -148,7 +147,7 @@ func TestGoldenContractV2SelfReproducible(t *testing.T) {
 // exponential-clock model the ziggurat sampler consumes the source
 // stream differently, so the trajectories must differ. (Models with only
 // deterministic or uniform clocks coincide under both contracts — the
-// calendar queue preserves the exact pop order.)
+// contract selects only the variate stream.)
 func TestGoldenContractV2DivergesFromV1(t *testing.T) {
 	gc := goldenV2Cases()[0]
 	v1 := runGoldenV2Case(t, gc.build, gc.horizon, gc.seed, ContractV1)

@@ -143,18 +143,13 @@ type Instance struct {
 }
 
 // NewInstance allocates the mutable state for running the program: a
-// kernel (heap-backed under contract v1, calendar-queue under v2),
-// reusable completion events, accumulators, and scratch buffers. The
-// instance is not armed; call Reset(seed) before the first run.
+// kernel, reusable completion events, accumulators, and scratch buffers.
+// The instance is not armed; call Reset(seed) before the first run.
 func (p *Program) NewInstance() (*Instance, error) {
 	m := p.model
-	kernel := des.NewKernel()
-	if p.contract == ContractV2 {
-		kernel = des.NewCalendarKernel()
-	}
 	in := &Instance{
 		prog:       p,
-		kernel:     kernel,
+		kernel:     des.NewKernel(),
 		src:        rng.New(0),
 		timed:      p.timed,
 		instants:   p.instants,
@@ -596,7 +591,7 @@ func (in *Instance) fire(ap *actPlan) {
 	}
 	if ap.fireCompiled {
 		if ft := ap.fireTouch; ft != nil {
-			// Fused-touch path (contract v2): one OR marks every place the
+			// Fused-touch path (narrow arenas): one OR marks every place the
 			// plan touches plus its rate-dirty bits, and the steps skip the
 			// per-place touches. Marking before the steps keeps the dirty
 			// sets a superset of the per-step path on the error exit, which
@@ -606,7 +601,7 @@ func (in *Instance) fire(ap *actPlan) {
 				ar[i] |= w
 			}
 			for _, st := range ap.fireArcs {
-				in.applyArcDelta(st)
+				in.applyArcStep(st)
 				if in.failed != nil {
 					return
 				}
@@ -614,6 +609,7 @@ func (in *Instance) fire(ap *actPlan) {
 		} else {
 			for _, st := range ap.fireArcs {
 				in.applyArcStep(st)
+				in.touchID(st.p.id)
 				if in.failed != nil {
 					return
 				}
@@ -660,29 +656,10 @@ func (in *Instance) fire(ap *actPlan) {
 
 // applyArcStep applies one counted arc's marking change, mirroring
 // Place.SetTokens exactly: negative markings are recorded as modeling
-// errors and clamped to zero, capacity overflows are recorded, and the
-// place's dependents are marked dirty. Gate closures reach the same code
-// through Place.Add; the compiled firing plan calls it directly.
+// errors and clamped to zero, and capacity overflows are recorded. It does
+// not mark the place's dependents dirty: fire either touches the place
+// after the step or has already ORed the plan's whole touch set.
 func (in *Instance) applyArcStep(st arcStep) {
-	p := st.p
-	n := p.tokens + st.delta
-	if n < 0 {
-		p.model.addErr(fmt.Errorf("san: place %s marked negative (%d)", p.name, n))
-		n = 0
-	}
-	if p.capacity > 0 && n > p.capacity {
-		p.model.addErr(fmt.Errorf("san: place %s marked %d, above its declared capacity %d", p.name, n, p.capacity))
-	}
-	p.tokens = n
-	in.touchID(p.id)
-}
-
-// applyArcDelta is applyArcStep without the dirty touch, for the fused-
-// touch firing path: the whole plan's touch set was already marked in one
-// OR, so only the marking change and its checks remain. Kept separate from
-// applyArcStep (rather than parameterizing it) so the frozen v1 firing
-// path compiles exactly as before.
-func (in *Instance) applyArcDelta(st arcStep) {
 	p := st.p
 	n := p.tokens + st.delta
 	if n < 0 {
@@ -884,15 +861,10 @@ func (in *Instance) refresh() {
 		in.candTimed.or(in.prog.wildTimed)
 	}
 	// The loop body never touches candTimed (scheduling and cancellation
-	// are kernel-only), so under contract v2 the set is cleared wholesale
-	// afterwards instead of bit by bit; the error returns skip the clear,
-	// but a failed replication never refreshes again. The frozen v1 path
-	// keeps its original per-candidate clear.
-	bulk := in.prog.contract == ContractV2
+	// are kernel-only), so the set is cleared wholesale afterwards instead
+	// of bit by bit; the error returns skip the clear, but a failed
+	// replication never refreshes again.
 	for i := in.candTimed.next(0); i >= 0; i = in.candTimed.next(i + 1) {
-		if !bulk {
-			in.candTimed.clear(i)
-		}
 		ap := in.timed[i]
 		ev := in.events[i]
 		scheduled := ev.Pending()
@@ -921,9 +893,7 @@ func (in *Instance) refresh() {
 			in.aborts++
 		}
 	}
-	if bulk {
-		in.candTimed.zero()
-	}
+	in.candTimed.zero()
 }
 
 // complete is the kernel handler for a timed-activity completion.

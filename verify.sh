@@ -38,7 +38,8 @@ echo "== go test -race ./internal/..."
 go test -race ./internal/...
 
 echo "== pooled-determinism gate (goldens + pooled/fresh equivalence, uncached)"
-go test -run 'Golden|PooledEquivalence' -count=1 ./internal/core ./internal/san ./internal/experiments
+go test -run 'Golden|PooledEquivalence' -count=1 ./internal/core ./internal/san ./internal/experiments \
+    ./internal/cluster ./cmd/vcpusim
 
 echo "== observability gate (manifest write + schema/counter validation)"
 obsdir=$(mktemp -d)
