@@ -10,7 +10,8 @@
 #                             # path (the compile-once executive's A/B)
 #   ./bench.sh json <label> [out.json]
 #                             # headline engine benchmarks (fig8, tandem-64,
-#                             # cluster at 10/100/1000 hosts)
+#                             # cluster at 10/100/1000 hosts, both with a
+#                             # shrinking and with a fixed horizon)
 #                             # parsed into JSON under the given label via
 #                             # cmd/benchjson; default out
 #                             # results/bench/BENCH_<label>.json (errors if
@@ -32,7 +33,7 @@ set -eu
 cd "$(dirname "$0")"
 
 PKGS="./internal/san ./internal/core ./internal/des ./internal/cluster"
-BENCH="BenchmarkRunner|BenchmarkScheduleAndStep|BenchmarkHeapChurn|BenchmarkCancel|BenchmarkClusterReplicate"
+BENCH="BenchmarkRunner|BenchmarkScheduleAndStep|BenchmarkHeapChurn|BenchmarkCancel|BenchmarkClusterReplicate|BenchmarkClusterFixedHorizon"
 
 case "${1:-}" in
 smoke)
@@ -57,7 +58,7 @@ json)
     # iteration count float with machine load, which moves the measured
     # work itself between runs. 50 iterations x count=10 with median
     # aggregation in benchjson is the recording protocol (EXPERIMENTS.md).
-    go test -run '^$' -bench 'BenchmarkRunnerFig8$|BenchmarkRunnerFig8V2$|BenchmarkRunnerTandem/stations=64|BenchmarkRunnerTandemV2/stations=64|BenchmarkClusterReplicate/hosts=10$|BenchmarkClusterReplicate/hosts=100$|BenchmarkClusterReplicate/hosts=1000$' \
+    go test -run '^$' -bench 'BenchmarkRunnerFig8$|BenchmarkRunnerFig8V2$|BenchmarkRunnerTandem/stations=64|BenchmarkRunnerTandemV2/stations=64|BenchmarkClusterReplicate/hosts=10$|BenchmarkClusterReplicate/hosts=100$|BenchmarkClusterReplicate/hosts=1000$|BenchmarkClusterFixedHorizon/hosts=10$|BenchmarkClusterFixedHorizon/hosts=100$|BenchmarkClusterFixedHorizon/hosts=1000$' \
         -benchtime 50x -count=10 -benchmem ./internal/core ./internal/san ./internal/cluster |
         go run ./cmd/benchjson -out "$out" -label "$label"
     ;;

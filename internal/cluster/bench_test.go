@@ -4,16 +4,18 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"vcpusim/internal/config"
+	"vcpusim/internal/obs"
 )
 
 // benchTopology builds an n-host fleet for throughput measurement: every
 // host is a 2-PCPU machine with one resident 2-VCPU VM and two parked
 // 1-VCPU slots, an arrival wave dispatches one 1-VCPU VM per host, and
-// threshold migration is armed — so the measured path includes the host
-// heap, the cluster event queue, placement, and migration, not just the
-// per-host step loop.
+// threshold migration is armed — so the measured path includes the
+// cluster event queue, placement, and migration, not just the per-host
+// step loop.
 func benchTopology(hosts int, horizon float64) *Topology {
 	load := config.Distribution{Dist: "uniform", Low: 1, High: 10}
 	t := &Topology{
@@ -76,6 +78,51 @@ func BenchmarkClusterReplicate(b *testing.B) {
 			if secs := b.Elapsed().Seconds(); secs > 0 {
 				b.ReportMetric(float64(events)/secs, "events/s")
 			}
+		})
+	}
+}
+
+// BenchmarkClusterFixedHorizon runs every fleet size at one horizon and
+// splits a replication into its two costs: stepping, reported per host
+// event, and the fixed per-replication arm plus collect over every host.
+// BenchmarkClusterReplicate shrinks its horizon as the fleet grows, so
+// its events/s mixes the two; it stays unchanged because recorded
+// baselines gate it.
+func BenchmarkClusterFixedHorizon(b *testing.B) {
+	for _, hosts := range []int{10, 100, 1000} {
+		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
+			o, err := New(benchTopology(hosts, 50))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			var events uint64
+			var step, fixed time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := obs.Clock()
+				if err := o.arm(uint64(i + 1)); err != nil {
+					b.Fatal(err)
+				}
+				t1 := obs.Clock()
+				if err := o.run(ctx); err != nil {
+					b.Fatal(err)
+				}
+				t2 := obs.Clock()
+				if _, err := o.collect(); err != nil {
+					b.Fatal(err)
+				}
+				t3 := obs.Clock()
+				step += t2 - t1
+				fixed += t1 - t0 + t3 - t2
+				events += o.LastStats().Events
+			}
+			b.StopTimer()
+			if events > 0 {
+				b.ReportMetric(float64(step.Nanoseconds())/float64(events), "ns/event")
+			}
+			b.ReportMetric(float64(fixed.Nanoseconds())/1e3/float64(b.N), "arm+collect-us/rep")
 		})
 	}
 }

@@ -48,6 +48,9 @@ type hostShard struct {
 	sys    *core.System
 	inst   *san.Instance
 	slots  []slotState
+	// genName[i] is slot i's workload-generator activity name, resolved
+	// once so admission and drain flips build no strings.
+	genName []string
 	// genEnabled mirrors the instance's persisted SetActivityEnabled
 	// state per slot, so replication setup only flips transitions — a
 	// host whose slots are all admitted from t=0 never touches the
@@ -167,11 +170,6 @@ type Orchestrator struct {
 	policy PlacementPolicy
 	hosts  []*hostShard
 
-	// hheap is an index min-heap over the hosts' next-event times, with
-	// host ID breaking ties — the global total order (time, hostID).
-	hheap []int
-	hpos  []int // hpos[host] = position in hheap
-
 	events eventHeap
 	seq    int
 	queue  []queuedVM
@@ -189,8 +187,13 @@ type Orchestrator struct {
 
 	sink obs.Sink
 
+	// ctxCheck counts host events since the last cancellation check.
 	ctxCheck int
 }
+
+// ctxCheckEvery is the number of host events between two checks of the
+// replication's context.
+const ctxCheckEvery = 8192
 
 // Cluster-level metric names. Per-host metrics are hostMetric(h, base)
 // = "host<h>/<base>".
@@ -256,15 +259,15 @@ func New(topo *Topology) (*Orchestrator, error) {
 					vm++
 				}
 			}
+			h.genName = make([]string, len(h.slots))
 			h.genEnabled = make([]bool, len(h.slots))
-			for i := range h.genEnabled {
+			for i := range h.slots {
+				h.genName[i] = h.sys.GenerateActivityName(i)
 				h.genEnabled[i] = true // activities start enabled
 			}
 			o.hosts = append(o.hosts, h)
 		}
 	}
-	o.hheap = make([]int, 0, len(o.hosts))
-	o.hpos = make([]int, len(o.hosts))
 	o.loads = make([]HostLoad, len(o.hosts))
 	o.lastHost = make([]map[string]float64, len(o.hosts))
 	return o, nil
@@ -315,10 +318,10 @@ func (o *Orchestrator) LastStats() obs.Counters {
 	return c
 }
 
-// arm prepares every host for one replication: reseed and reset the
-// shard, re-establish slot admission (parked flags and generator
-// enables persist across resets, so only transitions are flipped), and
-// begin the run.
+// arm prepares one replication: every host is reseeded and reset, gets
+// its slot admission re-established (parked flags and generator enables
+// persist across resets, so only transitions are flipped) and begins its
+// run; then the cluster event queue is seeded.
 func (o *Orchestrator) arm(seed uint64) error {
 	for _, h := range o.hosts {
 		if err := h.worker.Arm(hostSeed(seed, h.id)); err != nil {
@@ -336,7 +339,7 @@ func (o *Orchestrator) arm(seed uint64) error {
 				return err
 			}
 			if h.genEnabled[i] != admitted {
-				if err := h.inst.SetActivityEnabled(h.sys.GenerateActivityName(i), admitted); err != nil {
+				if err := h.inst.SetActivityEnabled(h.genName[i], admitted); err != nil {
 					return fmt.Errorf("cluster: host %s: %w", h.name, err)
 				}
 				h.genEnabled[i] = admitted
@@ -346,6 +349,7 @@ func (o *Orchestrator) arm(seed uint64) error {
 			return fmt.Errorf("cluster: host %s: %w", h.name, err)
 		}
 	}
+	o.seedEvents()
 	return nil
 }
 
@@ -371,116 +375,89 @@ func (o *Orchestrator) push(ev clusterEvent) {
 	o.events.push(ev)
 }
 
-// Host-heap operations: an index min-heap keyed lazily by each host's
-// PeekNextEventTime, host ID breaking ties. Keys change only when a host
-// processes an event or runs an Exec, and the caller re-fixes exactly
-// that host, so the lazy keys are always coherent.
-func (o *Orchestrator) hkey(h int) float64 { return o.hosts[h].inst.PeekNextEventTime() }
-
-func (o *Orchestrator) hless(a, b int) bool {
-	ta, tb := o.hkey(a), o.hkey(b)
-	if ta != tb {
-		return ta < tb
-	}
-	return a < b
-}
-
-func (o *Orchestrator) hswap(i, j int) {
-	o.hheap[i], o.hheap[j] = o.hheap[j], o.hheap[i]
-	o.hpos[o.hheap[i]] = i
-	o.hpos[o.hheap[j]] = j
-}
-
-func (o *Orchestrator) hup(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !o.hless(o.hheap[i], o.hheap[p]) {
-			break
-		}
-		o.hswap(i, p)
-		i = p
-	}
-}
-
-func (o *Orchestrator) hdown(i int) {
-	n := len(o.hheap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && o.hless(o.hheap[l], o.hheap[m]) {
-			m = l
-		}
-		if r < n && o.hless(o.hheap[r], o.hheap[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		o.hswap(i, m)
-		i = m
-	}
-}
-
-// hfix restores the heap after host h's key changed.
-func (o *Orchestrator) hfix(h int) {
-	i := o.hpos[h]
-	o.hup(i)
-	o.hdown(o.hpos[h])
-}
-
-// Replicate runs one cluster replication seeded with seed: all hosts and
-// the cluster event queue advance in one global total order — ties at
-// equal virtual time go cluster events first (seq order), then hosts by
-// ID — and the result is the fleet metric map. Same seed, same topology:
-// same map, bit for bit, at any parallelism.
+// Replicate runs one cluster replication seeded with seed and returns
+// the fleet metric map. Same seed, same topology: same map, bit for bit,
+// at any parallelism.
+//
+// Hosts interact only through cluster events (arrivals, migration checks,
+// admissions), and no host event creates one. Between two consecutive
+// cluster-event times every host is therefore independent, so the loop
+// steps each host, in ID order, through its own events strictly before
+// the next cluster event, then handles that event. The strict bound
+// keeps the order's tie rule: a cluster event at t observes every host
+// before it processes its own events at t.
 func (o *Orchestrator) Replicate(ctx context.Context, seed uint64) (map[string]float64, error) {
 	if err := o.arm(seed); err != nil {
 		return nil, err
 	}
-	o.seedEvents()
-	o.hheap = o.hheap[:0]
-	for i := range o.hosts {
-		o.hheap = append(o.hheap, i)
-		o.hpos[i] = i
-	}
-	for i := len(o.hosts)/2 - 1; i >= 0; i-- {
-		o.hdown(i)
-	}
-
-	horizon := o.topo.Horizon
-	o.ctxCheck = 0
-	for {
-		ct := math.Inf(1)
-		if len(o.events) > 0 {
-			ct = o.events[0].time
-		}
-		ht := math.Inf(1)
-		if len(o.hheap) > 0 {
-			ht = o.hkey(o.hheap[0])
-		}
-		if ct >= horizon && ht >= horizon {
-			break
-		}
-		if ct <= ht {
-			ev := o.events.pop()
-			if err := o.handle(ev); err != nil {
-				return nil, err
-			}
-		} else {
-			h := o.hheap[0]
-			if err := o.hosts[h].inst.ProcessNextEvent(); err != nil {
-				return nil, fmt.Errorf("cluster: host %s: %w", o.hosts[h].name, err)
-			}
-			o.hfix(h)
-		}
-		if o.ctxCheck++; o.ctxCheck >= 8192 {
-			o.ctxCheck = 0
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("cluster: replication cancelled: %w", err)
-			}
-		}
+	if err := o.run(ctx); err != nil {
+		return nil, err
 	}
 	return o.collect()
+}
+
+// run is the replication's event loop over the armed hosts and the
+// seeded cluster event queue.
+func (o *Orchestrator) run(ctx context.Context) error {
+	horizon := o.topo.Horizon
+	o.ctxCheck = 0
+	// Every host has processed all its events before reached. Cluster
+	// events often share a time (all admissions from one check land at
+	// t + TransferDelay); a window that would not pass reached is empty.
+	reached := math.Inf(-1)
+	for {
+		end := horizon
+		if len(o.events) > 0 && o.events[0].time < end {
+			end = o.events[0].time
+		}
+		if end > reached {
+			if err := o.advance(ctx, end); err != nil {
+				return err
+			}
+			reached = end
+		}
+		if end >= horizon {
+			return nil
+		}
+		if err := o.handle(o.events.pop()); err != nil {
+			return err
+		}
+	}
+}
+
+// advance runs every host, in ID order, through its events strictly
+// before end. Each host stops at its own first failure; the error
+// reported is the one with the smallest (virtual time, host ID), the
+// failure a global (time, host ID) event order would reach first. Once
+// one host has failed at t, later hosts (higher IDs) need only run their
+// events before t to find an earlier failure.
+//
+// No host enters a window failed (every failure ends the replication),
+// and end never exceeds the horizon, so the window bound alone decides
+// which events are pending.
+func (o *Orchestrator) advance(ctx context.Context, end float64) error {
+	var failure error
+	for _, h := range o.hosts {
+		in := h.inst
+		for {
+			t := in.PeekNextEventTime()
+			if t >= end {
+				break
+			}
+			if err := in.ProcessNextEvent(); err != nil {
+				failure = fmt.Errorf("cluster: host %s: %w", h.name, err)
+				end = t
+				break
+			}
+			if o.ctxCheck++; o.ctxCheck >= ctxCheckEvery {
+				o.ctxCheck = 0
+				if err := ctx.Err(); err != nil {
+					return fmt.Errorf("cluster: replication cancelled: %w", err)
+				}
+			}
+		}
+	}
+	return failure
 }
 
 // handle executes one cluster event and then retries the placement
@@ -572,7 +549,7 @@ func (o *Orchestrator) admit(h *hostShard, slot int) error {
 		return err
 	}
 	if !h.genEnabled[slot] {
-		if err := h.inst.SetActivityEnabled(h.sys.GenerateActivityName(slot), true); err != nil {
+		if err := h.inst.SetActivityEnabled(h.genName[slot], true); err != nil {
 			return err
 		}
 		h.genEnabled[slot] = true
@@ -600,7 +577,6 @@ func (o *Orchestrator) migrationCheck(t float64) error {
 				h.sys.EvictVM(slot)
 				h.sys.SetVMParked(slot, true)
 			})
-			o.hfix(h.id)
 			if err != nil {
 				return fmt.Errorf("cluster: host %s: evicting slot %d: %w", h.name, slot, err)
 			}
@@ -635,7 +611,7 @@ func (o *Orchestrator) migrationCheck(t float64) error {
 		// Begin drain: stop generating on the source slot (non-marking)
 		// and reserve the target slot so nothing else books it.
 		if src.genEnabled[slot] {
-			if err := src.inst.SetActivityEnabled(src.sys.GenerateActivityName(slot), false); err != nil {
+			if err := src.inst.SetActivityEnabled(src.genName[slot], false); err != nil {
 				return err
 			}
 			src.genEnabled[slot] = false

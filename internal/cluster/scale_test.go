@@ -10,8 +10,8 @@ import (
 // TestThousandHostSmoke drives the orchestrator at fleet scale: 1000
 // hosts × 16 provisioned VCPUs (16k VCPUs, half resident at t=0), a
 // 2000-VM arrival burst, and armed migration thresholds, over a short
-// horizon. It is a liveness and accounting check — the global order,
-// host heap, and placement queue must hold together at three orders of
+// horizon. It is a liveness and accounting check — the windowed host
+// stepping and the placement queue must hold together at three orders of
 // magnitude more hosts than the golden fixtures — and it runs under the
 // race detector in CI.
 func TestThousandHostSmoke(t *testing.T) {

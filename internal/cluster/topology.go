@@ -1,14 +1,14 @@
 // Package cluster runs N host models under one global clock: a
 // shared-clock multi-host orchestrator built on the san.Instance step
-// primitives (BeginRun / HasPendingEvents / PeekNextEventTime /
-// ProcessNextEvent / EndRun). Each host is an independent compiled
-// system shard — its own core.System, san.Program, and san.Instance —
-// and the orchestrator repeatedly advances whichever host holds the
-// globally earliest pending event, interleaving cluster-level events (VM
-// arrivals routed by a pluggable placement policy, threshold-triggered
-// VM migration as drain / transfer-delay / re-admit, host degradation
-// via the existing per-host fault surface) in the same deterministic
-// total order.
+// primitives (BeginRun / PeekNextEventTime / ProcessNextEvent / Exec /
+// EndRun). Each host is an independent compiled
+// system shard — its own core.System, san.Program, and san.Instance.
+// Hosts interact only through cluster-level events (VM arrivals routed
+// by a pluggable placement policy, threshold-triggered VM migration as
+// drain / transfer-delay / re-admit), so the orchestrator steps every
+// host through its own events up to the next cluster event, then handles
+// that event; host degradation runs through the existing per-host fault
+// surface.
 package cluster
 
 import (

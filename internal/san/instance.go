@@ -475,7 +475,7 @@ func (in *Instance) HasPendingEvents() bool {
 
 // PeekNextEventTime returns the virtual time of the earliest pending
 // event without firing it, or +Inf when the event list is empty. A
-// multi-host orchestrator uses it to pick the globally earliest shard.
+// multi-host orchestrator uses it to step a shard up to a time bound.
 func (in *Instance) PeekNextEventTime() float64 {
 	return in.kernel.NextTime()
 }
