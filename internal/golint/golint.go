@@ -25,26 +25,28 @@
 //     contract v1, the ziggurat samplers for v2) so a contract bump
 //     changes every caller at once (raw-sampling).
 //
-// Each rule is an internal/analysis analyzer, so the identical checks
-// run three ways: through this package's Run facade (the `vcpusim vet`
-// source lint), through `go vet -vettool=<cmd/vet binary> ./...` (the go
-// command's package graph and caching), and as a standalone single
-// checker (`vet <module-root>`). The implementation is stdlib-only
-// (go/ast, go/parser, go/types). The checks are deliberately
-// conservative: an identifier named after the time package that actually
-// refers to a shadowing local is still reported, because shadowing the
-// time package in simulation code is itself worth flagging.
+// The rules form one fixed table, each with the module-relative
+// directories it applies to, and Run is their only driver: it parses
+// each package directory once, type-checks from source only the
+// packages a typed rule needs, and powers both the `vcpusim vet` source
+// lint and TestRepoClean. The implementation is stdlib-only (go/ast,
+// go/parser, go/types). The checks are deliberately conservative: an
+// identifier named after the time package that actually refers to a
+// shadowing local is still reported, because shadowing the time package
+// in simulation code is itself worth flagging.
 package golint
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
-
-	"vcpusim/internal/analysis"
+	"go/types"
+	"path/filepath"
+	"sort"
+	"strings"
 )
 
-// Rule identifiers, one per determinism invariant. Each is also the
-// name of the analyzer enforcing it.
+// Rule identifiers, one per determinism invariant.
 const (
 	// RuleGlobalRand flags imports of math/rand (v1 or v2) outside the
 	// exempted packages.
@@ -88,96 +90,137 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Message)
 }
 
-// Config scopes the analyzers to a module tree.
-type Config struct {
-	// Root is the module root directory (the one containing go.mod).
-	Root string
-	// ModulePath is the module's import path; discovered from go.mod when
-	// empty.
-	ModulePath string
-	// RandExempt lists directories (slash-separated, relative to Root)
-	// whose packages may import math/rand.
-	RandExempt []string
-	// ClockScope lists the directories in which wall-clock reads are
-	// forbidden outright (the simulation packages).
-	ClockScope []string
-	// MapRangeScope lists the directories in which map ranges are
-	// forbidden in non-test files.
-	MapRangeScope []string
-	// ObsClockExempt lists the directories exempt from the obs-clock
-	// rule (internal/obs itself; ClockScope is always exempt since the
-	// stricter wall-clock rule owns it).
-	ObsClockExempt []string
-	// SanScope lists the directories the san-immutable rule applies to.
-	SanScope []string
-	// RawSamplingExempt lists the directories whose packages may apply
-	// math.Log to raw rng.Source draws (the sampling primitives
-	// themselves).
-	RawSamplingExempt []string
-	// EmitterScope lists the deep-inspection emitter packages held to
-	// the emitter-pure rule: no wall-clock reads, no fmt stdout
-	// printing. These live under internal/obs (exempt from obs-clock by
-	// prefix), so this rule is what keeps their byte-determinism honest.
-	EmitterScope []string
+// Run analyzes every Go package under the module rooted at root and
+// returns the findings sorted by position. A nil slice means the tree
+// satisfies the determinism contract.
+func Run(root string) ([]Finding, error) {
+	return run(root, rules)
 }
 
-// DefaultConfig returns the vcpusim determinism contract: math/rand is
-// forbidden everywhere except internal/rng; wall-clock reads are
-// forbidden in all simulation packages including the replication
-// controller, and must route through obs.Clock everywhere else; map
-// ranges are forbidden on the simulation hot paths; san.Program is
-// immutable after Compile. internal/sim is excluded from the map-range
-// scope because its map iteration feeds only order-independent
-// per-metric aggregation, never event ordering.
-func DefaultConfig(root string) Config {
-	return Config{
-		Root:       root,
-		RandExempt: []string{"internal/rng"},
-		ClockScope: []string{
-			"internal/san", "internal/des", "internal/core",
-			"internal/sched", "internal/fastsim", "internal/sim",
-		},
-		MapRangeScope: []string{
-			"internal/san", "internal/des", "internal/core",
-			"internal/sched", "internal/fastsim",
-		},
-		ObsClockExempt:    []string{"internal/obs"},
-		SanScope:          []string{"internal/san"},
-		RawSamplingExempt: []string{"internal/rng"},
-		EmitterScope:      []string{"internal/obs/probe", "internal/obs/timeline"},
+// rule is one determinism check: the packages it applies to, whether it
+// reads _test.go files or type facts, and the check itself.
+type rule struct {
+	name  string
+	scope scope
+	// includeTests also hands the check the package's _test.go files.
+	// Test files are not type-checked, so a rule cannot combine it with
+	// needTypes.
+	includeTests bool
+	// needTypes type-checks the package and fills pass.info; syntactic
+	// rules leave it false and pay no type-checking cost.
+	needTypes bool
+	check     func(*pass)
+}
+
+// scope selects packages by module-relative, slash-separated directory
+// ("." for the module root): a package is admitted when it is in or under
+// one of in (every package when in is empty) and in or under none of out.
+type scope struct{ in, out []string }
+
+func (s scope) admits(rel string) bool {
+	return (len(s.in) == 0 || under(rel, s.in)) && !under(rel, s.out)
+}
+
+// under reports whether rel is one of dirs or inside one of them.
+func under(rel string, dirs []string) bool {
+	for _, d := range dirs {
+		if rel == d || strings.HasPrefix(rel, d+"/") {
+			return true
+		}
 	}
+	return false
 }
 
-// analyzers instantiates the rule set with the config's scopes.
-func (cfg Config) analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		NewGlobalRand(analysis.InScope(cfg.RandExempt...)),
-		NewWallClock(analysis.InScope(cfg.ClockScope...)),
-		NewMapRange(analysis.InScope(cfg.MapRangeScope...)),
-		NewObsClock(analysis.NotInScope(append(append([]string(nil), cfg.ObsClockExempt...), cfg.ClockScope...)...)),
-		NewSanImmutable(analysis.InScope(cfg.SanScope...)),
-		NewRawSampling(analysis.NotInScope(cfg.RawSamplingExempt...)),
-		NewEmitterPure(analysis.InScope(cfg.EmitterScope...)),
-	}
+// pass is one rule applied to one package.
+type pass struct {
+	rule     string
+	fset     *token.FileSet
+	files    []*ast.File
+	info     *types.Info // nil unless the rule needs types
+	findings *[]Finding
 }
 
-// Run analyzes every Go package under cfg.Root and returns the findings
-// sorted by position. A nil slice means the tree satisfies the
-// determinism contract.
-func Run(cfg Config) ([]Finding, error) {
-	if cfg.Root == "" {
+// reportf records a finding at pos.
+func (p *pass) reportf(pos token.Pos, format string, args ...any) {
+	*p.findings = append(*p.findings, Finding{
+		Pos:     p.fset.Position(pos),
+		Rule:    p.rule,
+		Message: fmt.Sprintf(format, args...),
+	})
+}
+
+// run applies each rule to the packages under root its scope admits.
+// Packages no rule applies to are not even parsed; packages only
+// syntactic rules apply to are not type-checked.
+func run(root string, rules []rule) ([]Finding, error) {
+	if root == "" {
 		return nil, fmt.Errorf("golint: empty root")
 	}
-	raw, err := analysis.RunModule(analysis.ModuleConfig{
-		Root:       cfg.Root,
-		ModulePath: cfg.ModulePath,
-	}, cfg.analyzers())
+	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
-		return nil, fmt.Errorf("golint: %w", err)
+		return nil, err
 	}
+	dirs, err := goDirs(root)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	ld := newLoader(fset, root, modPath)
 	var findings []Finding
-	for _, f := range raw {
-		findings = append(findings, Finding{Pos: f.Pos, Rule: f.Analyzer, Message: f.Message})
+	for _, rel := range dirs {
+		var applicable []*rule
+		needTypes, needTests := false, false
+		for i := range rules {
+			r := &rules[i]
+			if !r.scope.admits(rel) {
+				continue
+			}
+			applicable = append(applicable, r)
+			needTypes = needTypes || r.needTypes
+			needTests = needTests || r.includeTests
+		}
+		if len(applicable) == 0 {
+			continue
+		}
+		src, err := ld.files(rel)
+		if err != nil {
+			return nil, err
+		}
+		var tests []*ast.File
+		if needTests {
+			if tests, err = parseDir(fset, filepath.Join(root, filepath.FromSlash(rel)), true); err != nil {
+				return nil, err
+			}
+		}
+		var checked *checkedPkg
+		if needTypes {
+			if checked, err = ld.check(rel); err != nil {
+				return nil, err
+			}
+		}
+		for _, r := range applicable {
+			p := &pass{rule: r.name, fset: fset, files: src, findings: &findings}
+			if r.includeTests {
+				p.files = append(append([]*ast.File(nil), src...), tests...)
+			}
+			if r.needTypes {
+				p.info = checked.info
+			}
+			r.check(p)
+		}
 	}
+	sort.Slice(findings, func(i, j int) bool {
+		a, b := findings[i], findings[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
+		}
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Pos.Column != b.Pos.Column {
+			return a.Pos.Column < b.Pos.Column
+		}
+		return a.Rule < b.Rule
+	})
 	return findings, nil
 }

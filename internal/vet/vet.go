@@ -1,6 +1,6 @@
-// Package vet implements the `vcpusim vet` subcommand and the standalone
-// cmd/vet tool. It bundles the static verifiers that gate a simulation
-// study before any replication runs:
+// Package vet implements the `vcpusim vet` subcommand. It bundles the
+// static verifiers that gate a simulation study before any replication
+// runs:
 //
 //   - model verification (internal/sanlint): the SAN model built from an
 //     experiment configuration is checked for structural defects —
@@ -14,7 +14,8 @@
 //     conservation laws, and a dynamic gate/link conformance replay.
 //   - source verification (internal/golint): the simulator's own Go
 //     source is checked against the determinism contract — no math/rand,
-//     no wall-clock reads, no map iteration on simulation hot paths.
+//     no wall-clock reads, no map iteration on simulation hot paths, no
+//     san.Program writes after Compile, no inline sampling of rng draws.
 //
 // With -json every finding is emitted as one JSON object per line (a
 // stable machine-readable schema) and the exit status is non-zero only
@@ -188,7 +189,7 @@ func lintSource(p *printer, root string) (int, error) {
 			return 0, err
 		}
 	}
-	findings, err := golint.Run(golint.DefaultConfig(root))
+	findings, err := golint.Run(root)
 	if err != nil {
 		return 0, err
 	}

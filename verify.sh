@@ -16,12 +16,7 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
-echo "== go vet -vettool (determinism analyzers under the go driver)"
-vettool=$(mktemp -d)/vcpuvet
-go build -o "$vettool" ./cmd/vet
-go vet -vettool="$vettool" ./...
-
-echo "== vcpusim vet (determinism lint + shipped model check)"
+echo "== determinism gate: vcpusim vet (source determinism rules + shipped model check)"
 go run ./cmd/vcpusim vet -config cmd/vcpusim/testdata/fig8.json
 
 echo "== vcpusim vet -structural (boundedness/deadlock proofs + link conformance)"
