@@ -39,8 +39,10 @@ func TestVetSubcommand(t *testing.T) {
 	if err := run([]string{"vet", "-nosource", "-config", "testdata/fig8.json"}, &b); err != nil {
 		t.Fatalf("vet on shipped config: %v\n%s", err, b.String())
 	}
-	if !strings.Contains(b.String(), "ok") {
-		t.Errorf("vet output missing ok line:\n%s", b.String())
+	for _, want := range []string{"findings: none", "0 violations"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("vet output missing %q:\n%s", want, b.String())
+		}
 	}
 }
 

@@ -756,7 +756,7 @@ func (sys *System) applyActions(now int64, acts *Actions) {
 // impulse counters.
 func registerRewards(sys *System) {
 	m := sys.model
-	// Documented references let sanlint cross-check every reward against
+	// Documented references let sanalyze cross-check every reward against
 	// the model structure (the reward functions themselves are closures).
 	slotNames := make([]string, len(sys.vcpus))
 	for i, vc := range sys.vcpus {

@@ -204,12 +204,14 @@ func buildFaults(sys *System) error {
 	// places are documented (zero-count: the write is declared, the
 	// amount is marking-dependent). Without these links the structural
 	// link-conformance check rightly flags the eviction as an undeclared
-	// write.
+	// write. The same places are joined into the Faults submodel.
 	injects := inj.InjectActivities()
+	crashes := false
 	for i := range plan.Faults {
 		if plan.Faults[i].Kind != faults.KindPCPUCrash {
 			continue
 		}
+		crashes = true
 		act := injects[i]
 		act.Link(san.LinkInput, sys.pcpus.Name())
 		act.Link(san.LinkOutput, sys.pcpus.Name())
@@ -219,6 +221,14 @@ func buildFaults(sys *System) error {
 			act.Link(san.LinkInput, vc.host.Name())
 			act.Link(san.LinkOutput, vc.host.Name())
 			act.Link(san.LinkOutput, vc.schedOut.Name())
+		}
+	}
+	if crashes {
+		san.ShareExt(fsub, sys.pcpus)
+		for _, vc := range sys.vcpus {
+			san.ShareExt(fsub, vc.slot)
+			san.ShareExt(fsub, vc.host)
+			fsub.Share(vc.schedOut)
 		}
 	}
 

@@ -1,7 +1,22 @@
-// Package expcli implements the experiments command-line driver shared
-// by `vcpusim experiments` and the standalone experiments binary: flag
-// parsing, figure dispatch, table/CSV rendering, and the observability
-// surface (span streams, run manifests, profiling).
+// Package expcli implements `vcpusim experiments`, the driver that
+// regenerates every table and figure of the paper's evaluation plus the
+// ablations described in DESIGN.md: flag parsing, figure dispatch,
+// table/CSV rendering, and the observability surface (span streams, run
+// manifests, profiling).
+//
+// Usage:
+//
+//	vcpusim experiments -figure all
+//	vcpusim experiments -figure 8 -engine san -seed 7
+//	vcpusim experiments -figure 10 -csv out/
+//	vcpusim experiments -figure timeslice|skew|balance|engines
+//	vcpusim experiments -figure 8 -quick -manifest out/ -spans out/spans.jsonl
+//
+// Results print as ASCII tables with 95% confidence intervals; -csv also
+// writes one CSV per table into the given directory. -progress streams
+// per-cell telemetry to stderr, -spans captures the full span stream as
+// JSONL, -manifest writes a machine-readable run manifest, and
+// -cpuprofile/-memprofile/-exectrace wire the standard Go profilers.
 package expcli
 
 import (

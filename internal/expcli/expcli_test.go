@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vcpusim/internal/obs"
@@ -93,5 +94,72 @@ func TestRunNoTelemetryByDefault(t *testing.T) {
 func TestRunRejectsUnknownFigure(t *testing.T) {
 	if err := Run([]string{"-figure", "nope", "-quick"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("unknown figure accepted")
+	}
+}
+
+func TestRunUnknownFigure(t *testing.T) {
+	if err := Run([]string{"-figure", "42", "-quick"}, os.Stderr); err == nil {
+		t.Fatal("unknown figure accepted")
+	}
+}
+
+func TestRunFigure9Quick(t *testing.T) {
+	var b strings.Builder
+	if err := Run([]string{"-figure", "9", "-quick"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{"Figure 9", "set1 (2+2 VCPUs)", "RRS", "SCS", "RCS"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestRunFigure10WritesCSV(t *testing.T) {
+	dir := t.TempDir()
+	var b strings.Builder
+	if err := Run([]string{"-figure", "10", "-quick", "-csv", dir}, &b); err != nil {
+		t.Fatal(err)
+	}
+	// Figure 10 produces two tables -> two CSVs.
+	for _, name := range []string{"figure_10_1.csv", "figure_10_2.csv"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatalf("missing %s: %v", name, err)
+		}
+		if !strings.Contains(string(data), "mean,halfwidth") {
+			t.Errorf("%s lacks CSV header", name)
+		}
+	}
+}
+
+func TestRunLockAblationQuick(t *testing.T) {
+	var b strings.Builder
+	if err := Run([]string{"-figure", "lock", "-quick"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "spin fraction") {
+		t.Errorf("lock ablation output:\n%s", b.String())
+	}
+}
+
+func TestRunEnginesQuick(t *testing.T) {
+	var b strings.Builder
+	if err := Run([]string{"-figure", "engines", "-quick"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "max |SAN - fast|") {
+		t.Errorf("engines output:\n%s", b.String())
+	}
+}
+
+func TestRunSANEngineFlag(t *testing.T) {
+	var b strings.Builder
+	if err := Run([]string{"-figure", "9", "-quick", "-engine", "san"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "Figure 9") {
+		t.Errorf("san-engine output:\n%s", b.String())
 	}
 }

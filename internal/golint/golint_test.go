@@ -634,7 +634,7 @@ func TestScopePredicates(t *testing.T) {
 	cases := map[string]bool{
 		"internal/san":          true,
 		"internal/san/fixtures": true,
-		"internal/sanlint":      false,
+		"internal/sanalyze":     false,
 		"internal/des":          true,
 		"internal":              false,
 		".":                     false,

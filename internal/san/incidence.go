@@ -4,7 +4,7 @@ import "math/bits"
 
 // Incidence index for the runner's dirty-place tracking. Built once per
 // Runner from the model's documented structure (the same Link arcs the
-// san.Structure snapshot and package sanlint reason over), it answers: when
+// san.Structure snapshot and package sanalyze reason over), it answers: when
 // place p changes, which activities' enabling conditions and which rate
 // rewards' values could have changed?
 //

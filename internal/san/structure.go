@@ -4,7 +4,7 @@ package san
 // with their initial markings and join relations, activities with their
 // documented links and case weights, and reward variables with their
 // documented references. It is the interface between the model builder and
-// static analysis (package sanlint): gate code is opaque closures, so
+// static analysis (package sanalyze): gate code is opaque closures, so
 // everything an analyzer can reason about is captured here.
 type Structure struct {
 	Name       string

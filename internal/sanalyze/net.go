@@ -121,8 +121,8 @@ func buildNet(st san.Structure, disabled []string) *net {
 		for _, l := range a.Links {
 			pi, ok := n.placeIdx[l.Place]
 			if !ok {
-				// Extended place (or a dangling name, which sanlint
-				// reports): invisible to token math.
+				// Extended place (or a dangling name, reported as
+				// unknown-link): invisible to token math.
 				an.vague = true
 				continue
 			}

@@ -6,7 +6,7 @@ import (
 )
 
 // Write renders the report for humans. The layout is deliberately
-// stable — `vcpusim vet -structural` goldens diff against it.
+// stable — the `vcpusim vet` model goldens diff against it.
 func (r *Report) Write(w io.Writer) {
 	fmt.Fprintf(w, "model %s: %d places, %d activities\n", r.Model, r.Places, r.Activities)
 	if len(r.Disabled) > 0 {

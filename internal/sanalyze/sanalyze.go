@@ -1,8 +1,14 @@
-// Package sanalyze is the structural-analysis engine for SAN models. It
-// works on the plain-data san.Structure snapshot — the same documented
-// surface package sanlint checks for shape defects — but goes further and
-// proves properties of the net:
+// Package sanalyze statically verifies SAN models before any replication
+// runs, substituting for the model checks the closed-source Möbius tool
+// performs on composed models. It works on the plain-data san.Structure
+// snapshot a model exports (documented arcs, join relations, initial
+// markings, case weights, reward references) and reports everything as
+// one list of findings:
 //
+//   - Shape checks flag documentation and modeling defects: case weights
+//     that do not sum to 1, links to unknown or unjoined places, one-sided
+//     or isolated places, dangling reward references, and instantaneous
+//     token cycles that could livelock stabilization.
 //   - P- and T-invariants are computed from the documented incidence
 //     matrix with the Farkas variant of integer Gaussian elimination;
 //     semipositive P-invariants certify boundedness and conservation of
@@ -16,7 +22,9 @@
 //     deterministic state budget with canonical marking hashing. It
 //     detects deadlocks, dead activities, and unbounded places (via
 //     Karp–Miller strict domination along the search path) and prints
-//     counterexamples as firing sequences.
+//     counterexamples as firing sequences. Where it cannot complete, a
+//     documented-arc fixpoint over-approximates enabling and flags the
+//     activities it can never reach.
 //   - Declared conservation laws (san.Model.DeclareConservation) are
 //     verified against the incidence matrix: every documented activity
 //     effect must be orthogonal to the declared weight vector.
@@ -28,7 +36,7 @@
 // Gate code is opaque Go, so the engine is honest about what it can
 // prove: facts derived from counted arcs are exact; facts derived from
 // LinkN declarations or capacities hold provided the conformance check
-// (which is part of `vcpusim vet -structural`) passes.
+// (which is part of `vcpusim vet`) passes.
 package sanalyze
 
 import (
@@ -69,13 +77,14 @@ type Options struct {
 // Severity grades a finding.
 type Severity int
 
-// Severities.
+// Severities, in increasing order of gravity.
 const (
 	Info Severity = iota + 1
 	Warning
 	Error
 )
 
+// String names the severity.
 func (s Severity) String() string {
 	switch s {
 	case Info:
@@ -90,6 +99,17 @@ func (s Severity) String() string {
 
 // Check identifiers, stable across releases for machine consumers.
 const (
+	// Shape checks over the documented structure.
+	CheckCaseWeights   = "case-weights"        // weights negative, all zero, or not summing to 1
+	CheckUnknownLink   = "unknown-link"        // a link names a place the model lacks
+	CheckUnsharedJoin  = "unshared-join"       // a place used outside its joined submodels
+	CheckNeverRead     = "place-never-read"    // written, never read, no reward reference
+	CheckNeverWritten  = "place-never-written" // initially empty, read, never written
+	CheckIsolatedPlace = "isolated-place"      // no links and no reward references
+	CheckRewardRef     = "reward-ref"          // a reward names an unknown place or activity
+	CheckInstantCycle  = "instant-cycle"       // instantaneous activities feed each other
+
+	// Proof-level checks.
 	CheckUnbounded       = "unbounded-place"
 	CheckBoundUnproven   = "bound-unproven"
 	CheckDeadlock        = "deadlock"
@@ -271,7 +291,10 @@ func Analyze(st san.Structure, opt Options) *Report {
 	reach := explore(n, opt)
 	r.Reach = reach.summary()
 	r.Findings = append(r.Findings, reach.findings...)
+	// dead-activity: the exact verdict where reachability completed,
+	// otherwise the documented-arc fixpoint.
 	r.Findings = append(r.Findings, deadFindings(n, reach)...)
+	r.Findings = append(r.Findings, newShape(st).check(!reach.complete(), n.disabled)...)
 
 	r.PInvariants, r.TInvariants = invariants(n, r)
 	checkConservation(n, st.Conservations, r)

@@ -2,16 +2,16 @@
 // static verifiers that gate a simulation study before any replication
 // runs:
 //
-//   - model verification (internal/sanlint): the SAN model built from an
-//     experiment configuration is checked for structural defects —
-//     mis-normalized case probabilities, unreachable activities,
-//     write-only places, instantaneous livelocks, undeclared join
-//     sharing, dangling reward references.
-//   - structural verification (internal/sanalyze, -structural): the
-//     model is *proved* bounded and deadlock-free — P/T-invariants from
-//     the incidence matrix, per-place boundedness certificates, bounded
-//     explicit-state reachability with counterexample traces, declared
-//     conservation laws, and a dynamic gate/link conformance replay.
+//   - model verification (internal/sanalyze): the SAN model built from an
+//     experiment configuration (-config), or each model of the built-in
+//     suite, is checked for shape defects — mis-normalized case
+//     probabilities, links to unknown or unjoined places, write-only and
+//     isolated places, instantaneous token cycles, dangling reward
+//     references, dead activities — and *proved* bounded and
+//     deadlock-free: P/T-invariants from the incidence matrix, per-place
+//     boundedness certificates, bounded explicit-state reachability with
+//     counterexample traces, declared conservation laws, and a dynamic
+//     gate/link conformance replay.
 //   - source verification (internal/golint): the simulator's own Go
 //     source is checked against the determinism contract — no math/rand,
 //     no wall-clock reads, no map iteration on simulation hot paths, no
@@ -38,14 +38,12 @@ import (
 	"vcpusim/internal/rng"
 	"vcpusim/internal/san"
 	"vcpusim/internal/sanalyze"
-	sanalyzefixtures "vcpusim/internal/sanalyze/fixtures"
-	"vcpusim/internal/sanlint"
-	"vcpusim/internal/sanlint/fixtures"
+	"vcpusim/internal/sanalyze/fixtures"
 	"vcpusim/internal/sched"
 	"vcpusim/internal/workload"
 )
 
-// Deterministic budget for the conformance replay behind -structural:
+// Deterministic budget for the conformance replay of model verification:
 // one fig8 horizon at a fixed seed, checked firing by firing.
 const (
 	conformanceHorizon = 2000
@@ -54,7 +52,7 @@ const (
 
 // jsonFinding is the stable machine-readable finding schema emitted by
 // -json, one object per line. Tool distinguishes the producing verifier
-// (sanlint, sanalyze, golint); Model/Component locate model findings,
+// (sanalyze, golint); Model/Component locate model findings,
 // File/Line/Col locate source findings.
 type jsonFinding struct {
 	Tool      string   `json:"tool"`
@@ -99,18 +97,16 @@ func (p *printer) textf(format string, args ...any) {
 }
 
 // Run executes the vet command line and writes its report to out. It
-// returns a non-nil error when any verifier reports a problem, so both
-// callers (the subcommand and the standalone binary) exit non-zero on
-// findings.
+// returns a non-nil error when any verifier reports a problem, so the
+// subcommand exits non-zero on findings.
 func Run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("vet", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
 		root        = fs.String("root", "", "module root for the source lint (default: discovered upward from the working directory)")
-		configPath  = fs.String("config", "", "verify the SAN model built from this experiment configuration")
+		configPath  = fs.String("config", "", "verify the SAN model built from this experiment configuration (default: the built-in model suite)")
 		fixtureDemo = fs.Bool("fixtures", false, "demonstrate the model checks on the seeded-defect fixtures and exit")
 		noSource    = fs.Bool("nosource", false, "skip the Go source determinism lint")
-		structural  = fs.Bool("structural", false, "prove boundedness/deadlock-freedom structurally (built-in model suite, or the -config model)")
 		jsonOut     = fs.Bool("json", false, "emit findings as JSON objects, one per line; exit non-zero only on findings")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -124,20 +120,10 @@ func Run(args []string, out io.Writer) error {
 		demoFixtures(p)
 		return nil
 	}
-	if *structural {
-		return runStructural(p, *configPath)
-	}
-	if *noSource && *configPath == "" {
-		return fmt.Errorf("nothing to verify: -nosource without -config disables every check")
-	}
 
-	problems := 0
-	if *configPath != "" {
-		n, err := lintModel(p, *configPath)
-		if err != nil {
-			return err
-		}
-		problems += n
+	problems, err := verifyModels(p, *configPath)
+	if err != nil {
+		return err
 	}
 	if !*noSource {
 		n, err := lintSource(p, *root)
@@ -150,30 +136,6 @@ func Run(args []string, out io.Writer) error {
 		return fmt.Errorf("%d problem(s)", problems)
 	}
 	return nil
-}
-
-// lintModel builds the system model described by an experiment
-// configuration and reports its sanlint diagnostics.
-func lintModel(p *printer, configPath string) (int, error) {
-	sys, err := buildFromConfig(configPath)
-	if err != nil {
-		return 0, err
-	}
-	diags := sanlint.AnalyzeModel(sys.Model())
-	for _, d := range diags {
-		p.finding(jsonFinding{
-			Tool:      "sanlint",
-			Model:     sys.Model().Name(),
-			Check:     d.Check,
-			Severity:  d.Severity.String(),
-			Component: d.Component,
-			Message:   d.Message,
-		})
-	}
-	if len(diags) == 0 {
-		p.textf("model %s: ok (%s)\n", sys.Config(), configPath)
-	}
-	return len(diags), nil
 }
 
 // lintSource runs the determinism lint over the module rooted at root,
@@ -233,17 +195,17 @@ func buildFromConfig(configPath string) (*core.System, error) {
 	return core.BuildSystem(cfg, factory(), rng.New(exp.Seed))
 }
 
-// structuralModel is one entry of the structural verification suite.
-type structuralModel struct {
+// suiteModel is one model to verify.
+type suiteModel struct {
 	name string
 	sys  *core.System
 }
 
-// builtinStructural composes the shipped model variants: the Figure 8
+// builtinModels composes the shipped model variants: the Figure 8
 // barrier system, its spinlock variant (the paper's §II.B extension),
 // and the mixed fault campaign with one administratively disabled spec
 // (exercising the disabled-activity exclusion).
-func builtinStructural() ([]structuralModel, error) {
+func builtinModels() ([]suiteModel, error) {
 	wl := func(kind workload.SyncKind) workload.Spec {
 		return workload.Spec{Load: rng.Uniform{Low: 1, High: 10}, SyncEveryN: 5, SyncKind: kind}
 	}
@@ -276,54 +238,51 @@ func builtinStructural() ([]structuralModel, error) {
 		{"fig8-spinlock", base(workload.SyncSpinlock, nil)},
 		{"faults-campaign", base(workload.SyncBarrier, plan)},
 	}
-	var models []structuralModel
+	var models []suiteModel
 	for _, c := range cases {
 		sys, err := core.BuildSystem(c.cfg, sched.NewRoundRobin(c.cfg.Timeslice), rng.New(1))
 		if err != nil {
 			return nil, fmt.Errorf("building %s: %w", c.name, err)
 		}
-		models = append(models, structuralModel{name: c.name, sys: sys})
+		models = append(models, suiteModel{name: c.name, sys: sys})
 	}
 	return models, nil
 }
 
-// runStructural proves every suite model bounded and deadlock-free and
-// replays it through the gate/link conformance check. Any finding —
+// verifyModels verifies the -config model, or every built-in suite model
+// when there is none, and returns the number of findings. Any finding —
 // including an unproven certificate — fails the gate.
-func runStructural(p *printer, configPath string) error {
-	var models []structuralModel
+func verifyModels(p *printer, configPath string) (int, error) {
+	var models []suiteModel
 	if configPath != "" {
 		sys, err := buildFromConfig(configPath)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		models = []structuralModel{{name: configPath, sys: sys}}
+		models = []suiteModel{{name: configPath, sys: sys}}
 	} else {
 		var err error
-		models, err = builtinStructural()
+		models, err = builtinModels()
 		if err != nil {
-			return err
+			return 0, err
 		}
 	}
 
 	problems := 0
 	for _, m := range models {
-		n, err := verifyStructure(p, m)
+		n, err := verifyModel(p, m)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		problems += n
 	}
-	if problems > 0 {
-		return fmt.Errorf("%d problem(s)", problems)
-	}
-	return nil
+	return problems, nil
 }
 
-// verifyStructure runs the full structural pass over one system: static
-// analysis with the fault plan's disabled injectors excluded, then the
-// dynamic conformance replay.
-func verifyStructure(p *printer, m structuralModel) (int, error) {
+// verifyModel runs the full analysis over one system: static analysis
+// with the fault plan's disabled injectors excluded, then the dynamic
+// conformance replay.
+func verifyModel(p *printer, m suiteModel) (int, error) {
 	prog, err := san.Compile(m.sys.Model())
 	if err != nil {
 		return 0, err
@@ -349,11 +308,11 @@ func verifyStructure(p *printer, m structuralModel) (int, error) {
 		r.Write(p.w)
 	} else {
 		for _, f := range r.Findings {
-			p.finding(structuralJSON(m.name, f))
+			p.finding(modelJSON(m.name, f))
 		}
 	}
 	for _, f := range conf {
-		p.finding(structuralJSON(m.name, f))
+		p.finding(modelJSON(m.name, f))
 	}
 	if len(conf) == 0 {
 		p.textf("  conformance: %d firings checked, 0 violations\n", checked)
@@ -361,7 +320,7 @@ func verifyStructure(p *printer, m structuralModel) (int, error) {
 	return len(r.Findings) + len(conf), nil
 }
 
-func structuralJSON(model string, f sanalyze.Finding) jsonFinding {
+func modelJSON(model string, f sanalyze.Finding) jsonFinding {
 	return jsonFinding{
 		Tool:      "sanalyze",
 		Model:     model,
@@ -373,40 +332,21 @@ func structuralJSON(model string, f sanalyze.Finding) jsonFinding {
 	}
 }
 
-// demoFixtures renders the analyzers' verdicts on every seeded-defect
-// fixture — the sanlint shape checks first, then the sanalyze structural
-// checks with their counterexamples. The defects are intentional, so the
-// demo always succeeds; it exists to show each check firing (and each
-// clean counterpart passing).
+// demoFixtures renders the analyzer's verdicts on every seeded-defect
+// fixture, with counterexamples where reachability produced one. The
+// defects are intentional, so the demo always succeeds; it exists to show
+// each check firing (and each clean counterpart passing).
 func demoFixtures(p *printer) {
 	for _, fx := range fixtures.All() {
-		diags := sanlint.AnalyzeModel(fx.Build())
-		if len(diags) == 0 {
+		r := sanalyze.AnalyzeModel(fx.Build(), sanalyze.Options{Disabled: fx.Disabled})
+		if len(r.Findings) == 0 {
 			p.textf("%s: clean\n", fx.Name)
 			continue
 		}
 		p.textf("%s:\n", fx.Name)
-		for _, d := range diags {
-			if p.json {
-				p.finding(jsonFinding{
-					Tool: "sanlint", Model: fx.Name, Check: d.Check,
-					Severity: d.Severity.String(), Component: d.Component, Message: d.Message,
-				})
-				continue
-			}
-			p.textf("  %s\n", d)
-		}
-	}
-	for _, fx := range sanalyzefixtures.All() {
-		r := sanalyze.AnalyzeModel(fx.Build(), sanalyze.Options{Disabled: fx.Disabled})
-		if len(r.Findings) == 0 {
-			p.textf("structural:%s: clean\n", fx.Name)
-			continue
-		}
-		p.textf("structural:%s:\n", fx.Name)
 		for _, f := range r.Findings {
 			if p.json {
-				p.finding(structuralJSON(fx.Name, f))
+				p.finding(modelJSON(fx.Name, f))
 				continue
 			}
 			p.textf("  %s\n", f)

@@ -40,8 +40,26 @@ func TestModelLintCleanConfig(t *testing.T) {
 	if err := Run(args, &b); err != nil {
 		t.Fatalf("clean config flagged: %v\n%s", err, b.String())
 	}
-	if !strings.Contains(b.String(), "ok") {
-		t.Errorf("output missing ok line:\n%s", b.String())
+	for _, want := range []string{"findings: none", "0 violations"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, b.String())
+		}
+	}
+}
+
+// TestCrashConfigVerifies runs the model checks on the shipped Figure 8
+// configuration with a pcpu_crash fault plan: the crash gate's
+// cross-submodel links must be backed by joins into the Faults submodel.
+func TestCrashConfigVerifies(t *testing.T) {
+	var b strings.Builder
+	args := []string{"-nosource", "-config", filepath.Join("..", "..", "cmd", "vcpusim", "testdata", "fig8_crash.json")}
+	if err := Run(args, &b); err != nil {
+		t.Fatalf("crash config flagged: %v\n%s", err, b.String())
+	}
+	for _, want := range []string{"Faults/Down_PCPU1", "findings: none", "0 violations"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, b.String())
+		}
 	}
 }
 
@@ -125,14 +143,8 @@ func TestUnexpectedArgument(t *testing.T) {
 	}
 }
 
-func TestNothingToVerifyRejected(t *testing.T) {
-	var b strings.Builder
-	if err := Run([]string{"-nosource"}, &b); err == nil {
-		t.Fatal("-nosource without -config silently verified nothing")
-	}
-}
-
-// TestStructuralBuiltinSuite is the CI gate: every shipped model variant
+// TestStructuralBuiltinSuite is the CI gate: with no -config, every shipped
+// model variant
 // (Figure 8 barrier, spinlock, fault campaign with a disabled spec) must
 // prove bounded and deadlock-free, its conservation law must verify, and
 // the conformance replay must be violation-free. The rendered report is
@@ -140,7 +152,7 @@ func TestNothingToVerifyRejected(t *testing.T) {
 // losing its bound proof) surface as a diff.
 func TestStructuralBuiltinSuite(t *testing.T) {
 	var b strings.Builder
-	if err := Run([]string{"-structural"}, &b); err != nil {
+	if err := Run([]string{"-nosource"}, &b); err != nil {
 		t.Fatalf("structural gate failed: %v\n%s", err, b.String())
 	}
 	out := b.String()
@@ -173,11 +185,11 @@ func TestStructuralBuiltinSuite(t *testing.T) {
 	}
 }
 
-// TestStructuralConfig verifies -structural composes with -config: the
+// TestStructuralConfig verifies -config selects the model to verify: the
 // fig8 experiment model passes the full structural gate.
 func TestStructuralConfig(t *testing.T) {
 	var b strings.Builder
-	args := []string{"-structural", "-config", writeConfig(t, fig8Config)}
+	args := []string{"-nosource", "-config", writeConfig(t, fig8Config)}
 	if err := Run(args, &b); err != nil {
 		t.Fatalf("fig8 config failed structural gate: %v\n%s", err, b.String())
 	}
@@ -186,11 +198,11 @@ func TestStructuralConfig(t *testing.T) {
 	}
 }
 
-// TestStructuralJSONCleanSilent: -structural -json on the passing suite
+// TestStructuralJSONCleanSilent: -nosource -json on the passing suite
 // emits nothing — the machine-readable stream carries findings only.
 func TestStructuralJSONCleanSilent(t *testing.T) {
 	var b strings.Builder
-	if err := Run([]string{"-structural", "-json"}, &b); err != nil {
+	if err := Run([]string{"-nosource", "-json"}, &b); err != nil {
 		t.Fatalf("structural gate failed: %v\n%s", err, b.String())
 	}
 	if b.Len() != 0 {
@@ -241,34 +253,32 @@ func Stamp() int64 { return time.Now().UnixNano() }
 	}
 }
 
-// TestJSONFixturesDemo: the fixture demo in JSON mode streams both
-// sanlint and sanalyze findings, including counterexample traces.
+// TestJSONFixturesDemo: the fixture demo in JSON mode streams every
+// model finding as a sanalyze finding, including counterexample traces.
 func TestJSONFixturesDemo(t *testing.T) {
 	var b strings.Builder
 	if err := Run([]string{"-fixtures", "-json"}, &b); err != nil {
 		t.Fatalf("fixture demo failed: %v", err)
 	}
-	tools := map[string]bool{}
 	sawTrace := false
 	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
 		var f jsonFinding
 		if err := json.Unmarshal([]byte(line), &f); err != nil {
 			t.Fatalf("line is not valid JSON: %q: %v", line, err)
 		}
-		tools[f.Tool] = true
+		if f.Tool != "sanalyze" {
+			t.Errorf("tool = %q, want sanalyze: %+v", f.Tool, f)
+		}
 		if len(f.Trace) > 0 {
 			sawTrace = true
 		}
-	}
-	if !tools["sanlint"] || !tools["sanalyze"] {
-		t.Errorf("tools seen = %v, want sanlint and sanalyze", tools)
 	}
 	if !sawTrace {
 		t.Error("no finding carried a counterexample trace")
 	}
 }
 
-// TestFixturesDemoStructural: the human fixture demo shows the sanalyze
+// TestFixturesDemoStructural: the human fixture demo shows the proof-level
 // seeded defects firing with counterexamples, and the clean counterparts
 // passing.
 func TestFixturesDemoStructural(t *testing.T) {
@@ -278,11 +288,11 @@ func TestFixturesDemoStructural(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"structural:unbounded-place-bad", "unbounded-place",
-		"structural:deadlock-bad", "deadlock", "counterexample:",
-		"structural:dead-activity-bad", "dead-activity",
-		"structural:conservation-bad", "conservation",
-		"structural:deadlock-ok: clean", "structural:disabled-not-dead: clean",
+		"\nunbounded-place-bad:\n", "unbounded-place",
+		"\ndeadlock-bad:\n", "deadlock", "counterexample:",
+		"\ndead-activity-bad:\n", "dead-activity",
+		"\nconservation-bad:\n", "conservation",
+		"\ndeadlock-ok: clean", "\ndisabled-not-dead: clean",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fixture demo missing %q:\n%s", want, out)

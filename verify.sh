@@ -16,12 +16,15 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
-echo "== determinism gate: vcpusim vet (source determinism rules + shipped model check)"
-go run ./cmd/vcpusim vet -config cmd/vcpusim/testdata/fig8.json
+# vcpusim vet prints a full model report; show it only when vet fails.
+vet() {
+    report=$(go run ./cmd/vcpusim vet "$@") || { echo "$report"; return 1; }
+}
 
-echo "== vcpusim vet -structural (boundedness/deadlock proofs + link conformance)"
-go run ./cmd/vcpusim vet -structural >/dev/null
-go run ./cmd/vcpusim vet -structural -config cmd/vcpusim/testdata/fig8.json >/dev/null
+echo "== determinism gate + model verification: vcpusim vet (fig8, fig8 + pcpu_crash, built-in suite)"
+vet -config cmd/vcpusim/testdata/fig8.json
+vet -nosource -config cmd/vcpusim/testdata/fig8_crash.json
+vet
 
 echo "== go build ./..."
 go build ./...
