@@ -89,7 +89,7 @@ func BenchmarkClusterReplicate(b *testing.B) {
 // its events/s mixes the two; it stays unchanged because recorded
 // baselines gate it.
 func BenchmarkClusterFixedHorizon(b *testing.B) {
-	for _, hosts := range []int{10, 100, 1000} {
+	for _, hosts := range []int{10, 100, 1000, 10000} {
 		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
 			o, err := New(benchTopology(hosts, 50))
 			if err != nil {

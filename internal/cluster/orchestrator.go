@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"vcpusim/internal/core"
 	"vcpusim/internal/obs"
@@ -59,7 +61,8 @@ type hostShard struct {
 }
 
 // fits returns the best free slot for a VM of the given width (narrowest
-// sufficient slot, lowest index on ties), or -1.
+// sufficient slot, lowest index on ties), or -1. The host's MaxFree in the
+// fleet view answers whether such a slot exists without the scan.
 func (h *hostShard) fits(vcpus int) int {
 	best := -1
 	for i := range h.slots {
@@ -74,16 +77,15 @@ func (h *hostShard) fits(vcpus int) int {
 	return best
 }
 
-// admittedVCPUs is the width committed to this host: resident VMs plus
-// draining ones (still consuming) plus reserved inbound capacity.
-func (h *hostShard) admittedVCPUs() int {
-	n := 0
+// widestParked returns the width of the host's widest parked slot, or 0.
+func (h *hostShard) widestParked() int {
+	w := 0
 	for i := range h.slots {
-		if h.slots[i].phase != slotParked {
-			n += h.slots[i].vcpus
+		if h.slots[i].phase == slotParked {
+			w = max(w, h.slots[i].vcpus)
 		}
 	}
-	return n
+	return w
 }
 
 // Cluster event kinds, in deterministic total order (time, seq) — and
@@ -160,6 +162,22 @@ type queuedVM struct {
 	arrived float64
 }
 
+// rankedHost is a migration-target candidate: a host below the low
+// threshold and the utilization a check read for it.
+type rankedHost struct {
+	util float64
+	id   int
+}
+
+// byUtilThenID orders candidates as the migration protocol prefers them:
+// lowest utilization first, lowest ID on ties.
+func byUtilThenID(a, b rankedHost) int {
+	if c := cmp.Compare(a.util, b.util); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
 // Orchestrator runs a topology's hosts under one global clock. It is the
 // cluster counterpart of core.Worker: built once per worker slot
 // (compiling every host shard), then driven for any number of
@@ -173,7 +191,15 @@ type Orchestrator struct {
 	events eventHeap
 	seq    int
 	queue  []queuedVM
-	loads  []HostLoad
+	// loads is the fleet view placement policies read, indexed by host
+	// ID. setPhase keeps each host's AdmittedVCPUs and MaxFree current,
+	// so no scan rebuilds it.
+	loads []HostLoad
+
+	// Reused per-check buffers: the overloaded hosts in ID order and the
+	// migration-target candidates ranked by byUtilThenID.
+	over []int
+	rank []rankedHost
 
 	// Per-replication cluster rewards.
 	dispatches, migrations int
@@ -266,9 +292,12 @@ func New(topo *Topology) (*Orchestrator, error) {
 				h.genEnabled[i] = true // activities start enabled
 			}
 			o.hosts = append(o.hosts, h)
+			// Every slot starts parked.
+			o.loads = append(o.loads, HostLoad{ID: h.id, PCPUs: h.sys.NumPCPUs(), MaxFree: h.widestParked()})
 		}
 	}
-	o.loads = make([]HostLoad, len(o.hosts))
+	o.over = make([]int, 0, len(o.hosts))
+	o.rank = make([]rankedHost, 0, len(o.hosts))
 	o.lastHost = make([]map[string]float64, len(o.hosts))
 	return o, nil
 }
@@ -328,13 +357,13 @@ func (o *Orchestrator) arm(seed uint64) error {
 			return fmt.Errorf("cluster: host %s: %w", h.name, err)
 		}
 		for i := range h.slots {
-			s := &h.slots[i]
-			s.phase = slotParked
-			if s.startsUp {
-				s.phase = slotAdmitted
+			admitted := h.slots[i].startsUp
+			if admitted {
+				o.setPhase(h, i, slotAdmitted)
+			} else {
+				o.setPhase(h, i, slotParked)
 			}
-			s.drainStart = 0
-			admitted := s.phase == slotAdmitted
+			h.slots[i].drainStart = 0
 			if err := h.sys.SetVMParked(i, !admitted); err != nil {
 				return err
 			}
@@ -466,7 +495,11 @@ func (o *Orchestrator) handle(ev clusterEvent) error {
 	switch ev.kind {
 	case evArrival:
 		for i := 0; i < ev.count; i++ {
-			if !o.place(ev.vcpus, ev.time, ev.time) {
+			placed, err := o.place(ev.vcpus, ev.time, ev.time)
+			if err != nil {
+				return err
+			}
+			if !placed {
 				o.queue = append(o.queue, queuedVM{vcpus: ev.vcpus, arrived: ev.time})
 			}
 		}
@@ -491,7 +524,11 @@ func (o *Orchestrator) handle(ev clusterEvent) error {
 	// FIFO retry: only the head may jump the queue.
 	for len(o.queue) > 0 {
 		q := o.queue[0]
-		if !o.place(q.vcpus, ev.time, q.arrived) {
+		placed, err := o.place(q.vcpus, ev.time, q.arrived)
+		if err != nil {
+			return err
+		}
+		if !placed {
 			break
 		}
 		o.queue = o.queue[1:]
@@ -499,35 +536,47 @@ func (o *Orchestrator) handle(ev clusterEvent) error {
 	return nil
 }
 
-// snapshotLoads fills the policy's per-host view.
-func (o *Orchestrator) snapshotLoads(vcpus int) []HostLoad {
-	for i, h := range o.hosts {
-		o.loads[i] = HostLoad{
-			ID:            h.id,
-			PCPUs:         h.sys.NumPCPUs(),
-			AdmittedVCPUs: h.admittedVCPUs(),
-			Fits:          h.fits(vcpus) >= 0,
-		}
+// setPhase moves a slot to phase p and keeps the host's entry in the
+// fleet view current: AdmittedVCPUs sums the widths of its non-parked
+// slots and MaxFree is its widest parked slot. Every slot phase change
+// goes through here, so the view always equals what a scan of the slots
+// would compute.
+func (o *Orchestrator) setPhase(h *hostShard, slot int, p slotPhase) {
+	s := &h.slots[slot]
+	was := s.phase
+	s.phase = p
+	if (was == slotParked) == (p == slotParked) {
+		return
 	}
-	return o.loads
+	l := &o.loads[h.id]
+	if p == slotParked {
+		l.AdmittedVCPUs -= s.vcpus
+		l.MaxFree = max(l.MaxFree, s.vcpus)
+		return
+	}
+	l.AdmittedVCPUs += s.vcpus
+	if s.vcpus == l.MaxFree {
+		l.MaxFree = h.widestParked()
+	}
 }
 
 // place routes one VM through the placement policy; false means no host
-// fits and the VM must queue.
-func (o *Orchestrator) place(vcpus int, now, arrived float64) bool {
-	hid := o.policy.Place(vcpus, o.snapshotLoads(vcpus))
+// fits and the VM must queue. An admission error is a model error and
+// ends the replication, as it does for a migration's admission.
+func (o *Orchestrator) place(vcpus int, now, arrived float64) (bool, error) {
+	hid := o.policy.Place(vcpus, o.loads)
 	if hid < 0 {
-		return false
+		return false, nil
 	}
 	h := o.hosts[hid]
 	slot := h.fits(vcpus)
 	if slot < 0 {
 		// The policy picked a host that does not fit; treat as queued
 		// rather than crash — a policy bug must not kill the replication.
-		return false
+		return false, nil
 	}
 	if err := o.admit(h, slot); err != nil {
-		return false
+		return false, err
 	}
 	o.dispatches++
 	o.placed++
@@ -537,7 +586,7 @@ func (o *Orchestrator) place(vcpus int, now, arrived float64) bool {
 			"t": now, "host": h.name, "vcpus": vcpus, "wait": now - arrived,
 		}})
 	}
-	return true
+	return true, nil
 }
 
 // admit makes slot resident on host h: unpark it in the scheduler's view
@@ -546,15 +595,15 @@ func (o *Orchestrator) place(vcpus int, now, arrived float64) bool {
 // scheduler tick.
 func (o *Orchestrator) admit(h *hostShard, slot int) error {
 	if err := h.sys.SetVMParked(slot, false); err != nil {
-		return err
+		return fmt.Errorf("cluster: host %s: admitting slot %d: %w", h.name, slot, err)
 	}
 	if !h.genEnabled[slot] {
 		if err := h.inst.SetActivityEnabled(h.genName[slot], true); err != nil {
-			return err
+			return fmt.Errorf("cluster: host %s: admitting slot %d: %w", h.name, slot, err)
 		}
 		h.genEnabled[slot] = true
 	}
-	h.slots[slot].phase = slotAdmitted
+	o.setPhase(h, slot, slotAdmitted)
 	return nil
 }
 
@@ -580,20 +629,34 @@ func (o *Orchestrator) migrationCheck(t float64) error {
 			if err != nil {
 				return fmt.Errorf("cluster: host %s: evicting slot %d: %w", h.name, slot, err)
 			}
-			s.phase = slotParked
+			o.setPhase(h, slot, slotParked)
 			o.push(clusterEvent{
 				time: t + m.TransferDelay, kind: evAdmit,
 				host: s.tgtHost, slot: s.tgtSlot, srcHost: h.id, drainStart: s.drainStart,
 			})
 		}
 	}
-	// Phase 2: start new drains. Hosts scan in ID order; one migration
-	// initiation per overloaded host per check.
-	for _, src := range o.hosts {
-		util := float64(src.sys.AssignedPCPUs()) / float64(src.sys.NumPCPUs())
-		if util <= m.HighUtil {
-			continue
+	// Phase 2 only disables generators and reserves slots, neither of
+	// which touches a marking, so each host's utilization is read once
+	// here and holds for the rest of the check. Sources are the hosts
+	// above the high threshold, in ID order; targets are the hosts below
+	// the low one, ranked lowest utilization first, lowest ID on ties. No
+	// host is both, since lowUtil < highUtil.
+	o.over, o.rank = o.over[:0], o.rank[:0]
+	for _, h := range o.hosts {
+		util := float64(h.sys.AssignedPCPUs()) / float64(h.sys.NumPCPUs())
+		if util > m.HighUtil {
+			o.over = append(o.over, h.id)
+		} else if util < m.LowUtil {
+			o.rank = append(o.rank, rankedHost{util: util, id: h.id})
 		}
+	}
+	slices.SortFunc(o.rank, byUtilThenID)
+	// Phase 2: start new drains, one per overloaded host per check, each
+	// toward the first ranked host that fits the VM.
+	ranked := o.rank
+	for _, id := range o.over {
+		src := o.hosts[id]
 		slot := -1
 		for i := range src.slots {
 			if src.slots[i].phase == slotAdmitted {
@@ -604,10 +667,16 @@ func (o *Orchestrator) migrationCheck(t float64) error {
 		if slot < 0 {
 			continue
 		}
-		tgt, tgtSlot := o.pickTarget(src.id, src.slots[slot].vcpus)
-		if tgt < 0 {
+		vcpus := src.slots[slot].vcpus
+		k := 0
+		for k < len(ranked) && o.loads[ranked[k].id].MaxFree < vcpus {
+			k++
+		}
+		if k == len(ranked) {
 			continue
 		}
+		tgt := o.hosts[ranked[k].id]
+		tgtSlot := tgt.fits(vcpus)
 		// Begin drain: stop generating on the source slot (non-marking)
 		// and reserve the target slot so nothing else books it.
 		if src.genEnabled[slot] {
@@ -616,42 +685,20 @@ func (o *Orchestrator) migrationCheck(t float64) error {
 			}
 			src.genEnabled[slot] = false
 		}
-		src.slots[slot].phase = slotDraining
+		o.setPhase(src, slot, slotDraining)
 		src.slots[slot].drainStart = t
-		src.slots[slot].tgtHost = tgt
+		src.slots[slot].tgtHost = tgt.id
 		src.slots[slot].tgtSlot = tgtSlot
-		o.hosts[tgt].slots[tgtSlot].phase = slotReserved
+		o.setPhase(tgt, tgtSlot, slotReserved)
+		// Fully booked hosts at the front never fit again this check.
+		for len(ranked) > 0 && o.loads[ranked[0].id].MaxFree == 0 {
+			ranked = ranked[1:]
+		}
 	}
 	if next := t + m.CheckEvery; next < o.topo.Horizon {
 		o.push(clusterEvent{time: next, kind: evCheck})
 	}
 	return nil
-}
-
-// pickTarget chooses the migration target: among hosts below the low
-// threshold that fit the width, the one with the lowest observed
-// assignment fraction, lowest ID on ties. Returns (-1, -1) when no host
-// qualifies.
-func (o *Orchestrator) pickTarget(src, vcpus int) (int, int) {
-	m := o.topo.Migration
-	best, bestSlot, bestUtil := -1, -1, 0.0
-	for _, h := range o.hosts {
-		if h.id == src {
-			continue
-		}
-		util := float64(h.sys.AssignedPCPUs()) / float64(h.sys.NumPCPUs())
-		if util >= m.LowUtil {
-			continue
-		}
-		slot := h.fits(vcpus)
-		if slot < 0 {
-			continue
-		}
-		if best < 0 || util < bestUtil {
-			best, bestSlot, bestUtil = h.id, slot, util
-		}
-	}
-	return best, bestSlot
 }
 
 // collect ends every host's run and aggregates the fleet metric map.
@@ -669,7 +716,7 @@ func (o *Orchestrator) collect() (map[string]float64, error) {
 		avail += m[core.AvailabilityAvgMetric]
 		vutil += m[core.VCPUUtilizationAvgMetric]
 		putil += m[core.PCPUUtilizationAvgMetric]
-		admitted += h.admittedVCPUs()
+		admitted += o.loads[h.id].AdmittedVCPUs
 	}
 	out[FleetAvailMetric] = avail / n
 	out[FleetVUtilMetric] = vutil / n

@@ -175,34 +175,7 @@ func TestDispatchAndQueue(t *testing.T) {
 // one saturated host, one empty — through the drain / transfer-delay /
 // re-admit protocol and checks the accounting.
 func TestMigrationLifecycle(t *testing.T) {
-	uniform := config.Distribution{Dist: "uniform", Low: 1, High: 6}
-	topo := &Topology{
-		Horizon:   2000,
-		Seed:      1,
-		Placement: "first-fit",
-		Hosts: []HostGroup{
-			{
-				Name: "hot", PCPUs: 1, Timeslice: 10,
-				Scheduler: config.Scheduler{Name: "RRS"},
-				Slots: []Slot{
-					{VM: config.VM{VCPUs: 1, Load: uniform}, Admitted: true},
-					{VM: config.VM{VCPUs: 1, Load: uniform}, Admitted: true},
-				},
-			},
-			{
-				Name: "cold", PCPUs: 2, Timeslice: 10,
-				Scheduler: config.Scheduler{Name: "RRS"},
-				Slots: []Slot{
-					{VM: config.VM{VCPUs: 1, Load: uniform}, Count: 2},
-				},
-			},
-		},
-		Migration: &Migration{CheckEvery: 100, HighUtil: 0.9, LowUtil: 0.5, TransferDelay: 25},
-	}
-	topo.applyDefaults()
-	if err := topo.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	topo := migrationTopology(t)
 	o, err := New(topo)
 	if err != nil {
 		t.Fatal(err)
@@ -236,10 +209,10 @@ func TestMigrationLifecycle(t *testing.T) {
 // snapshot.
 func TestPlacementPolicies(t *testing.T) {
 	hosts := []HostLoad{
-		{ID: 0, PCPUs: 4, AdmittedVCPUs: 4, Fits: true},
-		{ID: 1, PCPUs: 4, AdmittedVCPUs: 1, Fits: true},
-		{ID: 2, PCPUs: 4, AdmittedVCPUs: 0, Fits: false},
-		{ID: 3, PCPUs: 4, AdmittedVCPUs: 2, Fits: true},
+		{ID: 0, PCPUs: 4, AdmittedVCPUs: 4, MaxFree: 1},
+		{ID: 1, PCPUs: 4, AdmittedVCPUs: 1, MaxFree: 1},
+		{ID: 2, PCPUs: 4, AdmittedVCPUs: 0, MaxFree: 0},
+		{ID: 3, PCPUs: 4, AdmittedVCPUs: 2, MaxFree: 1},
 	}
 	ll, _ := policyFor("least-loaded")
 	if got := ll.Place(1, hosts); got != 1 {
@@ -262,7 +235,7 @@ func TestPlacementPolicies(t *testing.T) {
 	if _, err := policyFor("best-effort"); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	none := []HostLoad{{ID: 0, Fits: false}}
+	none := []HostLoad{{ID: 0, MaxFree: 0}}
 	for _, p := range []PlacementPolicy{ll, ff, rr} {
 		if got := p.Place(1, none); got != -1 {
 			t.Errorf("%s placed on a full cluster: %d", p.Name(), got)
@@ -334,4 +307,39 @@ func TestHostSeedDerivation(t *testing.T) {
 		}
 		seen[s] = true
 	}
+}
+
+// migrationTopology is a deliberately skewed 2-host cluster: one
+// saturated host and one empty one that fits its VMs.
+func migrationTopology(t *testing.T) *Topology {
+	t.Helper()
+	uniform := config.Distribution{Dist: "uniform", Low: 1, High: 6}
+	topo := &Topology{
+		Horizon:   2000,
+		Seed:      1,
+		Placement: "first-fit",
+		Hosts: []HostGroup{
+			{
+				Name: "hot", PCPUs: 1, Timeslice: 10,
+				Scheduler: config.Scheduler{Name: "RRS"},
+				Slots: []Slot{
+					{VM: config.VM{VCPUs: 1, Load: uniform}, Admitted: true},
+					{VM: config.VM{VCPUs: 1, Load: uniform}, Admitted: true},
+				},
+			},
+			{
+				Name: "cold", PCPUs: 2, Timeslice: 10,
+				Scheduler: config.Scheduler{Name: "RRS"},
+				Slots: []Slot{
+					{VM: config.VM{VCPUs: 1, Load: uniform}, Count: 2},
+				},
+			},
+		},
+		Migration: &Migration{CheckEvery: 100, HighUtil: 0.9, LowUtil: 0.5, TransferDelay: 25},
+	}
+	topo.applyDefaults()
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return topo
 }

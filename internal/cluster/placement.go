@@ -15,9 +15,10 @@ type HostLoad struct {
 	// AdmittedVCPUs is the VCPU width currently admitted (resident VMs,
 	// including ones still draining away).
 	AdmittedVCPUs int
-	// Fits reports whether the host holds a free parked slot at least as
-	// wide as the VM being placed.
-	Fits bool
+	// MaxFree is the width of the host's widest free parked slot, 0 when
+	// none is free: the host fits a VM of width w exactly when
+	// MaxFree >= w.
+	MaxFree int
 }
 
 // PlacementPolicy routes one VM arrival to a host. Place returns the
@@ -69,7 +70,7 @@ func (r *roundRobin) Place(vcpus int, hosts []HostLoad) int {
 	}
 	for k := 0; k < n; k++ {
 		h := hosts[(r.next+k)%n]
-		if h.Fits {
+		if h.MaxFree >= vcpus {
 			r.next = (h.ID + 1) % n
 			return h.ID
 		}
@@ -86,7 +87,7 @@ func (leastLoaded) Name() string { return "least-loaded" }
 func (leastLoaded) Place(vcpus int, hosts []HostLoad) int {
 	best, bestLoad := -1, 0.0
 	for _, h := range hosts {
-		if !h.Fits {
+		if h.MaxFree < vcpus {
 			continue
 		}
 		load := float64(h.AdmittedVCPUs) / float64(h.PCPUs)
@@ -104,7 +105,7 @@ func (firstFit) Name() string { return "first-fit" }
 
 func (firstFit) Place(vcpus int, hosts []HostLoad) int {
 	for _, h := range hosts {
-		if h.Fits {
+		if h.MaxFree >= vcpus {
 			return h.ID
 		}
 	}
