@@ -636,9 +636,9 @@ func (o *Orchestrator) migrationCheck(t float64) error {
 			})
 		}
 	}
-	// Phase 2 only disables generators and reserves slots, neither of
-	// which touches a marking, so each host's utilization is read once
-	// here and holds for the rest of the check. Sources are the hosts
+	// Starting drains only disables generators and reserves slots,
+	// neither of which touches a marking, so each host's utilization is
+	// read once here and holds for the rest of the check. Sources are the hosts
 	// above the high threshold, in ID order; targets are the hosts below
 	// the low one, ranked lowest utilization first, lowest ID on ties. No
 	// host is both, since lowUtil < highUtil.

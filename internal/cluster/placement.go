@@ -2,8 +2,9 @@ package cluster
 
 import "fmt"
 
-// HostLoad is the per-host snapshot a placement policy sees: static
-// capacity plus the orchestrator's admission bookkeeping. It carries no
+// HostLoad is one host's entry in the fleet view a placement policy
+// sees: static capacity plus the orchestrator's admission bookkeeping,
+// kept current as slots change phase. It carries no
 // model internals — policies are deliberately restricted to
 // coarse-grained cluster state so every policy is trivially
 // deterministic.
@@ -12,8 +13,9 @@ type HostLoad struct {
 	ID int
 	// PCPUs is the host's physical core count.
 	PCPUs int
-	// AdmittedVCPUs is the VCPU width currently admitted (resident VMs,
-	// including ones still draining away).
+	// AdmittedVCPUs is the VCPU width committed to the host: resident
+	// VMs, ones still draining away, and slots reserved for inbound
+	// migrations.
 	AdmittedVCPUs int
 	// MaxFree is the width of the host's widest free parked slot, 0 when
 	// none is free: the host fits a VM of width w exactly when
@@ -23,8 +25,9 @@ type HostLoad struct {
 
 // PlacementPolicy routes one VM arrival to a host. Place returns the
 // chosen host's ID, or -1 to queue the VM until capacity frees up.
-// hosts is ordered by ID and identical for every policy, so a policy is
-// a pure function of the snapshot (any internal state — a round-robin
+// hosts is the orchestrator's fleet view, ordered by ID and identical
+// for every policy; a policy reads it and must not modify it. A policy
+// is a pure function of the view (any internal state — a round-robin
 // cursor — must depend only on its own past decisions).
 type PlacementPolicy interface {
 	Name() string
