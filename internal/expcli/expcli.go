@@ -54,9 +54,9 @@ func Run(args []string, out io.Writer) (err error) {
 		csvDir   = fs.String("csv", "", "directory to also write per-table CSV files into")
 		chart    = fs.Bool("chart", false, "render results as ASCII bar charts instead of tables")
 		quick    = fs.Bool("quick", false, "quick mode: short horizon and few replications (smoke testing)")
-		parallel = fs.Int("parallel", 1, "number of experiment grid cells run concurrently per figure (results are identical at any value)")
+		parallel = fs.Int("parallel", 0, "replications run concurrently across a figure's cells (0 = GOMAXPROCS); results are identical at any value")
 		progress = fs.Bool("progress", false, "print a per-cell progress line to stderr as cells finish")
-		verbose  = fs.Bool("v", false, "with -progress, also print per-batch and stopping-rule lines")
+		verbose  = fs.Bool("v", false, "with -progress, also print per-replication and stopping-rule lines")
 		spans    = fs.String("spans", "", "write the telemetry span stream as JSONL to this file")
 		manifest = fs.String("manifest", "", "directory to write a run manifest (manifest.json) into")
 		probeDir = fs.String("probe", "", "directory to write per-cell deterministic time-series probe CSVs into (SAN engine only)")
@@ -88,7 +88,10 @@ func Run(args []string, out io.Writer) (err error) {
 		p.Horizon = 4000
 		p.Sim = sim.Options{MinReps: 3, MaxReps: 3, RelWidth: 10}
 	}
-	p.GridParallelism = *parallel
+	p.Sim.Parallelism = *parallel
+	if *parallel == 0 {
+		p.Sim.Parallelism = runtime.GOMAXPROCS(0)
+	}
 	p.Histograms = *hist
 	if *probeDir != "" {
 		if p.Engine != experiments.EngineSAN {
@@ -217,16 +220,16 @@ func Run(args []string, out io.Writer) (err error) {
 			Seed:        p.Seed,
 			Contract:    *contract,
 			Params: map[string]any{
-				"figure":           *figure,
-				"engine":           *engine,
-				"contract":         *contract,
-				"horizon":          p.Horizon,
-				"min_reps":         p.Sim.MinReps,
-				"max_reps":         p.Sim.MaxReps,
-				"quick":            *quick,
-				"grid_parallelism": p.GridParallelism,
-				"hist":             *hist,
-				"probe":            *probeDir,
+				"figure":      *figure,
+				"engine":      *engine,
+				"contract":    *contract,
+				"horizon":     p.Horizon,
+				"min_reps":    p.Sim.MinReps,
+				"max_reps":    p.Sim.MaxReps,
+				"quick":       *quick,
+				"parallelism": p.Sim.Parallelism,
+				"hist":        *hist,
+				"probe":       *probeDir,
 			},
 			Cells:  collector.Cells(),
 			WallNS: (obs.Clock() - start).Nanoseconds(),

@@ -31,6 +31,7 @@ func TimesliceSweep(ctx context.Context, p Params, timeslices []int64) (*report.
 	t := report.NewTable(
 		"Ablation: timeslice sweep, set2 (2+3 VCPUs, 4 PCPUs), sync 1:5 — VCPU utilization of scheduled time",
 		"timeslice", rows, p.Algorithms)
+	var cells []cell
 	for i, ts := range timeslices {
 		q := p
 		q.Timeslice = ts
@@ -39,14 +40,24 @@ func TimesliceSweep(ctx context.Context, p Params, timeslices []int64) (*report.
 			return nil, err
 		}
 		for _, algo := range q.Algorithms {
-			factory, err := q.schedFactory(algo)
+			factory, err := q.schedFactory(algo) // the sweep's timeslice, not p's
 			if err != nil {
 				return nil, err
 			}
-			if err := q.cell(ctx, t, cfg, rows[i], algo, EfficiencyMetric, factory); err != nil {
-				return nil, err
-			}
+			cells = append(cells, cell{name: rows[i] + " " + algo, cfg: cfg, sched: factory})
 		}
+	}
+	sums, err := p.runCells(ctx, cells)
+	if err != nil {
+		return nil, err
+	}
+	for i, sum := range sums {
+		row, algo := rows[i/len(p.Algorithms)], p.Algorithms[i%len(p.Algorithms)]
+		iv, ok := sum.Metric(EfficiencyMetric)
+		if !ok {
+			return nil, fmt.Errorf("experiments: %s/%s: missing metric %s", row, algo, EfficiencyMetric)
+		}
+		t.Set(row, algo, iv)
 	}
 	return t, nil
 }
@@ -69,19 +80,22 @@ func SkewSweep(ctx context.Context, p Params, enterSkews []int64) (*report.Table
 		"Ablation: RCS skew-threshold sweep, Figure 8 setup at 1 PCPU",
 		"threshold", rows, cols)
 	cfg := p.fig8Config(1)
+	cells := make([]cell, len(enterSkews))
 	for i, enter := range enterSkews {
 		enter := enter
-		factory := func() core.Scheduler {
+		cells[i] = cell{name: fmt.Sprintf("skew sweep enter=%d", enter), cfg: cfg, sched: func() core.Scheduler {
 			return sched.NewRelaxedCo(sched.RelaxedCoParams{
 				Timeslice: p.Timeslice,
 				EnterSkew: enter,
 				ExitSkew:  enter / 2,
 			})
-		}
-		sum, err := p.runCell(ctx, fmt.Sprintf("skew sweep enter=%d", enter), cfg, core.SchedulerFactory(factory))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: skew sweep enter=%d: %w", enter, err)
-		}
+		}}
+	}
+	sums, err := p.runCells(ctx, cells)
+	if err != nil {
+		return nil, err
+	}
+	for i, sum := range sums {
 		pair := meanOf(sum, core.AvailabilityMetric(0, 0), core.AvailabilityMetric(0, 1))
 		singles := meanOf(sum, core.AvailabilityMetric(1, 0), core.AvailabilityMetric(2, 0))
 		t.Set(rows[i], cols[0], pair)
@@ -120,15 +134,16 @@ func BalanceAblation(ctx context.Context, p Params) (*report.Table, error) {
 	t := report.NewTable(
 		"Extension: Balance scheduling vs RRS on a stacking-prone setup (2+1 VCPUs, 2 PCPUs, sync 1:2)",
 		"metric", rows, algos)
-	for _, algo := range algos {
-		factory, err := p.schedFactory(algo)
-		if err != nil {
-			return nil, err
-		}
-		sum, err := p.runCell(ctx, "balance ablation "+algo, cfg, factory)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: balance ablation %s: %w", algo, err)
-		}
+	cells := make([]cell, len(algos))
+	for i, algo := range algos {
+		cells[i] = cell{name: "balance ablation " + algo, cfg: cfg, algo: algo}
+	}
+	sums, err := p.runCells(ctx, cells)
+	if err != nil {
+		return nil, err
+	}
+	for i, sum := range sums {
+		algo := algos[i]
 		set := func(row, metric string) {
 			iv, _ := sum.Metric(metric)
 			t.Set(row, algo, iv)
@@ -175,15 +190,16 @@ func LockAblation(ctx context.Context, p Params) (*report.Table, error) {
 	t := report.NewTable(
 		"Extension: lock-holder preemption (spinlock sync), 3+3 VCPUs, 4 PCPUs, locks 1:2",
 		"metric", rows, algos)
-	for _, algo := range algos {
-		factory, err := p.schedFactory(algo)
-		if err != nil {
-			return nil, err
-		}
-		sum, err := p.runCell(ctx, "lock ablation "+algo, cfg, factory)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: lock ablation %s: %w", algo, err)
-		}
+	cells := make([]cell, len(algos))
+	for i, algo := range algos {
+		cells[i] = cell{name: "lock ablation " + algo, cfg: cfg, algo: algo}
+	}
+	sums, err := p.runCells(ctx, cells)
+	if err != nil {
+		return nil, err
+	}
+	for i, sum := range sums {
+		algo := algos[i]
 		spin, _ := sum.Metric(core.SpinFractionMetric)
 		workIv, _ := sum.Metric(core.EffectiveUtilizationMetric)
 		busyIv, _ := sum.Metric(core.VCPUUtilizationAvgMetric)
@@ -307,11 +323,16 @@ func HybridAblation(ctx context.Context, p Params) (*report.Table, error) {
 	t := report.NewTable(
 		"Extension: hybrid scheduling (Weng et al.), lock-heavy 3-VCPU VM + independent 2-VCPU VM, 4 PCPUs",
 		"metric", rows, []string{"RRS", "SCS", "Hybrid(co:parallel)"})
-	for _, algo := range algos {
-		sum, err := p.runCell(ctx, "hybrid ablation "+algo.name, cfg, algo.factory)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: hybrid ablation %s: %w", algo.name, err)
-		}
+	cells := make([]cell, len(algos))
+	for i, algo := range algos {
+		cells[i] = cell{name: "hybrid ablation " + algo.name, cfg: cfg, sched: algo.factory}
+	}
+	sums, err := p.runCells(ctx, cells)
+	if err != nil {
+		return nil, err
+	}
+	for i, sum := range sums {
+		algo := algos[i]
 		set := func(row, metric string) {
 			iv, _ := sum.Metric(metric)
 			t.Set(row, algo.name, iv)

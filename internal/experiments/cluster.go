@@ -97,38 +97,25 @@ func (p Params) clusterTopology(hosts int, policy string) *cluster.Topology {
 	}
 }
 
-// runClusterCell is runCell's counterpart for cluster topologies: one
-// (topology, policy) cell through the pooled executive, bracketed in
-// cell.start / cell.end telemetry when a sink is installed. The cluster
-// orchestrator always runs on the SAN step primitives, so the Engine
-// parameter does not apply here.
-func (p Params) runClusterCell(ctx context.Context, cell string, topo *cluster.Topology) (sim.Summary, error) {
-	opts := p.Sim
-	opts.Seed = p.Seed
-	if p.Sink == nil {
-		return sim.RunPooled(ctx, topo.ReplicatorFactory(nil, nil), opts)
+// clusterFactory is topo.ReplicatorFactory with each replication's
+// fleet counters recorded in log, when non-nil, by replication index —
+// ReplicatorFactory's shared accumulator cannot tell the kept
+// replications from those the pool discards.
+func clusterFactory(topo *cluster.Topology, sink obs.Sink, log *cellLog) sim.ReplicatorFactory {
+	return func() (sim.Replicator, error) {
+		o, err := cluster.New(topo)
+		if err != nil {
+			return nil, err
+		}
+		o.SetSink(sink)
+		return func(ctx context.Context, rep int, seed uint64) (map[string]float64, error) {
+			m, err := o.Replicate(ctx, seed)
+			if err == nil && log != nil {
+				log.counters[rep] = o.LastStats()
+			}
+			return m, err
+		}, nil
 	}
-	p.Sink.Emit(obs.Event{Kind: obs.KindCellStart, Cell: cell})
-	opts.Sink = obs.WithCell(p.Sink, cell)
-	acc := &obs.Accumulator{}
-	start := obs.Clock()
-	sum, err := sim.RunPooled(ctx, topo.ReplicatorFactory(opts.Sink, acc), opts)
-	if err != nil {
-		return sum, err
-	}
-	elapsed := obs.Clock() - start
-	counters := acc.Counters()
-	counters.WallNS = elapsed.Nanoseconds()
-	counters.FillRate()
-	p.Sink.Emit(obs.Event{
-		Kind:      obs.KindCellEnd,
-		Cell:      cell,
-		Reps:      sum.Replications,
-		Converged: sum.Converged,
-		ElapsedNS: elapsed.Nanoseconds(),
-		Counters:  &counters,
-	})
-	return sum, nil
 }
 
 // FigureCluster runs the cluster-orchestration campaign: fleets of 2, 4,
@@ -137,8 +124,9 @@ func (p Params) runClusterCell(ctx context.Context, cell string, topo *cluster.T
 // availability and PCPU utilization, dispatch and migration counts,
 // migration downtime, placement wait, end-of-run queue depth); columns
 // are the placement policies. Results are byte-identical at any
-// GridParallelism and any replication-pool parallelism: every cell's
-// replications derive from Seed alone.
+// Sim.Parallelism: every cell's replications derive from Seed alone and
+// fold in replication order. The orchestrator always runs on the SAN step
+// primitives, so the Engine parameter does not apply here.
 func FigureCluster(ctx context.Context, p Params) (*report.Table, error) {
 	p = p.withDefaults()
 	policies := cluster.PlacementPolicies()
@@ -155,24 +143,13 @@ func FigureCluster(ctx context.Context, p Params) (*report.Table, error) {
 
 	// One grid cell per (fleet size, policy); each fills all of its fleet
 	// size's rows from the same summary.
-	var jobs []gridJob
+	var cells []cell
 	for _, n := range clusterHostCounts {
 		for _, pol := range policies {
-			n, pol := n, pol
-			name := fmt.Sprintf("cluster %dh %s", n, pol)
-			jobs = append(jobs, gridJob{
-				name: name,
-				run: func(ctx context.Context) (sim.Summary, error) {
-					sum, err := p.runClusterCell(ctx, name, p.clusterTopology(n, pol))
-					if err != nil {
-						return sim.Summary{}, fmt.Errorf("experiments: cluster %d hosts/%s: %w", n, pol, err)
-					}
-					return sum, nil
-				},
-			})
+			cells = append(cells, cell{name: fmt.Sprintf("cluster %dh %s", n, pol), topo: p.clusterTopology(n, pol)})
 		}
 	}
-	sums, err := p.runGrid(ctx, jobs)
+	sums, err := p.runCells(ctx, cells)
 	if err != nil {
 		return nil, err
 	}

@@ -43,13 +43,12 @@ func TestFigureClusterShape(t *testing.T) {
 	}
 }
 
-// TestFigureClusterGridParallelism renders the cluster figure serially
-// and with the full grid in flight; the tables must be byte-identical
-// (the ISSUE's acceptance criterion for `experiments -figure cluster`).
+// TestFigureClusterGridParallelism renders the cluster figure at pool
+// widths 1, 2 and 8; the tables must be byte-identical.
 func TestFigureClusterGridParallelism(t *testing.T) {
 	render := func(par int) string {
 		p := quickParams()
-		p.GridParallelism = par
+		p.Sim.Parallelism = par
 		tbl, err := FigureCluster(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)

@@ -57,11 +57,11 @@ func TestContractCellAgreementWithinCI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := p.runCell(context.Background(), "contract agreement", p.fig8Config(2), factory)
+		sums, err := p.runCells(context.Background(), []cell{{name: "contract agreement", cfg: p.fig8Config(2), sched: factory}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sum
+		return sums[0]
 	}
 	v1, v2 := run(1), run(2)
 	if len(v1.Metrics) != len(v2.Metrics) {
@@ -94,11 +94,11 @@ func TestSANPooledEquivalenceAcrossParallelismV2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := p.withDefaults().runCell(context.Background(), "pooled equivalence v2", p.fig8Config(2), factory)
+		sums, err := p.withDefaults().runCells(context.Background(), []cell{{name: "pooled equivalence v2", cfg: p.fig8Config(2), sched: factory}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sum
+		return sums[0]
 	}
 	serial, parallel := runAt(1), runAt(8)
 	if serial.Replications != parallel.Replications || serial.Converged != parallel.Converged {

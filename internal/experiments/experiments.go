@@ -16,7 +16,9 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 
+	"vcpusim/internal/cluster"
 	"vcpusim/internal/core"
 	"vcpusim/internal/fastsim"
 	"vcpusim/internal/faults"
@@ -64,24 +66,20 @@ type Params struct {
 	Algorithms []string
 	// Sim controls replications and stopping; zero fields take the sim
 	// package defaults (95 % confidence, <0.1 relative half-width, 10-100
-	// replications), matching the paper's reported settings.
+	// replications), matching the paper's reported settings. Its
+	// Parallelism is the width of the one worker pool that runs every
+	// (cell, replication) of a figure; results are identical at any width.
 	Sim sim.Options
 	// Contract is the determinism contract version every cell's SAN
 	// program is compiled under (san.ContractV1 or san.ContractV2); 0
 	// selects san.DefaultContract. The fast engine ignores it.
 	Contract int
-	// GridParallelism is the number of experiment grid cells (independent
-	// (config, algorithm) points of one figure) run concurrently; default
-	// 1 (serial). Cell results are identical at any setting: every cell's
-	// replication seeds derive from Seed alone, and tables are filled in a
-	// fixed order after the cells complete.
-	GridParallelism int
 	// Sink, when non-nil, receives the experiment's telemetry span
 	// stream: cell.start / cell.end events (with per-cell engine-counter
 	// rollups, replication counts, and wall time) from the grid, plus the
 	// replication controller's sim.batch / sim.stop events, each stamped
 	// with its cell name. Implementations must tolerate concurrent Emit
-	// calls when GridParallelism > 1 (every obs sink does). Nil means
+	// calls when Sim.Parallelism > 1 (every obs sink does). Nil means
 	// telemetry off: no event, counter rollup, or timestamp is taken.
 	Sink obs.Sink
 	// Histograms enables the core model's reward distributions
@@ -97,7 +95,7 @@ type Params struct {
 	// extra replication runs on a fresh worker with a probe sampler
 	// attached, always seeded with Seed — so the series is a pure
 	// function of the cell and Seed, bit-identical at any
-	// GridParallelism. Requires the SAN engine.
+	// Sim.Parallelism. Requires the SAN engine.
 	Probe *ProbeOptions
 }
 
@@ -162,9 +160,6 @@ func (p Params) withDefaults() Params {
 	}
 	if len(p.Algorithms) == 0 {
 		p.Algorithms = append([]string(nil), d.Algorithms...)
-	}
-	if p.GridParallelism == 0 {
-		p.GridParallelism = 1
 	}
 	return p
 }
@@ -261,42 +256,6 @@ func withEfficiency(m map[string]float64) map[string]float64 {
 	return m
 }
 
-// replicator builds a stateless sim.Replicator for one (config,
-// algorithm) cell, adding the derived efficiency metric. Every
-// replication pays the full model-construction cost; the pooled path
-// (replicatorFactory) is preferred for experiments. When acc is non-nil,
-// each replication folds its engine counters into it.
-func (p Params) replicator(cfg core.SystemConfig, factory core.SchedulerFactory, acc *obs.Accumulator) sim.Replicator {
-	return func(ctx context.Context, _ int, seed uint64) (map[string]float64, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var (
-			m   map[string]float64
-			err error
-		)
-		switch p.Engine {
-		case EngineSAN:
-			m, err = core.RunReplicationIntervalContext(ctx, cfg, factory, float64(p.Warmup), float64(p.Horizon), seed)
-		case EngineFast:
-			eng, buildErr := fastsim.New(cfg, factory(), seed)
-			if buildErr != nil {
-				return nil, buildErr
-			}
-			m, err = eng.RunInterval(p.Warmup, p.Horizon)
-			if err == nil && acc != nil {
-				acc.Add(fastCounters(eng.Stats()))
-			}
-		default:
-			return nil, fmt.Errorf("experiments: unknown engine %q", p.Engine)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return withEfficiency(m), nil
-	}
-}
-
 // fastCounters maps the fast engine's tick-loop counters onto the
 // engine-agnostic rollup.
 func fastCounters(s fastsim.Stats) obs.Counters {
@@ -322,32 +281,47 @@ func sanCounters(s san.Stats) obs.Counters {
 		Cancelled:         s.EventsCancelled,
 		StabilizeIters:    s.StabilizeIters,
 		MaxStabilizeDepth: s.MaxStabilizeDepth,
-		WallNS:            s.WallTime.Nanoseconds(),
 	}
 }
 
 // replicatorFactory builds a sim.ReplicatorFactory for one (config,
-// algorithm) cell. On the SAN engine each sim worker slot gets its own
-// core.Worker — the model is built and compiled once per slot, and every
-// replication only reseeds it — which is where the compile-once
-// executive's speedup comes from. The fast engine's replicator is
-// stateless and shared across slots. A non-nil acc collects every
-// replication's engine counters (the per-cell telemetry rollup); a
-// non-nil sink receives fault.inject/fault.recover spans when cfg carries
-// a fault plan; a non-nil hist collects every replication's reward
-// distributions into the per-cell merge.
-func (p Params) replicatorFactory(cfg core.SystemConfig, factory core.SchedulerFactory, acc *obs.Accumulator, sink obs.Sink, hist *obs.HistAccumulator) sim.ReplicatorFactory {
-	if p.Engine != EngineSAN {
-		rep := p.replicator(cfg, factory, acc)
+// algorithm) cell; every replication adds the derived efficiency metric.
+// On the SAN engine each pool worker gets its own core.Worker — the model
+// is built and compiled once per worker, and every replication only
+// reseeds it — which is where the compile-once executive's speedup comes
+// from. The fast engine's replicator is stateless and shared across
+// workers. A non-nil log records every replication's engine counters
+// (and, with Histograms, its reward distributions) for the cell.end
+// rollup; a non-nil sink receives fault.inject/fault.recover spans when
+// cfg carries a fault plan.
+func (p Params) replicatorFactory(cfg core.SystemConfig, factory core.SchedulerFactory, log *cellLog, sink obs.Sink) sim.ReplicatorFactory {
+	if p.Engine == EngineFast {
+		rep := func(ctx context.Context, rep int, seed uint64) (map[string]float64, error) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			eng, err := fastsim.New(cfg, factory(), seed)
+			if err != nil {
+				return nil, err
+			}
+			m, err := eng.RunInterval(p.Warmup, p.Horizon)
+			if err != nil {
+				return nil, err
+			}
+			if log != nil {
+				log.counters[rep] = fastCounters(eng.Stats())
+			}
+			return withEfficiency(m), nil
+		}
 		return func() (sim.Replicator, error) { return rep, nil }
 	}
 	return func() (sim.Replicator, error) {
+		if p.Engine != EngineSAN {
+			return nil, fmt.Errorf("experiments: unknown engine %q", p.Engine)
+		}
 		w, err := core.NewWorker(cfg, factory)
 		if err != nil {
 			return nil, err
-		}
-		if acc != nil {
-			w.SetClock(obs.Clock)
 		}
 		if sink != nil {
 			w.SetFaultSink(sink)
@@ -355,7 +329,7 @@ func (p Params) replicatorFactory(cfg core.SystemConfig, factory core.SchedulerF
 		if p.Histograms {
 			w.EnableHistograms()
 		}
-		return func(ctx context.Context, _ int, seed uint64) (map[string]float64, error) {
+		return func(ctx context.Context, rep int, seed uint64) (map[string]float64, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -363,70 +337,135 @@ func (p Params) replicatorFactory(cfg core.SystemConfig, factory core.SchedulerF
 			if err != nil {
 				return nil, err
 			}
-			if acc != nil {
+			if log != nil {
 				c := sanCounters(w.LastStats())
 				if cfg.Faults != nil {
 					c.FaultInjects = uint64(m[faults.InjectsMetric] + 0.5)
 					c.FaultRecovers = uint64(m[faults.RecoversMetric] + 0.5)
 				}
-				acc.Add(c)
-			}
-			if hist != nil {
-				w.CollectHistograms(hist)
+				log.counters[rep] = c
+				w.CollectHistograms(&log.hists[rep])
 			}
 			return withEfficiency(m), nil
 		}, nil
 	}
 }
 
-// runCell executes one (config, scheduler) experiment cell through the
-// pooled executive and returns the summary. With a telemetry sink
-// installed it brackets the cell in cell.start / cell.end spans, forwards
-// the replication controller's spans stamped with the cell name, and
-// rolls the per-replication engine counters up into the cell.end event;
-// with no sink the cell runs exactly as before — no counters, no clock.
-func (p Params) runCell(ctx context.Context, cell string, cfg core.SystemConfig, factory core.SchedulerFactory) (sim.Summary, error) {
+// cell is one experiment of a figure's grid: a single-host config run
+// under a scheduler (sched, or the algorithm named algo), or a cluster
+// topology when topo is set. Its name is also its telemetry label.
+type cell struct {
+	name  string
+	cfg   core.SystemConfig
+	algo  string
+	sched core.SchedulerFactory
+	topo  *cluster.Topology
+}
+
+// runCells runs a figure's cells as one grid on the sim worker pool,
+// Sim.Parallelism wide, and returns their summaries in cell order.
+func (p Params) runCells(ctx context.Context, cells []cell) ([]sim.Summary, error) {
+	grid := make([]sim.Cell, len(cells))
+	for i, c := range cells {
+		if c.topo == nil && c.sched == nil {
+			var err error
+			if c.sched, err = p.schedFactory(c.algo); err != nil {
+				return nil, fmt.Errorf("experiments: %s: %w", c.name, err)
+			}
+		}
+		grid[i] = p.runCell(c)
+	}
+	sums, err := sim.RunCells(ctx, p.Sim.Parallelism, grid)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	return sums, nil
+}
+
+// runCell builds one cell's pool entry. With a telemetry sink installed,
+// the cell is bracketed in cell.start / cell.end spans: cell.start when
+// the first pool worker builds its replicator (sync.Once holds the other
+// workers until it is out, so it precedes all of the cell's spans), and
+// cell.end when the cell finishes, with the engine-counter (and
+// histogram) rollup of exactly the replications the summary kept. The
+// replication controller's spans are stamped with the cell name. With no
+// sink no counter or clock is read. Finish also runs a single-host cell's
+// probe.
+func (p Params) runCell(c cell) sim.Cell {
 	// Every cell funnels through here, so stamping the contract once covers
 	// the whole experiment grid (fig8Config/setConfig build cfg without it).
-	cfg.Contract = p.Contract
-	opts := p.Sim
-	opts.Seed = p.Seed
-	if p.Sink == nil {
-		sum, err := sim.RunPooled(ctx, p.replicatorFactory(cfg, factory, nil, nil, nil), opts)
-		if err != nil {
-			return sum, err
+	c.cfg.Contract = p.Contract
+	pc := sim.Cell{Name: c.name, Options: p.Sim}
+	pc.Options.Seed = p.Seed
+	var log *cellLog
+	if p.Sink != nil {
+		n := pc.Options.WithDefaults().MaxReps
+		log = &cellLog{counters: make([]obs.Counters, n), hists: make([]obs.HistAccumulator, n)}
+		pc.Options.Sink = obs.WithCell(p.Sink, c.name)
+	}
+	if c.topo != nil {
+		pc.Factory = clusterFactory(c.topo, pc.Options.Sink, log)
+	} else {
+		pc.Factory = p.replicatorFactory(c.cfg, c.sched, log, pc.Options.Sink)
+	}
+	var (
+		start time.Duration
+		once  sync.Once
+	)
+	if log != nil {
+		factory := pc.Factory
+		pc.Factory = func() (sim.Replicator, error) {
+			once.Do(func() {
+				start = obs.Clock()
+				p.Sink.Emit(obs.Event{Kind: obs.KindCellStart, Cell: c.name})
+			})
+			return factory()
 		}
-		return sum, p.probeCell(ctx, cell, cfg, factory)
 	}
-	p.Sink.Emit(obs.Event{Kind: obs.KindCellStart, Cell: cell})
-	opts.Sink = obs.WithCell(p.Sink, cell)
-	acc := &obs.Accumulator{}
-	var hist *obs.HistAccumulator
-	if p.Histograms {
-		hist = &obs.HistAccumulator{}
+	pc.Finish = func(ctx context.Context, sum sim.Summary) error {
+		if log != nil {
+			p.Sink.Emit(log.end(c.name, sum, obs.Clock()-start))
+		}
+		if c.topo != nil {
+			return nil
+		}
+		return p.probeCell(ctx, c.name, c.cfg, c.sched)
 	}
-	start := obs.Clock()
-	sum, err := sim.RunPooled(ctx, p.replicatorFactory(cfg, factory, acc, opts.Sink, hist), opts)
-	if err != nil {
-		return sum, err
+	return pc
+}
+
+// cellLog records one cell's per-replication telemetry by replication
+// index; each replication writes only its own entries. The pool may run a
+// few replications past the stop and discard them, so the cell.end rollup
+// folds only the replications the summary kept: the same rollup as a
+// serial run's at any width.
+type cellLog struct {
+	counters []obs.Counters
+	hists    []obs.HistAccumulator // filled with Histograms only
+}
+
+// end builds the cell.end event for a finished cell.
+func (l *cellLog) end(name string, sum sim.Summary, elapsed time.Duration) obs.Event {
+	var (
+		acc  obs.Accumulator
+		hist obs.HistAccumulator
+	)
+	for i := 0; i < sum.Replications; i++ {
+		acc.Add(l.counters[i])
+		hist.Merge(&l.hists[i])
 	}
-	elapsed := obs.Clock() - start
 	counters := acc.Counters()
 	counters.WallNS = elapsed.Nanoseconds()
 	counters.FillRate()
-	ev := obs.Event{
+	return obs.Event{
 		Kind:      obs.KindCellEnd,
-		Cell:      cell,
+		Cell:      name,
 		Reps:      sum.Replications,
 		Converged: sum.Converged,
 		ElapsedNS: elapsed.Nanoseconds(),
 		Counters:  &counters,
+		Hist:      hist.Summaries(),
 	}
-	if hist != nil {
-		ev.Hist = hist.Summaries()
-	}
-	p.Sink.Emit(ev)
-	return sum, p.probeCell(ctx, cell, cfg, factory)
 }
 
 // probeCell runs a cell's dedicated probe replication: a fresh worker
@@ -439,11 +478,11 @@ func (p Params) probeCell(ctx context.Context, cell string, cfg core.SystemConfi
 		return nil
 	}
 	if p.Engine != EngineSAN {
-		return fmt.Errorf("experiments: probes require the SAN engine (cell %s runs %q)", cell, p.Engine)
+		return fmt.Errorf("probes require the SAN engine (cell %s runs %q)", cell, p.Engine)
 	}
 	w, err := core.NewWorker(cfg, factory)
 	if err != nil {
-		return fmt.Errorf("experiments: probe %s: %w", cell, err)
+		return fmt.Errorf("probe %s: %w", cell, err)
 	}
 	every := p.Probe.Every
 	if every <= 0 {
@@ -451,17 +490,17 @@ func (p Params) probeCell(ctx context.Context, cell string, cfg core.SystemConfi
 	}
 	s, err := probe.New(w, every)
 	if err != nil {
-		return fmt.Errorf("experiments: probe %s: %w", cell, err)
+		return fmt.Errorf("probe %s: %w", cell, err)
 	}
 	s.Install()
 	if _, err := w.RunIntervalContext(ctx, float64(p.Warmup), float64(p.Horizon), p.Seed); err != nil {
-		return fmt.Errorf("experiments: probe %s: %w", cell, err)
+		return fmt.Errorf("probe %s: %w", cell, err)
 	}
 	s.Finish(float64(p.Horizon))
 	name := probeSlug(cell)
 	sf, err := s.WriteFile(name, filepath.Join(p.Probe.Dir, name+".csv"))
 	if err != nil {
-		return fmt.Errorf("experiments: probe %s: %w", cell, err)
+		return fmt.Errorf("probe %s: %w", cell, err)
 	}
 	p.Probe.add(sf)
 	return nil
@@ -478,90 +517,6 @@ func probeSlug(cell string) string {
 		}
 	}
 	return string(b)
-}
-
-// run executes one experiment cell and returns the summary.
-func (p Params) run(ctx context.Context, cell string, cfg core.SystemConfig, algo string) (sim.Summary, error) {
-	factory, err := p.schedFactory(algo)
-	if err != nil {
-		return sim.Summary{}, err
-	}
-	return p.runCell(ctx, cell, cfg, factory)
-}
-
-// gridJob is one cell of a figure's experiment grid: a name (also the
-// telemetry cell label) plus the work itself. The run closure wraps its
-// own error with cell context, so runGrid can return it untouched.
-type gridJob struct {
-	name string
-	run  func(ctx context.Context) (sim.Summary, error)
-}
-
-// runGrid executes the grid cells with at most GridParallelism in
-// flight, returning summaries indexed like jobs. With GridParallelism 1
-// the cells run in order, exactly as the serial loops did. The first
-// cell error cancels the rest of the grid. Telemetry (spans, timing,
-// counter rollups) is handled per cell by runCell, so span streams from
-// concurrent cells interleave by event, each stamped with its cell name.
-func (p Params) runGrid(ctx context.Context, jobs []gridJob) ([]sim.Summary, error) {
-	par := p.GridParallelism
-	if par < 1 {
-		par = 1
-	}
-	if par > len(jobs) {
-		par = len(jobs)
-	}
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		once     sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		once.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	sums := make([]sim.Summary, len(jobs))
-	runJob := func(i int) {
-		if err := gctx.Err(); err != nil {
-			fail(err)
-			return
-		}
-		sum, err := jobs[i].run(gctx)
-		if err != nil {
-			fail(err)
-			return
-		}
-		sums[i] = sum
-	}
-	if par == 1 {
-		for i := range jobs {
-			runJob(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runJob(i)
-				}
-			}()
-		}
-		for i := range jobs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return sums, nil
 }
 
 // Figure8 reproduces the paper's Figure 8: the availability of the four
@@ -586,24 +541,11 @@ func Figure8(ctx context.Context, p Params) (*report.Table, error) {
 	t := report.NewTable(
 		"Figure 8: VCPU availability, 3 VMs (2+1+1 VCPUs), sync 1:5, 95% CI",
 		"setup", rows, vcpuCols)
-	jobs := make([]gridJob, len(rows))
-	for i, algo := range p.Algorithms {
-		for j := 0; j < 4; j++ {
-			algo, pcpus := algo, j+1
-			name := "figure 8 " + rows[i*4+j]
-			jobs[i*4+j] = gridJob{
-				name: name,
-				run: func(ctx context.Context) (sim.Summary, error) {
-					sum, err := p.run(ctx, name, p.fig8Config(pcpus), algo)
-					if err != nil {
-						return sim.Summary{}, fmt.Errorf("experiments: figure 8 %s/%d PCPUs: %w", algo, pcpus, err)
-					}
-					return sum, nil
-				},
-			}
-		}
+	cells := make([]cell, len(rows))
+	for i, row := range rows {
+		cells[i] = cell{name: "figure 8 " + row, cfg: p.fig8Config(i%4 + 1), algo: p.Algorithms[i/4]}
 	}
-	sums, err := p.runGrid(ctx, jobs)
+	sums, err := p.runCells(ctx, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -633,28 +575,17 @@ func Figure9(ctx context.Context, p Params) (*report.Table, error) {
 	t := report.NewTable(
 		"Figure 9: averaged PCPU utilization (4 PCPUs), sync 1:5, 95% CI",
 		"VM set", rows, p.Algorithms)
-	var jobs []gridJob
+	var cells []cell
 	for _, s := range sets {
 		cfg, err := p.setConfig(s, 5)
 		if err != nil {
 			return nil, err
 		}
 		for _, algo := range p.Algorithms {
-			s, cfg, algo := s, cfg, algo
-			name := fmt.Sprintf("figure 9 %s %s", s, algo)
-			jobs = append(jobs, gridJob{
-				name: name,
-				run: func(ctx context.Context) (sim.Summary, error) {
-					sum, err := p.run(ctx, name, cfg, algo)
-					if err != nil {
-						return sim.Summary{}, fmt.Errorf("experiments: figure 9 %s/%s: %w", s, algo, err)
-					}
-					return sum, nil
-				},
-			})
+			cells = append(cells, cell{name: fmt.Sprintf("figure 9 %s %s", s, algo), cfg: cfg, algo: algo})
 		}
 	}
-	sums, err := p.runGrid(ctx, jobs)
+	sums, err := p.runCells(ctx, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -690,31 +621,17 @@ func Figure10(ctx context.Context, p Params) (efficiency, absolute *report.Table
 	absolute = report.NewTable(
 		"Figure 10 (companion): absolute VCPU utilization of total time (4 PCPUs), 95% CI",
 		"setup", rows, p.Algorithms)
-	var jobs []gridJob
-	for _, s := range sets {
-		for _, n := range syncs {
-			cfg, cfgErr := p.setConfig(s, n)
-			if cfgErr != nil {
-				return nil, nil, cfgErr
-			}
-			row := fmt.Sprintf("%s sync 1:%d", s, n)
-			for _, algo := range p.Algorithms {
-				cfg, row, algo := cfg, row, algo
-				name := fmt.Sprintf("figure 10 %s %s", row, algo)
-				jobs = append(jobs, gridJob{
-					name: name,
-					run: func(ctx context.Context) (sim.Summary, error) {
-						sum, err := p.run(ctx, name, cfg, algo)
-						if err != nil {
-							return sim.Summary{}, fmt.Errorf("experiments: figure 10 %s/%s: %w", row, algo, err)
-						}
-						return sum, nil
-					},
-				})
-			}
+	var cells []cell
+	for i, row := range rows {
+		cfg, cfgErr := p.setConfig(sets[i/len(syncs)], syncs[i%len(syncs)])
+		if cfgErr != nil {
+			return nil, nil, cfgErr
+		}
+		for _, algo := range p.Algorithms {
+			cells = append(cells, cell{name: fmt.Sprintf("figure 10 %s %s", row, algo), cfg: cfg, algo: algo})
 		}
 	}
-	sums, err := p.runGrid(ctx, jobs)
+	sums, err := p.runCells(ctx, cells)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -730,20 +647,6 @@ func Figure10(ctx context.Context, p Params) (efficiency, absolute *report.Table
 	efficiency.AddNote("paper: equal at set1; SCS highest, RCS slightly below, RRS lowest and degrading as sync rate rises")
 	absolute.AddNote("absolute normalization: RRS's higher availability dominates; see EXPERIMENTS.md")
 	return efficiency, absolute, nil
-}
-
-// cell is a generic helper for ablation tables.
-func (p Params) cell(ctx context.Context, t *report.Table, cfg core.SystemConfig, row, col, metric string, factory core.SchedulerFactory) error {
-	sum, err := p.runCell(ctx, row+" "+col, cfg, factory)
-	if err != nil {
-		return fmt.Errorf("experiments: %s/%s: %w", row, col, err)
-	}
-	iv, ok := sum.Metric(metric)
-	if !ok {
-		return fmt.Errorf("experiments: %s/%s: missing metric %s", row, col, metric)
-	}
-	t.Set(row, col, iv)
-	return nil
 }
 
 // fairnessSpread returns max-min availability across the four Figure 8

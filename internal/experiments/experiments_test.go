@@ -210,7 +210,10 @@ func TestEfficiencyMetricDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := p.replicator(cfg, factory, nil)
+	rep, err := p.replicatorFactory(cfg, factory, nil, nil)()
+	if err != nil {
+		t.Fatal(err)
+	}
 	m, err := rep(context.Background(), 0, 7)
 	if err != nil {
 		t.Fatal(err)

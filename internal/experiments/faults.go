@@ -7,7 +7,6 @@ import (
 	"vcpusim/internal/core"
 	"vcpusim/internal/faults"
 	"vcpusim/internal/report"
-	"vcpusim/internal/sim"
 	"vcpusim/internal/workload"
 )
 
@@ -104,9 +103,9 @@ func FigureFaults(ctx context.Context, p Params) (*report.Table, error) {
 		"Faults: dependability under injected faults, 3 VMs (2+1+1 VCPUs), 2 PCPUs, sync 1:5, 95% CI",
 		"scenario", rows, p.Algorithms)
 
-	// One grid cell per (scenario, algorithm); each fills all four of its
+	// One grid cell per (scenario, algorithm); each fills all of its
 	// scenario's rows from the same summary.
-	var jobs []gridJob
+	var cells []cell
 	for _, sc := range scenarios {
 		cfg := p.fig8Config(2)
 		if sc.spinlock {
@@ -116,21 +115,10 @@ func FigureFaults(ctx context.Context, p Params) (*report.Table, error) {
 		}
 		cfg.Faults = sc.plan
 		for _, algo := range p.Algorithms {
-			sc, cfg, algo := sc, cfg, algo
-			name := fmt.Sprintf("faults %s %s", sc.key, algo)
-			jobs = append(jobs, gridJob{
-				name: name,
-				run: func(ctx context.Context) (sim.Summary, error) {
-					sum, err := p.run(ctx, name, cfg, algo)
-					if err != nil {
-						return sim.Summary{}, fmt.Errorf("experiments: faults %s/%s: %w", sc.key, algo, err)
-					}
-					return sum, nil
-				},
-			})
+			cells = append(cells, cell{name: fmt.Sprintf("faults %s %s", sc.key, algo), cfg: cfg, algo: algo})
 		}
 	}
-	sums, err := p.runGrid(ctx, jobs)
+	sums, err := p.runCells(ctx, cells)
 	if err != nil {
 		return nil, err
 	}

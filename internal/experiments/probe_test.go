@@ -11,7 +11,7 @@ import (
 )
 
 // probeDigests runs a small SAN Figure 8 grid with probes attached at
-// the given grid parallelism and returns name -> sha256 for every
+// the given pool width and returns name -> sha256 for every
 // series, verifying each digest against the file on disk.
 func probeDigests(t *testing.T, par int) map[string]string {
 	t.Helper()
@@ -21,7 +21,7 @@ func probeDigests(t *testing.T, par int) map[string]string {
 	p.Seed = 5
 	p.Algorithms = []string{"RRS"}
 	p.Sim = sim.Options{MinReps: 2, MaxReps: 2}
-	p.GridParallelism = par
+	p.Sim.Parallelism = par
 	p.Probe = &ProbeOptions{Dir: t.TempDir(), Every: 30}
 	if _, err := Figure8(context.Background(), p); err != nil {
 		t.Fatal(err)

@@ -179,6 +179,15 @@ func (a *HistAccumulator) Add(name string, h *Histogram) {
 	dst.Merge(h)
 }
 
+// Merge folds every distribution of b into a.
+func (a *HistAccumulator) Merge(b *HistAccumulator) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for name, h := range b.m {
+		a.Add(name, h)
+	}
+}
+
 // Summaries digests the merged distributions, or nil when none were
 // added (so the manifest field stays omitted).
 func (a *HistAccumulator) Summaries() map[string]HistSummary {

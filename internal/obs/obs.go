@@ -23,8 +23,9 @@ import (
 //
 //   - cell.start: Cell.
 //   - cell.end:   Cell, Reps, Converged, ElapsedNS, Counters.
-//   - sim.batch:  Cell (when decorated), Batch (1-based), Size, Reps
-//     (replications completed including this batch).
+//   - sim.batch:  Cell (when decorated), Batch, Size, Reps: one event
+//     per folded replication, so Batch and Reps are its 1-based index
+//     and Size is 1.
 //   - sim.stop:   Cell, Reps, Converged, Widths (per-metric relative CI
 //     half-widths at this stopping-rule check; non-finite widths omitted).
 //   - fault.inject / fault.recover: Attrs carries the fault name, kind,

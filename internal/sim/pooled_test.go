@@ -106,3 +106,63 @@ func TestRunPooledSeedIsReplicationIndexed(t *testing.T) {
 		t.Fatalf("parallel pooled summary differs: %v vs %v", a, b)
 	}
 }
+
+// TestCIStoppingIndependentOfParallelism pins the serial trajectory: a
+// stochastic metric whose CI target stops the run before MaxReps stops
+// after the same replication, with bit-identical intervals, at every pool
+// width. Past the serial stop every replication fails: the pool may start
+// fewer than width of them, and must discard their errors.
+func TestCIStoppingIndependentOfParallelism(t *testing.T) {
+	opts := Options{Seed: 4, MinReps: 2, RelWidth: 0.1, Parallelism: 1}
+	serial, err := Run(context.Background(), noisyReplicator(5, 2), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !serial.Converged || serial.Replications == 100 {
+		t.Fatalf("serial run did not stop on its CI (%d reps)", serial.Replications)
+	}
+	for _, par := range []int{2, 3, 8} {
+		var calls atomic.Int64
+		rep := func(ctx context.Context, i int, seed uint64) (map[string]float64, error) {
+			calls.Add(1)
+			if i >= serial.Replications {
+				return nil, fmt.Errorf("replication %d runs past the serial stop", i)
+			}
+			return noisyReplicator(5, 2)(ctx, i, seed)
+		}
+		opts.Parallelism = par
+		got, err := Run(context.Background(), rep, opts)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		if n := calls.Load(); n > int64(got.Replications+par-1) {
+			t.Errorf("parallelism %d: %d replications run for %d kept", par, n, got.Replications)
+		}
+		a, b := got.Metrics["m"], serial.Metrics["m"]
+		if got.Replications != serial.Replications || got.Converged != serial.Converged ||
+			a.Mean != b.Mean || a.HalfWidth != b.HalfWidth {
+			t.Errorf("parallelism %d: %d reps %v, serial %d reps %v", par, got.Replications, a, serial.Replications, b)
+		}
+	}
+}
+
+// TestRunPooledAllocsFlatInReplications pins the pool's cost: with a
+// replicator that allocates nothing, a call allocates the same at 10
+// replications as at 60 — no per-replication goroutine, slice or seed.
+func TestRunPooledAllocsFlatInReplications(t *testing.T) {
+	m := map[string]float64{"m": 1}
+	factory := func() (Replicator, error) {
+		return func(context.Context, int, uint64) (map[string]float64, error) { return m, nil }, nil
+	}
+	allocs := func(reps int) float64 {
+		opts := Options{Seed: 1, MinReps: reps, MaxReps: reps, Parallelism: 1}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := RunPooled(context.Background(), factory, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a10, a60 := allocs(10), allocs(60); a60 != a10 {
+		t.Fatalf("allocs per call: %g at 10 replications, %g at 60", a10, a60)
+	}
+}

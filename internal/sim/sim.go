@@ -1,10 +1,15 @@
 // Package sim runs simulation experiments as sequences of independent
 // replications with confidence-interval controlled stopping, replacing the
-// Möbius simulation executive the paper relies on: replications run in
-// parallel, results are aggregated per reward variable, and the experiment
-// stops once every tracked metric's relative confidence-interval half-width
-// drops below the target (the paper reports 95 % confidence with <0.1
-// intervals) or the replication budget is exhausted.
+// Möbius simulation executive the paper relies on: results are aggregated
+// per reward variable, and the experiment stops once every tracked
+// metric's relative confidence-interval half-width drops below the target
+// (the paper reports 95 % confidence with <0.1 intervals) or the
+// replication budget is exhausted.
+//
+// One worker pool (RunCells) runs the replications of a whole grid of
+// experiments in parallel. Results fold in replication order and the
+// stopping rule is tested after every fold, so a summary never depends on
+// the pool's width: it is the trajectory a serial run takes.
 package sim
 
 import (
@@ -24,15 +29,15 @@ import (
 // Implementations must be safe for concurrent invocation with distinct
 // seeds (each call builds its own model), and should honor ctx so that a
 // cancelled experiment interrupts a long replication instead of letting
-// the whole batch run to its horizon.
+// it run to its horizon.
 type Replicator func(ctx context.Context, rep int, seed uint64) (map[string]float64, error)
 
-// ReplicatorFactory constructs one Replicator per worker for RunPooled.
-// Each returned replicator is invoked serially by a single worker
-// goroutine, so it may carry state across replications — typically a
-// compiled model whose instance is reset per seed (core.Worker) — without
-// any locking. The factory itself may be called from the experiment's
-// goroutine multiple times; it must produce independent replicators.
+// ReplicatorFactory constructs one Replicator per pool worker (RunPooled,
+// RunCells). Each returned replicator is invoked serially by a single
+// worker goroutine, so it may carry state across replications — typically
+// a compiled model whose instance is reset per seed (core.Worker) —
+// without any locking. Workers call the factory concurrently; it must
+// produce independent replicators.
 type ReplicatorFactory func() (Replicator, error)
 
 // Options controls an experiment run. Zero values select the defaults
@@ -47,8 +52,9 @@ type Options struct {
 	MinReps int
 	// MaxReps bounds the number of replications; default 100.
 	MaxReps int
-	// Parallelism is the number of concurrent replications; default
-	// GOMAXPROCS.
+	// Parallelism is the number of pool workers running replications
+	// concurrently; default GOMAXPROCS. It changes only the wall time:
+	// the summary is the serial run's at any value.
 	Parallelism int
 	// Seed derives every replication's seed deterministically; the same
 	// seed reproduces the experiment regardless of parallelism.
@@ -57,13 +63,15 @@ type Options struct {
 	// every observed metric.
 	StopMetrics []string
 	// Sink, when non-nil, receives span events from the replication
-	// controller: one sim.batch event per completed batch and one
+	// controller: one sim.batch event per folded replication and one
 	// sim.stop event per stopping-rule check (with the current relative
 	// CI half-widths). Nil costs nothing — no event is constructed.
 	Sink obs.Sink
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults returns o with every zero field set to its documented
+// default (Parallelism excepted).
+func (o Options) WithDefaults() Options {
 	if o.Level == 0 {
 		o.Level = 0.95
 	}
@@ -75,9 +83,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxReps == 0 {
 		o.MaxReps = 100
-	}
-	if o.Parallelism == 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -94,9 +99,6 @@ func (o Options) validate() error {
 	}
 	if o.MaxReps < o.MinReps {
 		return fmt.Errorf("sim: max replications %d below min %d", o.MaxReps, o.MinReps)
-	}
-	if o.Parallelism < 1 {
-		return fmt.Errorf("sim: non-positive parallelism %d", o.Parallelism)
 	}
 	return nil
 }
@@ -137,9 +139,10 @@ func (s Summary) MetricNames() []string {
 
 // Run executes replications of rep until the stopping rule is satisfied.
 // It is deterministic for a given Options.Seed: per-replication seeds are
-// pre-derived, so parallel and serial execution produce identical
-// aggregates. rep must be safe for concurrent invocation; replicators
-// that carry per-worker state belong in RunPooled.
+// pre-derived and results fold in replication order, so parallel and
+// serial execution produce identical aggregates. rep must be safe for
+// concurrent invocation; replicators that carry per-worker state belong
+// in RunPooled.
 func Run(ctx context.Context, rep Replicator, opts Options) (Summary, error) {
 	if rep == nil {
 		return Summary{}, fmt.Errorf("sim: nil replicator")
@@ -147,140 +150,287 @@ func Run(ctx context.Context, rep Replicator, opts Options) (Summary, error) {
 	return RunPooled(ctx, func() (Replicator, error) { return rep, nil }, opts)
 }
 
-// RunPooled is Run with per-worker replicator state: factory is called
-// once per worker slot (at most Options.Parallelism times, lazily), and
-// each produced replicator is driven serially by its slot across batches.
-// A replicator can therefore compile its model once and reset a pooled
-// instance per replication, amortizing setup over the whole experiment.
-//
-// Determinism is unchanged from Run: replication seeds are pre-derived
-// from Options.Seed, replication i always receives seed i, and results
-// are folded into the accumulators in replication order — so pooled,
-// fresh, serial, and parallel execution all produce identical summaries
-// as long as each replication is a pure function of its seed.
+// RunPooled is Run with per-worker replicator state: it is RunCells with
+// one cell at width Options.Parallelism. Each pool worker calls factory
+// at most once, lazily, and drives the replicator it gets serially, so a
+// replicator can compile its model once and reset a pooled instance per
+// replication, amortizing setup over the whole experiment.
 func RunPooled(ctx context.Context, factory ReplicatorFactory, opts Options) (Summary, error) {
-	if factory == nil {
-		return Summary{}, fmt.Errorf("sim: nil replicator factory")
-	}
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	sums, err := RunCells(ctx, opts.Parallelism, []Cell{{Factory: factory, Options: opts}})
+	if err != nil {
 		return Summary{}, err
 	}
-
-	// Pre-derive every replication seed from the experiment seed.
-	seeds := make([]uint64, opts.MaxReps)
-	src := rng.New(opts.Seed)
-	for i := range seeds {
-		seeds[i] = src.Uint64()
-	}
-
-	// Worker slots, filled lazily: slot j serves replication j of every
-	// batch, so one slot never runs two replications at once.
-	workers := make([]Replicator, 0, opts.Parallelism)
-	ensureWorkers := func(n int) error {
-		for len(workers) < n {
-			w, err := factory()
-			if err != nil {
-				return fmt.Errorf("sim: building worker %d: %w", len(workers), err)
-			}
-			if w == nil {
-				return fmt.Errorf("sim: replicator factory returned nil for worker %d", len(workers))
-			}
-			workers = append(workers, w)
-		}
-		return nil
-	}
-
-	acc := make(map[string]*stats.Welford)
-	done := 0
-	batches := 0
-	converged := false
-
-	for done < opts.MaxReps && !converged {
-		if err := ctx.Err(); err != nil {
-			return Summary{}, fmt.Errorf("sim: cancelled after %d replications: %w", done, err)
-		}
-		batch := opts.Parallelism
-		if remaining := opts.MaxReps - done; batch > remaining {
-			batch = remaining
-		}
-		if done < opts.MinReps && done+batch > opts.MinReps {
-			// Run exactly up to MinReps before first convergence check
-			// unless the batch already covers it.
-			batch = opts.MinReps - done
-		}
-		if err := ensureWorkers(batch); err != nil {
-			return Summary{}, err
-		}
-		results, err := runBatch(ctx, workers, seeds[done:done+batch], done)
-		if err != nil {
-			return Summary{}, err
-		}
-		for _, r := range results {
-			for name, v := range r {
-				w := acc[name]
-				if w == nil {
-					w = &stats.Welford{}
-					acc[name] = w
-				}
-				w.Add(v)
-			}
-		}
-		done += batch
-		batches++
-		if opts.Sink != nil {
-			opts.Sink.Emit(obs.Event{Kind: obs.KindBatch, Batch: batches, Size: batch, Reps: done})
-		}
-		if done >= opts.MinReps {
-			converged = convergedAll(acc, opts)
-			if opts.Sink != nil {
-				opts.Sink.Emit(obs.Event{
-					Kind: obs.KindStop, Reps: done, Converged: converged,
-					Widths: relWidths(acc, opts.Level),
-				})
-			}
-		}
-	}
-
-	out := Summary{
-		Metrics:      make(map[string]stats.Interval, len(acc)),
-		Replications: done,
-		Converged:    converged,
-		Level:        opts.Level,
-	}
-	for name, w := range acc {
-		out.Metrics[name] = w.CI(opts.Level)
-	}
-	return out, nil
+	return sums[0], nil
 }
 
-// runBatch executes one batch of replications concurrently — replication
-// i of the batch on worker i — preserving replication order in the
-// returned slice.
-func runBatch(ctx context.Context, workers []Replicator, seeds []uint64, base int) ([]map[string]float64, error) {
-	results := make([]map[string]float64, len(seeds))
-	errs := make([]error, len(seeds))
+// Cell is one experiment of a grid run by RunCells.
+type Cell struct {
+	Name    string            // prefixes the cell's errors
+	Factory ReplicatorFactory // called at most once per pool worker, lazily
+	Options Options           // Parallelism is ignored
+	// Finish, when non-nil, runs once with the cell's final summary; ctx
+	// is cancelled if the grid fails. An error aborts the grid.
+	Finish func(ctx context.Context, sum Summary) error
+}
+
+// RunCells runs every replication of every cell on width persistent
+// workers (0 means GOMAXPROCS) and returns the summaries indexed like
+// cells. A worker takes the earliest cell with fewer than width
+// replications dispatched but not yet folded, so workers stay busy across
+// cell boundaries. Each cell folds its results strictly in replication
+// order and tests its stopping rule after every fold from MinReps on; the
+// replications still running at the stop are discarded, results and
+// errors alike. Every summary is therefore the serial (width 1)
+// trajectory at any width. The first error or cancellation stops the grid
+// and is returned once every worker has exited.
+func RunCells(ctx context.Context, width int, cells []Cell) ([]Summary, error) {
+	if width == 0 {
+		width = runtime.GOMAXPROCS(0)
+	}
+	if width < 1 {
+		return nil, fmt.Errorf("sim: non-positive parallelism %d", width)
+	}
+	g := &grid{width: width, cells: make([]cellRun, len(cells))}
+	g.cond.L = &g.mu
+	for i := range g.cells {
+		c := &g.cells[i]
+		c.Cell, c.opts = cells[i], cells[i].Options.WithDefaults()
+		if c.Factory == nil {
+			return nil, fmt.Errorf("sim: nil replicator factory")
+		}
+		if err := c.opts.validate(); err != nil {
+			return nil, err
+		}
+		c.seeds.Reseed(c.opts.Seed)
+		c.reps, c.slots, c.acc = make([]Replicator, width), make([]slot, width), welfords{}
+	}
+	ctx, g.cancel = context.WithCancel(ctx)
+	defer g.cancel()
 	var wg sync.WaitGroup
-	for i := range seeds {
-		i := i
+	for w := 1; w < width; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := workers[i](ctx, base+i, seeds[i])
-			if err != nil {
-				errs[i] = fmt.Errorf("sim: replication %d: %w", base+i, err)
-				return
-			}
-			results[i] = r
+			g.work(ctx, w)
 		}()
 	}
+	g.work(ctx, 0)
 	wg.Wait()
-	for _, err := range errs {
+	if g.err != nil {
+		return nil, g.err
+	}
+	sums := make([]Summary, len(cells))
+	for i := range g.cells {
+		sums[i] = g.cells[i].sum
+	}
+	return sums, nil
+}
+
+// grid is RunCells' shared state, guarded by mu. No caller-supplied
+// code (replicators, factories, hooks, sinks) runs under mu.
+type grid struct {
+	mu     sync.Mutex
+	cond   sync.Cond // signalled when a cell's window or state changes, or the grid fails
+	width  int
+	cells  []cellRun
+	lo     int // cells before lo are finished
+	err    error
+	cancel context.CancelFunc
+}
+
+// cellRun is one cell's progress through the pool. acc, converged and
+// sum belong to the folding worker (see complete).
+type cellRun struct {
+	Cell
+	opts      Options
+	seeds     rng.Source   // draws replication i's seed at its dispatch
+	reps      []Replicator // worker w's replicator for this cell
+	slots     []slot       // outcomes awaiting their fold, replication i in slot i%width
+	next      int          // next replication to dispatch
+	folded    int          // replications folded
+	done      bool
+	acc       welfords
+	converged bool
+	sum       Summary
+}
+
+// slot holds one finished replication until its turn to fold.
+type slot struct {
+	res   map[string]float64
+	err   error
+	ready bool
+}
+
+// work is pool worker w: it runs replications until the grid finishes,
+// fails or is cancelled. ctx is cancelled when the grid fails, so
+// in-flight replications of other cells stop early.
+func (g *grid) work(ctx context.Context, w int) {
+	g.mu.Lock()
+	for {
+		c, i, seed := g.take(ctx)
+		if c == nil {
+			g.mu.Unlock()
+			return
+		}
+		rep := c.reps[w]
+		g.mu.Unlock()
+		var (
+			res map[string]float64
+			err error
+		)
+		if rep == nil {
+			if rep, err = c.Factory(); err == nil && rep == nil {
+				err = fmt.Errorf("replicator factory returned nil")
+			}
+		}
+		if err == nil {
+			res, err = rep(ctx, i, seed)
+		}
 		if err != nil {
-			return nil, err
+			err = fmt.Errorf("sim: replication %d: %w", i, err)
+		}
+		g.mu.Lock()
+		if !c.done {
+			c.reps[w] = rep
+		}
+		g.complete(ctx, c, i, res, err)
+	}
+}
+
+// take dispatches the next replication, waiting while every open cell's
+// window is full. It returns a nil cell once the grid is finished,
+// failed or cancelled.
+func (g *grid) take(ctx context.Context) (*cellRun, int, uint64) {
+	for g.err == nil {
+		if err := ctx.Err(); err != nil {
+			g.fail(nil, fmt.Errorf("sim: cancelled: %w", err))
+			break
+		}
+		for g.lo < len(g.cells) && g.cells[g.lo].done {
+			g.lo++
+		}
+		for k := g.lo; k < len(g.cells); k++ {
+			if c := &g.cells[k]; !c.done && c.next < c.opts.MaxReps && c.next-c.folded < g.width {
+				c.next++
+				return c, c.next - 1, c.seeds.Uint64()
+			}
+		}
+		if g.lo == len(g.cells) {
+			break
+		}
+		g.cond.Wait()
+	}
+	return nil, 0, 0
+}
+
+// complete records replication i's outcome. The worker that ran the
+// next replication to fold then folds every outcome now in order —
+// outside the lock, as folding emits spans; no other worker can hold that
+// replication meanwhile — and runs Finish once the cell stops. Outcomes
+// past the stop, or after the grid failed, are discarded. It is called,
+// and returns, with g.mu held.
+func (g *grid) complete(ctx context.Context, c *cellRun, i int, res map[string]float64, err error) {
+	if c.done || g.err != nil {
+		return
+	}
+	c.slots[i%g.width] = slot{res: res, err: err, ready: true}
+	for i == c.folded && !c.done && g.err == nil {
+		s := &c.slots[i%g.width]
+		if !s.ready {
+			return
+		}
+		if s.err != nil {
+			g.fail(c, s.err)
+			return
+		}
+		res := s.res
+		*s = slot{}
+		g.mu.Unlock()
+		stop := c.fold(i+1, res)
+		g.mu.Lock()
+		c.folded, c.done = i+1, stop
+		i++
+		g.cond.Broadcast()
+	}
+	if !c.done || g.err != nil {
+		return
+	}
+	clear(c.reps)
+	if c.Finish == nil {
+		return
+	}
+	g.mu.Unlock()
+	err = c.Finish(ctx, c.sum)
+	g.mu.Lock()
+	if err != nil {
+		g.fail(nil, err)
+	}
+}
+
+// fold adds the cell's nth result, tests the stopping rule, and reports
+// whether the cell is finished, leaving its summary in c.sum.
+func (c *cellRun) fold(n int, r map[string]float64) bool {
+	c.acc.add(r)
+	sink := c.opts.Sink
+	if sink != nil {
+		sink.Emit(obs.Event{Kind: obs.KindBatch, Batch: n, Size: 1, Reps: n})
+	}
+	if n >= c.opts.MinReps {
+		c.converged = convergedAll(c.acc, c.opts)
+		if sink != nil {
+			sink.Emit(obs.Event{
+				Kind: obs.KindStop, Reps: n, Converged: c.converged,
+				Widths: relWidths(c.acc, c.opts.Level),
+			})
 		}
 	}
-	return results, nil
+	if !c.converged && n < c.opts.MaxReps {
+		return false
+	}
+	c.sum = c.acc.summary(n, c.converged, c.opts.Level)
+	c.acc = nil
+	return true
+}
+
+// fail records the grid's first error, prefixed with the name of the
+// cell it came from (nil for none), and stops every worker.
+func (g *grid) fail(c *cellRun, err error) {
+	if g.err != nil {
+		return
+	}
+	if c != nil && c.Name != "" {
+		err = fmt.Errorf("%s: %w", c.Name, err)
+	}
+	g.err = err
+	g.cancel()
+	g.cond.Broadcast()
+}
+
+// welfords accumulates each metric's replications.
+type welfords map[string]*stats.Welford
+
+func (a welfords) add(r map[string]float64) {
+	for name, v := range r {
+		w := a[name]
+		if w == nil {
+			w = &stats.Welford{}
+			a[name] = w
+		}
+		w.Add(v)
+	}
+}
+
+func (a welfords) summary(n int, converged bool, level float64) Summary {
+	out := Summary{
+		Metrics:      make(map[string]stats.Interval, len(a)),
+		Replications: n,
+		Converged:    converged,
+		Level:        level,
+	}
+	for name, w := range a {
+		out.Metrics[name] = w.CI(level)
+	}
+	return out
 }
 
 // BatchMeans estimates steady-state metrics from one long run split into
@@ -297,27 +447,11 @@ func BatchMeans(batches []map[string]float64, level float64) (Summary, error) {
 	if level <= 0 || level >= 1 {
 		return Summary{}, fmt.Errorf("sim: confidence level %g out of (0,1)", level)
 	}
-	acc := make(map[string]*stats.Welford)
+	acc := welfords{}
 	for _, b := range batches {
-		for name, v := range b {
-			w := acc[name]
-			if w == nil {
-				w = &stats.Welford{}
-				acc[name] = w
-			}
-			w.Add(v)
-		}
+		acc.add(b)
 	}
-	out := Summary{
-		Metrics:      make(map[string]stats.Interval, len(acc)),
-		Replications: len(batches),
-		Converged:    true,
-		Level:        level,
-	}
-	for name, w := range acc {
-		out.Metrics[name] = w.CI(level)
-	}
-	return out, nil
+	return acc.summary(len(batches), true, level), nil
 }
 
 // relWidths snapshots every metric's relative CI half-width for a

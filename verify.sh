@@ -58,6 +58,17 @@ go run ./cmd/vcpusim experiments -figure 8 -quick -engine san -hist \
 go run ./cmd/vcpusim manifest -check "$probedir/manifest.json"
 rm -rf "$probedir"
 
+echo "== figure reproducibility gate (experiments -figure all at GOMAXPROCS 1 and 4 vs results/)"
+figdir=$(mktemp -d)
+go build -o "$figdir/vcpusim" ./cmd/vcpusim
+for procs in 1 4; do
+    GOMAXPROCS=$procs "$figdir/vcpusim" experiments -figure all -csv "$figdir/$procs" >/dev/null
+    for f in "$figdir/$procs"/*.csv; do
+        cmp "$f" "results/$(basename "$f")"
+    done
+done
+rm -rf "$figdir"
+
 echo "== bench smoke (./bench.sh smoke)"
 ./bench.sh smoke
 
