@@ -12,7 +12,9 @@
 #                             # headline engine benchmarks (fig8, tandem-64,
 #                             # cluster at 10/100/1000 hosts, both with a
 #                             # shrinking and with a fixed horizon, plus
-#                             # the fixed horizon at 10,000 hosts)
+#                             # the fixed horizon at 10,000 hosts; the
+#                             # cluster rows run again at GOMAXPROCS=1,
+#                             # named .../procs=1)
 #                             # parsed into JSON under the given label via
 #                             # cmd/benchjson; default out
 #                             # results/bench/BENCH_<label>.json (errors if
@@ -66,6 +68,12 @@ json)
             -benchtime 50x -count=10 -benchmem ./internal/core ./internal/san ./internal/cluster
         go test -run '^$' -bench 'BenchmarkClusterFixedHorizon/hosts=10000$' \
             -benchtime 5x -count=10 -benchmem ./internal/cluster
+        # The cluster steps big windows on every CPU; its rows again at
+        # GOMAXPROCS=1 put the serial loop beside the parallel one.
+        GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkClusterReplicate/hosts=10$|BenchmarkClusterReplicate/hosts=100$|BenchmarkClusterReplicate/hosts=1000$|BenchmarkClusterFixedHorizon/hosts=10$|BenchmarkClusterFixedHorizon/hosts=100$|BenchmarkClusterFixedHorizon/hosts=1000$' \
+            -benchtime 50x -count=10 -benchmem ./internal/cluster | sed 's|^\(BenchmarkCluster[^ 	]*\)|\1/procs=1|'
+        GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkClusterFixedHorizon/hosts=10000$' \
+            -benchtime 5x -count=10 -benchmem ./internal/cluster | sed 's|^\(BenchmarkCluster[^ 	]*\)|\1/procs=1|'
     } | go run ./cmd/benchjson -out "$out" -label "$label"
     ;;
 compare)

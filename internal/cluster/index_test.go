@@ -48,7 +48,7 @@ func TestFleetViewMatchesScan(t *testing.T) {
 			checkFleetView(t, o, policy+" armed")
 			handled := 0
 			for len(o.events) > 0 && o.events[0].time < o.topo.Horizon {
-				if err := o.advance(ctx, o.events[0].time); err != nil {
+				if err := o.advance(ctx, o.events[0].time, 1); err != nil {
 					t.Fatal(err)
 				}
 				ev := o.events.pop()
@@ -90,7 +90,7 @@ func TestFleetScansAllocateNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := o.topo.Migration.CheckEvery
-	if err := o.advance(context.Background(), now); err != nil {
+	if err := o.advance(context.Background(), now, 1); err != nil {
 		t.Fatal(err)
 	}
 	events := len(o.events)

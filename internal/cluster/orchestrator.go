@@ -4,8 +4,10 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"vcpusim/internal/core"
 	"vcpusim/internal/obs"
@@ -212,14 +214,31 @@ type Orchestrator struct {
 	lastHost []map[string]float64
 
 	sink obs.Sink
+	// hostSpans is set while the sink receives fault spans from hosts
+	// with a fault plan; their windows then step at width 1, so the spans
+	// reach the sink in the serial order.
+	hostSpans bool
 
 	// ctxCheck counts host events since the last cancellation check.
 	ctxCheck int
+	// steppers holds one stepper per window worker, reused across
+	// windows; claimed counts the hosts the window's workers have
+	// claimed, and running waits for a round's goroutines.
+	steppers []stepper
+	claimed  atomic.Int64
+	running  sync.WaitGroup
 }
 
 // ctxCheckEvery is the number of host events between two checks of the
 // replication's context.
 const ctxCheckEvery = 8192
+
+// workerTicks is the least window work, in host-ticks (hosts × window
+// length), that pays for one window worker: a window of work W steps on
+// min(GOMAXPROCS, hosts, W/workerTicks) workers, so windows below twice
+// this stay on the caller's goroutine. Derived from the measured
+// crossover in EXPERIMENTS.md, "Parallel windows".
+const workerTicks = 250
 
 // Cluster-level metric names. Per-host metrics are hostMetric(h, base)
 // = "host<h>/<base>".
@@ -306,6 +325,7 @@ func New(topo *Topology) (*Orchestrator, error) {
 // cluster.migrate spans (plus each host's fault spans); nil removes it.
 func (o *Orchestrator) SetSink(s obs.Sink) {
 	o.sink = s
+	o.hostSpans = s != nil && slices.ContainsFunc(o.topo.Hosts, func(hg HostGroup) bool { return hg.Faults != nil })
 	for _, h := range o.hosts {
 		h.worker.SetFaultSink(s)
 	}
@@ -406,15 +426,16 @@ func (o *Orchestrator) push(ev clusterEvent) {
 
 // Replicate runs one cluster replication seeded with seed and returns
 // the fleet metric map. Same seed, same topology: same map, bit for bit,
-// at any parallelism.
+// at any parallelism and any GOMAXPROCS.
 //
 // Hosts interact only through cluster events (arrivals, migration checks,
 // admissions), and no host event creates one. Between two consecutive
 // cluster-event times every host is therefore independent, so the loop
-// steps each host, in ID order, through its own events strictly before
-// the next cluster event, then handles that event. The strict bound
-// keeps the order's tie rule: a cluster event at t observes every host
-// before it processes its own events at t.
+// steps every host through its own events strictly before the next
+// cluster event (on several goroutines when the window is big enough),
+// then handles that event. The strict bound keeps the order's tie rule:
+// a cluster event at t observes every host before it processes its own
+// events at t.
 func (o *Orchestrator) Replicate(ctx context.Context, seed uint64) (map[string]float64, error) {
 	if err := o.arm(seed); err != nil {
 		return nil, err
@@ -429,18 +450,20 @@ func (o *Orchestrator) Replicate(ctx context.Context, seed uint64) (map[string]f
 // seeded cluster event queue.
 func (o *Orchestrator) run(ctx context.Context) error {
 	horizon := o.topo.Horizon
+	procs := runtime.GOMAXPROCS(0)
 	o.ctxCheck = 0
-	// Every host has processed all its events before reached. Cluster
-	// events often share a time (all admissions from one check land at
-	// t + TransferDelay); a window that would not pass reached is empty.
-	reached := math.Inf(-1)
+	// Every host has processed all its events before reached; no host
+	// event precedes 0. Cluster events often share a time (all
+	// admissions from one check land at t + TransferDelay); a window
+	// that would not pass reached is empty.
+	reached := 0.0
 	for {
 		end := horizon
 		if len(o.events) > 0 && o.events[0].time < end {
 			end = o.events[0].time
 		}
 		if end > reached {
-			if err := o.advance(ctx, end); err != nil {
+			if err := o.advance(ctx, end, o.windowWidth(procs, end-reached)); err != nil {
 				return err
 			}
 			reached = end
@@ -454,39 +477,156 @@ func (o *Orchestrator) run(ctx context.Context) error {
 	}
 }
 
-// advance runs every host, in ID order, through its events strictly
-// before end. Each host stops at its own first failure; the error
-// reported is the one with the smallest (virtual time, host ID), the
-// failure a global (time, host ID) event order would reach first. Once
-// one host has failed at t, later hosts (higher IDs) need only run their
-// events before t to find an earlier failure.
+// windowWidth is the number of workers a window of the given length
+// steps on: one per workerTicks host-ticks of work, at most one per CPU
+// and one per host, and one while hosts send fault spans to the sink.
+func (o *Orchestrator) windowWidth(procs int, length float64) int {
+	if o.hostSpans {
+		return 1
+	}
+	w := min(procs, len(o.hosts))
+	if workers := float64(len(o.hosts)) * length / workerTicks; workers < float64(w) {
+		w = max(1, int(workers))
+	}
+	return w
+}
+
+// stepper is one window worker's state.
+type stepper struct {
+	host   int     // ID of the claimed host being stepped, -1 when none
+	end    float64 // the window bound, lowered to the worker's failure time
+	budget int     // host events this round may process
+	done   int     // host events this round processed
+	// failure is the worker's earliest failure, by (time, host ID), at
+	// virtual time failAt on host failHost.
+	failure  error
+	failAt   float64
+	failHost int
+}
+
+// step runs hosts through their events before the worker's bound, each
+// claimed from claimed as the previous one finishes, until no host is
+// left or the worker has processed its budget. Claims rise, so a worker
+// meets its hosts in ID order: a host stops at its first failure, and
+// the worker's later hosts need only run their events before that time
+// to find an earlier failure, so the last failure recorded is the
+// worker's earliest.
+func (s *stepper) step(hosts []*hostShard, claimed *atomic.Int64) {
+	id, done, budget, end := s.host, 0, s.budget, s.end
+	for done < budget {
+		if id < 0 {
+			if id = int(claimed.Add(1)) - 1; id >= len(hosts) {
+				id = -1
+				break
+			}
+		}
+		h := hosts[id]
+		in := h.inst
+		for done < budget {
+			t := in.PeekNextEventTime()
+			if t >= end {
+				id = -1
+				break
+			}
+			if err := in.ProcessNextEvent(); err != nil {
+				s.failure = fmt.Errorf("cluster: host %s: %w", h.name, err)
+				s.failAt, s.failHost = t, h.id
+				end = t
+				id = -1
+				break
+			}
+			done++
+		}
+	}
+	s.host, s.done, s.end = id, done, end
+}
+
+// advance runs every host through its events strictly before end, on
+// width workers that claim hosts one at a time, in ID order: the
+// calling goroutine is worker 0, and one goroutine per round runs each
+// other worker with budget, so width 1 starts none. Each round splits the
+// host events left before the next cancellation check across the live
+// workers, and only this goroutine polls ctx, after every ctxCheckEvery
+// host events summed over all hosts — the cadence of a serial loop. The
+// error reported is the failure with the smallest (virtual time, host
+// ID) over all workers, the failure a global (time, host ID) event order
+// would reach first.
 //
 // No host enters a window failed (every failure ends the replication),
 // and end never exceeds the horizon, so the window bound alone decides
 // which events are pending.
-func (o *Orchestrator) advance(ctx context.Context, end float64) error {
-	var failure error
-	for _, h := range o.hosts {
-		in := h.inst
-		for {
-			t := in.PeekNextEventTime()
-			if t >= end {
-				break
+func (o *Orchestrator) advance(ctx context.Context, end float64, width int) error {
+	if len(o.steppers) < width {
+		o.steppers = make([]stepper, width)
+	}
+	ws := o.steppers[:width]
+	for w := range ws {
+		ws[w] = stepper{host: -1, end: end}
+	}
+	o.claimed.Store(0)
+	for {
+		// Live workers, moved to the front: every worker while hosts
+		// are left to claim, then those still holding a claimed host.
+		open := o.claimed.Load() < int64(len(o.hosts))
+		live := 0
+		for w := range ws {
+			if open || ws[w].host >= 0 {
+				ws[w], ws[live] = ws[live], ws[w]
+				live++
 			}
-			if err := in.ProcessNextEvent(); err != nil {
-				failure = fmt.Errorf("cluster: host %s: %w", h.name, err)
-				end = t
-				break
+		}
+		if live == 0 {
+			break
+		}
+		left := ctxCheckEvery - o.ctxCheck
+		for w := range ws[:live] {
+			ws[w].budget = left / live
+			if w < left%live {
+				ws[w].budget++
 			}
-			if o.ctxCheck++; o.ctxCheck >= ctxCheckEvery {
-				o.ctxCheck = 0
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("cluster: replication cancelled: %w", err)
-				}
+		}
+		o.round(ws[:live])
+		for w := range ws[:live] {
+			o.ctxCheck += ws[w].done
+		}
+		if o.ctxCheck == ctxCheckEvery {
+			o.ctxCheck = 0
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("cluster: replication cancelled: %w", err)
 			}
 		}
 	}
-	return failure
+	var first *stepper
+	for w := range ws {
+		s := &ws[w]
+		if s.failure != nil && (first == nil || s.failAt < first.failAt ||
+			s.failAt == first.failAt && s.failHost < first.failHost) {
+			first = s
+		}
+	}
+	if first == nil {
+		return nil
+	}
+	return first.failure
+}
+
+// round runs every worker with budget once: ws[0] on the calling
+// goroutine, each other on a goroutine of its own.
+func (o *Orchestrator) round(ws []stepper) {
+	for w := 1; w < len(ws); w++ {
+		s := &ws[w]
+		if s.budget == 0 {
+			s.done = 0
+			continue
+		}
+		o.running.Add(1)
+		go func() {
+			defer o.running.Done()
+			s.step(o.hosts, &o.claimed)
+		}()
+	}
+	ws[0].step(o.hosts, &o.claimed)
+	o.running.Wait()
 }
 
 // handle executes one cluster event and then retries the placement

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"vcpusim/internal/config"
@@ -190,9 +191,12 @@ func (t *Topology) applyDefaults() {
 // Validate checks the topology against the framework's constraints. It
 // covers everything the fuzz target must survive: each host group must
 // expand to a valid core.SystemConfig and scheduler, arrivals must fit
-// some provisioned slot inside the horizon, and migration thresholds
-// must be ordered and positive.
+// some provisioned slot inside the horizon, migration thresholds must
+// be ordered and positive, and every time and threshold must be finite.
 func (t *Topology) Validate() error {
+	if err := t.validateFinite(); err != nil {
+		return err
+	}
 	if t.Contract != san.ContractV1 && t.Contract != san.ContractV2 {
 		return fmt.Errorf("cluster: contract must be %d or %d, got %d", san.ContractV1, san.ContractV2, t.Contract)
 	}
@@ -255,6 +259,30 @@ func (t *Topology) Validate() error {
 		}
 		if m.TransferDelay < 0 {
 			return fmt.Errorf("cluster: negative migration transferDelay %g", m.TransferDelay)
+		}
+	}
+	return nil
+}
+
+// validateFinite rejects a NaN or infinite time or threshold: NaN passes
+// every ordered comparison in Validate, and an infinite horizon never
+// ends a replication.
+func (t *Topology) validateFinite() error {
+	type field struct {
+		name string
+		v    float64
+	}
+	fields := []field{{"horizon", t.Horizon}, {"warmup", t.Warmup}}
+	for i, a := range t.Arrivals {
+		fields = append(fields, field{fmt.Sprintf("arrival %d time", i), a.At})
+	}
+	if m := t.Migration; m != nil {
+		fields = append(fields, field{"migration checkEvery", m.CheckEvery}, field{"migration highUtil", m.HighUtil},
+			field{"migration lowUtil", m.LowUtil}, field{"migration transferDelay", m.TransferDelay})
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("cluster: %s must be finite, got %g", f.name, f.v)
 		}
 	}
 	return nil

@@ -35,6 +35,11 @@ go test ./...
 echo "== go test -race ./internal/..."
 go test -race ./internal/...
 
+# -count=1: the test cache does not key on GOMAXPROCS, so without it this
+# step would replay the GOMAXPROCS-default result of the step above.
+echo "== go test -race ./internal/cluster at GOMAXPROCS 4 (parallel window stepping, uncached)"
+GOMAXPROCS=4 go test -race -count=1 ./internal/cluster
+
 echo "== pooled-determinism gate (goldens + pooled/fresh equivalence, uncached)"
 go test -run 'Golden|PooledEquivalence' -count=1 ./internal/core ./internal/san ./internal/experiments \
     ./internal/cluster ./cmd/vcpusim
