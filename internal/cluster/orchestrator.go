@@ -254,10 +254,6 @@ const (
 	AdmittedVCPUMetric = "cluster/admitted_vcpus"
 )
 
-// HostMetric names host h's copy of a fleet metric base, e.g.
-// HostMetric(3, "avail") == "host3/avail".
-func HostMetric(h int, base string) string { return fmt.Sprintf("host%d/%s", h, base) }
-
 // New compiles every host of the topology into its own shard. The
 // returned orchestrator runs any number of replications via Replicate.
 func New(topo *Topology) (*Orchestrator, error) {
@@ -333,9 +329,6 @@ func (o *Orchestrator) SetSink(s obs.Sink) {
 
 // NumHosts returns the orchestrator's host count.
 func (o *Orchestrator) NumHosts() int { return len(o.hosts) }
-
-// Host returns host h's compiled worker for read-only instrumentation.
-func (o *Orchestrator) Host(h int) *core.Worker { return o.hosts[h].worker }
 
 // HostMetrics returns host h's raw metric map from the most recent
 // replication — exactly what the host's single-host executive would have

@@ -188,11 +188,26 @@ func (t *Topology) applyDefaults() {
 	}
 }
 
+// Expansion bounds on the hosts of a topology, the VM slots of one host
+// and the VM arrivals of a topology, each summed over its groups. Every
+// unit of a count is expanded into memory, so Validate rejects a count
+// past its bound before expanding anything. The bounds sit far above
+// every shipped topology (the 10,000-host smoke test, the benchmark's
+// 250-host fleet, the demo topology); core.SystemConfig rejects more
+// than core.MaxVCPUSlots VCPUs per host anyway, after the expansion.
+const (
+	maxHosts    = 100_000
+	maxSlots    = 1024
+	maxArrivals = 1_000_000
+)
+
 // Validate checks the topology against the framework's constraints. It
-// covers everything the fuzz target must survive: each host group must
-// expand to a valid core.SystemConfig and scheduler, arrivals must fit
-// some provisioned slot inside the horizon, migration thresholds must
-// be ordered and positive, and every time and threshold must be finite.
+// covers everything the fuzz target must survive: host, slot and
+// arrival counts must be positive and within the expansion bounds, each
+// host group must expand to a valid core.SystemConfig and scheduler,
+// arrivals must fit some provisioned slot inside the horizon, migration
+// thresholds must be ordered and positive, and every time and threshold
+// must be finite.
 func (t *Topology) Validate() error {
 	if err := t.validateFinite(); err != nil {
 		return err
@@ -212,13 +227,21 @@ func (t *Topology) Validate() error {
 	if len(t.Hosts) == 0 {
 		return fmt.Errorf("cluster: need at least one host group")
 	}
-	maxSlot := 0
+	maxSlot, hosts := 0, 0
 	for g, hg := range t.Hosts {
-		if hg.Count < 1 {
-			return fmt.Errorf("cluster: host group %d: non-positive count %d", g, hg.Count)
+		if err := checkCount(hg.Count, hosts, maxHosts, "hosts"); err != nil {
+			return fmt.Errorf("cluster: host group %d: %w", g, err)
 		}
+		hosts += hg.Count
 		if len(hg.Slots) == 0 {
 			return fmt.Errorf("cluster: host group %d: need at least one VM slot", g)
+		}
+		slots := 0
+		for s, slot := range hg.Slots {
+			if err := checkCount(slot.Count, slots, maxSlots, "VM slots of one host"); err != nil {
+				return fmt.Errorf("cluster: host group %d: slot %d: %w", g, s, err)
+			}
+			slots += slot.Count
 		}
 		if strings.ContainsAny(hg.Name, " \t\n/") {
 			return fmt.Errorf("cluster: host group %d: name %q contains separators", g, hg.Name)
@@ -236,13 +259,15 @@ func (t *Topology) Validate() error {
 			}
 		}
 	}
+	arrivals := 0
 	for i, a := range t.Arrivals {
 		if a.At < 0 || a.At >= t.Horizon {
 			return fmt.Errorf("cluster: arrival %d: time %g outside [0, horizon %g)", i, a.At, t.Horizon)
 		}
-		if a.Count < 1 {
-			return fmt.Errorf("cluster: arrival %d: non-positive count %d", i, a.Count)
+		if err := checkCount(a.Count, arrivals, maxArrivals, "arrivals"); err != nil {
+			return fmt.Errorf("cluster: arrival %d: %w", i, err)
 		}
+		arrivals += a.Count
 		if a.VCPUs < 1 {
 			return fmt.Errorf("cluster: arrival %d: non-positive vcpus %d", i, a.VCPUs)
 		}
@@ -260,6 +285,19 @@ func (t *Topology) Validate() error {
 		if m.TransferDelay < 0 {
 			return fmt.Errorf("cluster: negative migration transferDelay %g", m.TransferDelay)
 		}
+	}
+	return nil
+}
+
+// checkCount rejects a non-positive count and one that takes sum, the
+// named total so far, past max. Comparing with max-sum keeps the running
+// sums from overflowing.
+func checkCount(count, sum, max int, total string) error {
+	if count < 1 {
+		return fmt.Errorf("non-positive count %d", count)
+	}
+	if count > max-sum {
+		return fmt.Errorf("count %d puts the %s past the bound of %d", count, total, max)
 	}
 	return nil
 }

@@ -186,12 +186,6 @@ type System struct {
 // Model returns the composed SAN model.
 func (s *System) Model() *san.Model { return s.model }
 
-// Config returns the system configuration.
-func (s *System) Config() SystemConfig { return s.cfg }
-
-// Scheduler returns the plugged-in scheduling algorithm.
-func (s *System) Scheduler() Scheduler { return s.sched }
-
 // Reseed re-derives the system's per-replication state exactly as a fresh
 // BuildSystem with the same source would: each VM's workload-generator
 // stream is re-split off src in VM definition order, and sched replaces

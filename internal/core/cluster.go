@@ -11,9 +11,6 @@ import "fmt"
 // while eviction mutates PCPU assignments and must run inside
 // Instance.Exec at a stable marking.
 
-// NumVMs returns the number of VM slots the system was built with.
-func (s *System) NumVMs() int { return len(s.vms) }
-
 // VMVCPUs returns the VCPU count of VM slot vm.
 func (s *System) VMVCPUs(vm int) int { return len(s.vms[vm].vcpus) }
 
@@ -35,11 +32,6 @@ func (s *System) SetVMParked(vm int, parked bool) error {
 	}
 	s.parked[vm] = parked
 	return nil
-}
-
-// VMParked reports whether VM slot vm is currently parked.
-func (s *System) VMParked(vm int) bool {
-	return s.parked != nil && s.parked[vm]
 }
 
 // GenerateActivityName returns the fully qualified name of VM slot vm's

@@ -27,7 +27,7 @@ func (s *scriptSched) Schedule(now int64, vcpus []VCPUView, pcpus []PCPUView, ac
 // greedy assigns every inactive VCPU to the first idle PCPU (ID order).
 func greedy(timeslice int64) *scriptSched {
 	return &scriptSched{name: "greedy", fn: func(_ int64, vcpus []VCPUView, pcpus []PCPUView, acts *Actions) {
-		idle := IdlePCPUs(pcpus)
+		idle := AppendIdlePCPUs(nil, pcpus)
 		for _, v := range vcpus {
 			if len(idle) == 0 {
 				return
@@ -242,15 +242,7 @@ func TestBuildSystemErrors(t *testing.T) {
 }
 
 func TestSystemAccessors(t *testing.T) {
-	cfg := validConfig()
-	s := greedy(30)
-	sys := buildTestSystem(t, cfg, s)
-	if sys.Scheduler() != s {
-		t.Error("Scheduler() accessor wrong")
-	}
-	if sys.Config().PCPUs != cfg.PCPUs {
-		t.Error("Config() accessor wrong")
-	}
+	sys := buildTestSystem(t, validConfig(), greedy(30))
 	if sys.Model() == nil {
 		t.Error("Model() accessor nil")
 	}
@@ -306,7 +298,7 @@ func TestViewContract(t *testing.T) {
 			}
 		}
 		// Behave like greedy so state evolves.
-		idle := IdlePCPUs(pcpus)
+		idle := AppendIdlePCPUs(nil, pcpus)
 		for _, v := range vcpus {
 			if len(idle) == 0 {
 				break

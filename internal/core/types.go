@@ -272,9 +272,6 @@ func (g *Gangs) Members(i int) []int { return g.members[i] }
 // Pos returns the position of VM id vm in VMs().
 func (g *Gangs) Pos(vm int) int { return g.pos[vm] }
 
-// IdlePCPUs returns the IDs of idle PCPUs in ascending order.
-func IdlePCPUs(pcpus []PCPUView) []int { return AppendIdlePCPUs(nil, pcpus) }
-
 // AppendIdlePCPUs appends the IDs of idle PCPUs, in ascending order, to dst
 // and returns the extended slice. Schedulers pass a reused buffer
 // truncated to zero length, so the per-tick scan does not allocate.

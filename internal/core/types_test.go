@@ -39,11 +39,11 @@ func TestIdlePCPUs(t *testing.T) {
 		{ID: 1, VCPU: -1},
 		{ID: 2, VCPU: -1},
 	}
-	if got := IdlePCPUs(pcpus); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("IdlePCPUs = %v, want [1 2]", got)
+	if got := AppendIdlePCPUs(nil, pcpus); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("AppendIdlePCPUs = %v, want [1 2]", got)
 	}
-	if IdlePCPUs(nil) != nil {
-		t.Fatal("IdlePCPUs(nil) should be nil")
+	if AppendIdlePCPUs(nil, nil) != nil {
+		t.Fatal("AppendIdlePCPUs(nil, nil) should be nil")
 	}
 	if !pcpus[1].Idle() || pcpus[0].Idle() {
 		t.Fatal("Idle() wrong")

@@ -18,8 +18,9 @@ import (
 // Handler is the callback executed when an event fires.
 type Handler func()
 
-// Event is a scheduled occurrence. Events are created by Kernel.Schedule and
-// may be cancelled until they fire.
+// Event is a scheduled occurrence. Events are created by Kernel.NewEvent,
+// scheduled by ScheduleEventAt/ScheduleEventAfter, and may be cancelled
+// until they fire.
 type Event struct {
 	time     float64
 	priority int
@@ -28,12 +29,6 @@ type Event struct {
 	handler  Handler
 	name     string
 }
-
-// Time returns the simulation time the event is scheduled for.
-func (e *Event) Time() float64 { return e.time }
-
-// Name returns the diagnostic label given at scheduling time.
-func (e *Event) Name() string { return e.name }
 
 // Pending reports whether the event is still queued (not fired, not
 // cancelled).
@@ -50,7 +45,7 @@ type Kernel struct {
 	fired     uint64
 	scheduled uint64
 	cancelled uint64
-	halted    bool
+	halted    bool // set by the kernel tests' Halt, read by their RunUntil
 	// arena is the contiguous storage block NewEvent hands out reusable
 	// events from after a Reserve: one allocation for a whole activation
 	// set instead of one per event, and the events' hot fields (time, seq,
@@ -67,7 +62,7 @@ func NewKernel() *Kernel {
 func (k *Kernel) Now() float64 { return k.now }
 
 // Reset rewinds the kernel to its initial state: clock at zero, empty
-// event list, no events fired, not halted — and, critically for
+// event list, no events fired — and, critically for
 // determinism, the event-sequence counter restarts at zero so same-time
 // tie-breaking in a reused kernel matches a fresh one exactly. Events
 // still pending are dequeued and marked not-pending; reusable events from
@@ -84,23 +79,16 @@ func (k *Kernel) Reset() {
 	k.fired = 0
 	k.scheduled = 0
 	k.cancelled = 0
-	k.halted = false
 }
 
 // Fired returns the number of events executed so far.
 func (k *Kernel) Fired() uint64 { return k.fired }
 
-// Scheduled returns the number of event-list insertions so far (Schedule,
-// ScheduleAfter, and reusable-event scheduling all count).
+// Scheduled returns the number of event-list insertions so far.
 func (k *Kernel) Scheduled() uint64 { return k.scheduled }
 
 // Cancelled returns the number of pending events removed by Cancel.
 func (k *Kernel) Cancelled() uint64 { return k.cancelled }
-
-// Len returns the number of pending events.
-func (k *Kernel) Len() int {
-	return len(k.queue)
-}
 
 // NextTime returns the scheduled time of the earliest pending event without
 // firing it, or +Inf when the event list is empty, in O(1) from the heap's
@@ -114,28 +102,6 @@ func (k *Kernel) NextTime() float64 {
 
 // ErrPast is returned when scheduling before the current time.
 var ErrPast = errors.New("des: schedule in the past")
-
-// Schedule enqueues handler to run at absolute time t with the given
-// priority (lower fires first among same-time events). The returned Event
-// can be cancelled. It returns ErrPast if t precedes the current time.
-func (k *Kernel) Schedule(t float64, priority int, name string, handler Handler) (*Event, error) {
-	if t < k.now {
-		return nil, fmt.Errorf("%w: %g < now %g (%s)", ErrPast, t, k.now, name)
-	}
-	if handler == nil {
-		return nil, fmt.Errorf("des: nil handler for event %q", name)
-	}
-	k.seq++
-	k.scheduled++
-	ev := &Event{time: t, priority: priority, seq: k.seq, handler: handler, name: name}
-	k.push(ev)
-	return ev, nil
-}
-
-// ScheduleAfter enqueues handler to run delay time units from now.
-func (k *Kernel) ScheduleAfter(delay float64, priority int, name string, handler Handler) (*Event, error) {
-	return k.Schedule(k.now+delay, priority, name, handler)
-}
 
 // NewEvent returns an unqueued event bound to a fixed priority, name, and
 // handler. The same event can be enqueued repeatedly through
@@ -206,9 +172,6 @@ func (k *Kernel) Cancel(ev *Event) {
 	k.cancelled++
 }
 
-// Halt stops the run loop after the current event completes.
-func (k *Kernel) Halt() { k.halted = true }
-
 // AdvanceTo moves the clock forward to t without firing anything, for
 // drivers that interleave externally timed work (a cluster orchestrator's
 // dispatch or migration events) between this kernel's own events. The
@@ -236,24 +199,6 @@ func (k *Kernel) Step() bool {
 	k.fired++
 	ev.handler()
 	return true
-}
-
-// RunUntil fires events until the clock would pass horizon, the event list
-// empties, or Halt is called. Events scheduled exactly at the horizon fire.
-// Afterwards the clock is set to the horizon (if it was reached).
-func (k *Kernel) RunUntil(horizon float64) {
-	k.halted = false
-	for !k.halted {
-		if k.NextTime() > horizon {
-			break // also the empty-queue exit: NextTime is +Inf
-		}
-		if !k.Step() {
-			break
-		}
-	}
-	if k.now < horizon {
-		k.now = horizon
-	}
 }
 
 // The event list is a hand-rolled binary heap ordered by (time, priority,

@@ -209,14 +209,14 @@ func TestStepAndCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if k.Len() != 3 {
-		t.Errorf("len = %d, want 3", k.Len())
+	if len(k.queue) != 3 {
+		t.Errorf("len = %d, want 3", len(k.queue))
 	}
 	if !k.Step() {
 		t.Error("Step should fire")
 	}
-	if k.Fired() != 1 || k.Len() != 2 || k.Now() != 1 {
-		t.Errorf("after one step: fired=%d len=%d now=%g", k.Fired(), k.Len(), k.Now())
+	if k.Fired() != 1 || len(k.queue) != 2 || k.Now() != 1 {
+		t.Errorf("after one step: fired=%d len=%d now=%g", k.Fired(), len(k.queue), k.Now())
 	}
 }
 

@@ -32,8 +32,8 @@ func TestCalendarResetIndistinguishableFromNew(t *testing.T) {
 	if reused.Now() != 0 {
 		t.Errorf("Now after Reset = %g, want 0", reused.Now())
 	}
-	if reused.Len() != 0 {
-		t.Errorf("Len after Reset = %d, want 0", reused.Len())
+	if len(reused.queue) != 0 {
+		t.Errorf("Len after Reset = %d, want 0", len(reused.queue))
 	}
 	if reused.NextTime() != math.Inf(1) {
 		t.Errorf("NextTime after Reset = %g, want +Inf", reused.NextTime())
@@ -156,8 +156,8 @@ func TestCalendarCancelHead(t *testing.T) {
 	for _, ev := range evs[2:] {
 		k.Cancel(ev)
 	}
-	if k.Len() != 0 || k.NextTime() != math.Inf(1) {
-		t.Fatalf("len=%d NextTime=%g after cancelling everything", k.Len(), k.NextTime())
+	if len(k.queue) != 0 || k.NextTime() != math.Inf(1) {
+		t.Fatalf("len=%d NextTime=%g after cancelling everything", len(k.queue), k.NextTime())
 	}
 	if k.Cancelled() != 5 {
 		t.Fatalf("Cancelled = %d, want 5", k.Cancelled())

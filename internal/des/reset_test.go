@@ -63,8 +63,8 @@ func TestKernelResetIndistinguishableFromNew(t *testing.T) {
 	if reused.Now() != 0 {
 		t.Errorf("Now after Reset = %g, want 0", reused.Now())
 	}
-	if reused.Len() != 0 {
-		t.Errorf("Len after Reset = %d, want 0", reused.Len())
+	if len(reused.queue) != 0 {
+		t.Errorf("Len after Reset = %d, want 0", len(reused.queue))
 	}
 	if reused.Fired() != 0 {
 		t.Errorf("Fired after Reset = %d, want 0", reused.Fired())

@@ -25,11 +25,15 @@
 //     contract v1, the ziggurat samplers for v2) so a contract bump
 //     changes every caller at once (raw-sampling).
 //
+// One rule guards the code's size instead: exported API under internal/
+// that only its own package's tests reference (unused-export).
+//
 // The rules form one fixed table, each with the module-relative
 // directories it applies to, and Run is their only driver: it parses
 // each package directory once, type-checks from source only the
-// packages a typed rule needs, and powers both the `vcpusim vet` source
-// lint and TestRepoClean. The implementation is stdlib-only (go/ast,
+// packages a typed rule needs (every package and its tests when
+// unused-export runs), and powers both the `vcpusim vet` source lint and
+// TestRepoClean. The implementation is stdlib-only (go/ast,
 // go/parser, go/types). The checks are deliberately conservative: an
 // identifier named after the time package that actually refers to a
 // shadowing local is still reported, because shadowing the time package
@@ -46,7 +50,7 @@ import (
 	"strings"
 )
 
-// Rule identifiers, one per determinism invariant.
+// Rule identifiers, one per rule in the table.
 const (
 	// RuleGlobalRand flags imports of math/rand (v1 or v2) outside the
 	// exempted packages.
@@ -73,9 +77,13 @@ const (
 	// emitters observe virtual time only and write to their own buffers,
 	// so their output stays a pure function of the replication seed.
 	RuleEmitterPure = "emitter-pure"
+	// RuleUnusedExport flags exported functions, methods, types and
+	// package-level vars under internal/ that only their own package's
+	// tests reference.
+	RuleUnusedExport = "unused-export"
 )
 
-// Finding is one determinism-contract violation.
+// Finding is one rule violation.
 type Finding struct {
 	// Pos locates the offending syntax.
 	Pos token.Position
@@ -106,10 +114,13 @@ type rule struct {
 	// Test files are not type-checked, so a rule cannot combine it with
 	// needTypes.
 	includeTests bool
-	// needTypes type-checks the package and fills pass.info; syntactic
-	// rules leave it false and pay no type-checking cost.
+	// needTypes type-checks the package and fills pass.pkg and
+	// pass.info; syntactic rules leave it false and pay no type-checking
+	// cost.
 	needTypes bool
-	check     func(*pass)
+	// needRefs fills pass.refs, the tree's reference index, built once.
+	needRefs bool
+	check    func(*pass)
 }
 
 // scope selects packages by module-relative, slash-separated directory
@@ -136,7 +147,9 @@ type pass struct {
 	rule     string
 	fset     *token.FileSet
 	files    []*ast.File
-	info     *types.Info // nil unless the rule needs types
+	pkg      *types.Package // nil unless the rule needs types
+	info     *types.Info    // nil unless the rule needs types
+	refs     *refIndex      // nil unless the rule needs references
 	findings *[]Finding
 }
 
@@ -166,6 +179,14 @@ func run(root string, rules []rule) ([]Finding, error) {
 	}
 	fset := token.NewFileSet()
 	ld := newLoader(fset, root, modPath)
+	var refs *refIndex
+	for _, r := range rules {
+		if r.needRefs && refs == nil {
+			if refs, err = buildRefs(ld, dirs); err != nil {
+				return nil, err
+			}
+		}
+	}
 	var findings []Finding
 	for _, rel := range dirs {
 		var applicable []*rule
@@ -188,7 +209,7 @@ func run(root string, rules []rule) ([]Finding, error) {
 		}
 		var tests []*ast.File
 		if needTests {
-			if tests, err = parseDir(fset, filepath.Join(root, filepath.FromSlash(rel)), true); err != nil {
+			if tests, err = ld.testFiles(rel); err != nil {
 				return nil, err
 			}
 		}
@@ -204,7 +225,10 @@ func run(root string, rules []rule) ([]Finding, error) {
 				p.files = append(append([]*ast.File(nil), src...), tests...)
 			}
 			if r.needTypes {
-				p.info = checked.info
+				p.pkg, p.info = checked.pkg, checked.info
+			}
+			if r.needRefs {
+				p.refs = refs
 			}
 			r.check(p)
 		}

@@ -120,9 +120,16 @@ func TestObsClockFindings(t *testing.T) {
 	got := runOn(t, map[string]string{
 		"cmd/tool/main.go": `package main
 
-import "time"
+import (
+	"time"
 
-func main() { _ = time.Now() }
+	"example.com/fake/internal/obs"
+)
+
+func main() {
+	_ = time.Now()
+	_ = obs.Clock()
+}
 `,
 		"internal/obs/obs.go": `package obs
 
@@ -241,6 +248,12 @@ func scrub(p *Program) {
 	p.n = 0 // flagged: free function too
 }
 `,
+		"cmd/tool/main.go": `package main
+
+import "example.com/fake/internal/san"
+
+func main() { san.Compile(nil).Reset() }
+`,
 	})
 	var fields []string
 	for _, fd := range got {
@@ -356,6 +369,15 @@ var start = time.Now()
 
 func Progress() { fmt.Println("cell done") }
 `,
+		"cmd/tool/main.go": `package main
+
+import "example.com/fake/internal/obs"
+
+func main() {
+	_ = obs.Clock()
+	obs.Progress()
+}
+`,
 	})
 	if len(got) != 2 {
 		t.Fatalf("findings = %v, want 2 (time.Now and fmt.Println in the emitter only)", got)
@@ -370,6 +392,170 @@ func Progress() { fmt.Println("cell done") }
 	}
 	if !strings.Contains(got[1].Message, "fmt.Println") {
 		t.Errorf("second finding should name fmt.Println: %q", got[1].Message)
+	}
+}
+
+// TestUnusedExportFindings: an export under internal/ is dead unless a
+// non-test file (a nested module's included) or another directory's
+// test references it; methods of root-aliased types and methods that
+// implement an interface are API regardless, and a generic function or
+// method counts as used through its instantiations.
+func TestUnusedExportFindings(t *testing.T) {
+	got := runOn(t, map[string]string{
+		"fake.go": `package fake
+
+import "example.com/fake/internal/x"
+
+// Aliased is public API, methods included.
+type Aliased = x.Aliased
+
+func Lengths(s []string) []int { return x.Map(s, func(v string) int { return len(v) }) }
+`,
+		"internal/x/x.go": `package x
+
+func Unused() {}
+
+func UsedByNested() {}
+
+func UsedByOtherTests() {}
+
+func UsedByOwnTests() {}
+
+var UnusedVar int
+
+type UnusedType struct{}
+
+// Declaring a method does not use the receiver type.
+type Orphan struct{}
+
+func (Orphan) walk() {}
+
+// A self-reference is not a use.
+func Recurse(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return Recurse(n - 1)
+}
+
+type Walker interface{ Walk() }
+
+var _ Walker = Config{}
+
+type Config struct{}
+
+func (*Config) UnmarshalJSON([]byte) error { return nil }
+
+func (Config) Walk() {}
+
+func (Config) Helper() {}
+
+type Aliased struct{}
+
+func (Aliased) Method() {}
+
+func Map[T, U any](s []T, f func(T) U) []U {
+	out := make([]U, 0, len(s))
+	for _, v := range s {
+		out = append(out, f(v))
+	}
+	return out
+}
+
+type Box[T any] struct{ v T }
+
+func (b Box[T]) Unbox() T { return b.v }
+`,
+		"internal/x/x_test.go": `package x
+
+import "testing"
+
+func TestOwn(t *testing.T) { UsedByOwnTests() }
+`,
+		"internal/x/ext_test.go": `package x_test
+
+import (
+	"testing"
+
+	"example.com/fake/internal/x"
+)
+
+func TestExt(t *testing.T) { x.UsedByOwnTests() }
+`,
+		// Only an external test package references UsedByExtTest.
+		"internal/z/z.go": "package z\n\nfunc UsedByExtTest() {}\n",
+		"internal/z/z_test.go": `package z_test
+
+import (
+	"testing"
+
+	"example.com/fake/internal/z"
+)
+
+func TestZ(t *testing.T) { z.UsedByExtTest() }
+`,
+		"internal/y/y.go": "package y\n",
+		"internal/y/y_test.go": `package y
+
+import (
+	"testing"
+
+	"example.com/fake/internal/x"
+)
+
+func TestY(t *testing.T) { x.UsedByOtherTests() }
+`,
+		"cmd/tool/main.go": `package main
+
+import (
+	"encoding/json"
+
+	"example.com/fake/internal/x"
+)
+
+func main() {
+	_ = json.Unmarshal(nil, &x.Config{})
+	_ = x.Box[int]{}.Unbox()
+}
+`,
+		"bench/go.mod": "module example.com/fake/bench\n\ngo 1.22\n\nrequire example.com/fake v0.0.0\n\nreplace example.com/fake => ../\n",
+		"bench/main.go": `package main
+
+import "example.com/fake/internal/x"
+
+func main() { x.UsedByNested() }
+`,
+	})
+	var names []string
+	for _, fd := range got {
+		if fd.Rule != RuleUnusedExport {
+			t.Errorf("rule = %q, want %q: %v", fd.Rule, RuleUnusedExport, fd)
+		}
+		names = append(names, strings.Fields(fd.Message)[0])
+	}
+	want := "Unused,UsedByOwnTests,UnusedVar,UnusedType,Orphan,Recurse,Config.Helper,UsedByExtTest"
+	if got := strings.Join(names, ","); got != want {
+		t.Errorf("reported %s, want %s", got, want)
+	}
+}
+
+// TestUnusedExportSilentWhenDegraded: when a stdlib package failed to
+// load, an interface a method implements may be missing, so the rule
+// reports nothing rather than guess.
+func TestUnusedExportSilentWhenDegraded(t *testing.T) {
+	pkg := types.NewPackage("example.com/fake/internal/x", "x")
+	pkg.Scope().Insert(types.NewFunc(token.NoPos, pkg, "Dead", types.NewSignatureType(nil, nil, nil, nil, nil, false)))
+	var findings []Finding
+	p := &pass{rule: RuleUnusedExport, fset: token.NewFileSet(), pkg: pkg, refs: &refIndex{}, findings: &findings}
+	checkUnusedExport(p)
+	if len(findings) != 1 {
+		t.Fatalf("findings = %v, want Dead reported", findings)
+	}
+	findings = nil
+	p.refs.degraded = true
+	checkUnusedExport(p)
+	if len(findings) != 0 {
+		t.Errorf("findings = %v, want none from a degraded load", findings)
 	}
 }
 
@@ -396,9 +582,12 @@ func TestRunSeededDefects(t *testing.T) {
 		// turn: the typed rules must still see its types.
 		"main.go": `package main
 
-import "example.com/fake/internal/san"
+import (
+	"example.com/fake/internal/rng"
+	"example.com/fake/internal/san"
+)
 
-func main() { _ = san.Bad(nil) }
+func main() { _ = san.Bad(nil) + rng.Draw() }
 `,
 		// In scope for rand, wall-clock, and map-range: all three fire.
 		"internal/san/bad.go": `package san
@@ -430,6 +619,11 @@ func helper(m map[string]int) int {
 	}
 	return total
 }
+`,
+		// Exported, but referenced by nothing.
+		"internal/san/dead.go": `package san
+
+func Dead() {}
 `,
 		// The exempted package may import math/rand.
 		"internal/rng/rng.go": `package rng
@@ -473,6 +667,7 @@ func main() {
 		"internal/san/bad.go":      {RuleGlobalRand, RuleWallClock, RuleMapRange},
 		"internal/san/bad_test.go": {RuleGlobalRand},
 		"cmd/tool/main.go":         {RuleGlobalRand, RuleObsClock},
+		"internal/san/dead.go":     {RuleUnusedExport},
 	}
 	for file, rulesWant := range want {
 		got := byFile[file]
@@ -483,13 +678,13 @@ func main() {
 	if got := byFile["internal/rng/rng.go"]; len(got) != 0 {
 		t.Errorf("exempted internal/rng flagged: %v", got)
 	}
-	if len(findings) != 6 {
-		t.Errorf("total findings = %d, want 6:\n%s", len(findings), renderFindings(findings))
+	if len(findings) != 7 {
+		t.Errorf("total findings = %d, want 7:\n%s", len(findings), renderFindings(findings))
 	}
 }
 
 // TestRepoClean is the contract itself: the simulator's own source must
-// produce zero findings across all seven rules.
+// produce zero findings across all eight rules.
 func TestRepoClean(t *testing.T) {
 	findings, err := Run(filepath.Join("..", ".."))
 	if err != nil {
@@ -500,12 +695,12 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
-// TestAnalyzers: the fixed table holds the seven rules under unique
+// TestAnalyzers: the fixed table holds the eight rules under unique
 // names.
 func TestAnalyzers(t *testing.T) {
 	want := map[string]bool{
 		RuleGlobalRand: true, RuleWallClock: true, RuleMapRange: true, RuleObsClock: true,
-		RuleSanImmutable: true, RuleRawSampling: true, RuleEmitterPure: true,
+		RuleSanImmutable: true, RuleRawSampling: true, RuleEmitterPure: true, RuleUnusedExport: true,
 	}
 	seen := map[string]bool{}
 	for _, r := range rules {
@@ -514,14 +709,16 @@ func TestAnalyzers(t *testing.T) {
 		}
 		seen[r.name] = true
 	}
-	if len(rules) != 7 || len(seen) != 7 {
-		t.Errorf("table holds %d rules (%d names), want 7", len(rules), len(seen))
+	if len(rules) != 8 || len(seen) != 8 {
+		t.Errorf("table holds %d rules (%d names), want 8", len(rules), len(seen))
 	}
 }
 
 // TestRuleTable: every rule has a non-empty name and a check, and no
 // rule asks for both type facts and test files (test files are not
-// type-checked).
+// type-checked). Only unused-export reads the module-wide reference
+// index, and it needs its package's types (pass.pkg) to list the
+// candidates.
 func TestRuleTable(t *testing.T) {
 	for _, r := range rules {
 		if r.name == "" {
@@ -529,6 +726,9 @@ func TestRuleTable(t *testing.T) {
 		}
 		if r.needTypes && r.includeTests {
 			t.Errorf("rule %s both needs types and includes tests", r.name)
+		}
+		if r.needRefs != (r.name == RuleUnusedExport) || (r.needRefs && !r.needTypes) {
+			t.Errorf("rule %s: needRefs = %v, needTypes = %v", r.name, r.needRefs, r.needTypes)
 		}
 		if r.check == nil {
 			t.Errorf("rule %s has no check", r.name)

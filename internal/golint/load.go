@@ -106,8 +106,11 @@ type loader struct {
 	modPath string
 	source  types.Importer
 	parsed  map[string][]*ast.File
+	tests   map[string][]*ast.File
 	cache   map[string]*checkedPkg
 	stdlib  map[string]*types.Package
+	// placeholders counts the stdlib packages that failed to load.
+	placeholders int
 }
 
 func newLoader(fset *token.FileSet, root, modPath string) *loader {
@@ -117,6 +120,7 @@ func newLoader(fset *token.FileSet, root, modPath string) *loader {
 		modPath: modPath,
 		source:  importer.ForCompiler(fset, "source", nil),
 		parsed:  make(map[string][]*ast.File),
+		tests:   make(map[string][]*ast.File),
 		cache:   make(map[string]*checkedPkg),
 		stdlib:  make(map[string]*types.Package),
 	}
@@ -141,6 +145,7 @@ func (l *loader) Import(importPath string) (*types.Package, error) {
 	if err != nil {
 		p = types.NewPackage(importPath, path.Base(importPath))
 		p.MarkComplete()
+		l.placeholders++
 	}
 	l.stdlib[importPath] = p
 	return p, nil
@@ -162,21 +167,25 @@ func (l *loader) moduleRel(importPath string) (string, bool) {
 // them on first use only. Every pass and the type checker share this
 // one parse, so a pass's files are always the syntax its type facts
 // describe, even for a package first type-checked as a dependency.
-func (l *loader) files(rel string) ([]*ast.File, error) {
-	if files, ok := l.parsed[rel]; ok {
+func (l *loader) files(rel string) ([]*ast.File, error) { return l.parse(l.parsed, rel, false) }
+
+// testFiles returns the _test.go files of one package directory, parsed
+// on first use only.
+func (l *loader) testFiles(rel string) ([]*ast.File, error) { return l.parse(l.tests, rel, true) }
+
+func (l *loader) parse(cache map[string][]*ast.File, rel string, tests bool) ([]*ast.File, error) {
+	if files, ok := cache[rel]; ok {
 		return files, nil
 	}
-	files, err := parseDir(l.fset, filepath.Join(l.root, filepath.FromSlash(rel)), false)
+	files, err := parseDir(l.fset, filepath.Join(l.root, filepath.FromSlash(rel)), tests)
 	if err != nil {
 		return nil, err
 	}
-	l.parsed[rel] = files
+	cache[rel] = files
 	return files, nil
 }
 
-// check type-checks the non-test files of one package directory. Type
-// errors are tolerated: the checker records what it can, and rules skip
-// expressions without type facts.
+// check type-checks the non-test files of one package directory.
 func (l *loader) check(rel string) (*checkedPkg, error) {
 	if cp, ok := l.cache[rel]; ok {
 		return cp, nil
@@ -189,16 +198,17 @@ func (l *loader) check(rel string) (*checkedPkg, error) {
 	if rel != "." {
 		importPath = l.modPath + "/" + rel
 	}
-	info := &types.Info{Types: make(map[ast.Expr]types.TypeAndValue)}
-	conf := types.Config{
-		Importer: l,
-		Error:    func(error) {}, // collect nothing, keep checking
-	}
-	pkg, _ := conf.Check(importPath, l.fset, files, info)
-	if pkg == nil {
-		pkg = types.NewPackage(importPath, path.Base(importPath))
-	}
-	cp := &checkedPkg{pkg: pkg, info: info}
+	info := &types.Info{Types: make(map[ast.Expr]types.TypeAndValue), Uses: make(map[*ast.Ident]types.Object)}
+	cp := &checkedPkg{pkg: typeCheck(importPath, l.fset, files, info, l), info: info}
 	l.cache[rel] = cp
 	return cp, nil
+}
+
+// typeCheck type-checks files as package importPath. Type errors are
+// tolerated: the checker records what it can, and rules skip
+// expressions without type facts.
+func typeCheck(importPath string, fset *token.FileSet, files []*ast.File, info *types.Info, imp types.Importer) *types.Package {
+	conf := types.Config{Importer: imp, Error: func(error) {}}
+	pkg, _ := conf.Check(importPath, fset, files, info)
+	return pkg
 }

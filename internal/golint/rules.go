@@ -27,6 +27,7 @@ var rules = []rule{
 	{name: RuleSanImmutable, scope: scope{in: []string{"internal/san"}}, needTypes: true, check: checkSanImmutable},
 	{name: RuleRawSampling, scope: scope{out: []string{"internal/rng"}}, needTypes: true, check: checkRawSampling},
 	{name: RuleEmitterPure, scope: scope{in: []string{"internal/obs/probe", "internal/obs/timeline"}}, includeTests: true, check: checkEmitterPure},
+	{name: RuleUnusedExport, scope: scope{in: []string{"internal"}}, needTypes: true, needRefs: true, check: checkUnusedExport},
 }
 
 // checkGlobalRand bans math/rand imports everywhere but internal/rng,

@@ -66,12 +66,6 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Max returns the largest recorded sample (0 when empty).
-func (h *Histogram) Max() int64 { return h.max }
-
 // Mean returns the exact mean of the recorded samples (0 when empty).
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {

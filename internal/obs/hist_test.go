@@ -12,8 +12,8 @@ func TestHistogramExactSmallValues(t *testing.T) {
 	for v := int64(0); v < 8; v++ {
 		h.Record(v)
 	}
-	if h.Count() != 8 || h.Max() != 7 {
-		t.Fatalf("count=%d max=%d", h.Count(), h.Max())
+	if h.count != 8 || h.max != 7 {
+		t.Fatalf("count=%d max=%d", h.count, h.max)
 	}
 	if got := h.Quantile(0.5); got != 3 {
 		t.Errorf("p50 = %g, want 3 (exact buckets below 8)", got)
@@ -59,20 +59,20 @@ func TestHistogramMergeAndReset(t *testing.T) {
 		b.Record(i + 100)
 	}
 	a.Merge(&b)
-	if a.Count() != 200 || a.Max() != 199 {
-		t.Fatalf("after merge count=%d max=%d", a.Count(), a.Max())
+	if a.count != 200 || a.max != 199 {
+		t.Fatalf("after merge count=%d max=%d", a.count, a.max)
 	}
 	if p50 := a.Quantile(0.5); p50 < 80 || p50 > 120 {
 		t.Errorf("merged p50 = %g, want near 100", p50)
 	}
 	a.Reset()
-	if a.Count() != 0 || a.Max() != 0 || a.Quantile(0.5) != 0 {
+	if a.count != 0 || a.max != 0 || a.Quantile(0.5) != 0 {
 		t.Fatal("Reset did not clear the distribution")
 	}
 	// Negative samples (unfinished intervals) clamp to zero.
 	a.Record(-5)
-	if a.Count() != 1 || a.Max() != 0 {
-		t.Fatalf("negative sample not clamped: count=%d max=%d", a.Count(), a.Max())
+	if a.count != 1 || a.max != 0 {
+		t.Fatalf("negative sample not clamped: count=%d max=%d", a.count, a.max)
 	}
 }
 

@@ -97,8 +97,8 @@ func TestJSONLSinkStickyError(t *testing.T) {
 	if err := s.Close(); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("Close() = %v", err)
 	}
-	if err := s.Err(); err == nil || !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("Err() = %v", err)
+	if err := s.Close(); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("second Close() = %v", err)
 	}
 	if fw.n != 1 {
 		t.Errorf("sink kept writing after error: %d writes", fw.n)

@@ -152,12 +152,6 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// Points returns the number of rows sampled so far.
-func (s *Sampler) Points() int { return s.points }
-
-// Bytes returns the CSV series accumulated so far (header included).
-func (s *Sampler) Bytes() []byte { return s.buf.Bytes() }
-
 // SHA256 returns the hex digest of the series bytes.
 func (s *Sampler) SHA256() string {
 	sum := sha256.Sum256(s.buf.Bytes())

@@ -53,7 +53,7 @@ func runProbed(t *testing.T, every, horizon float64, seed uint64) ([]byte, map[s
 		t.Fatal(err)
 	}
 	s.Finish(horizon)
-	return append([]byte(nil), s.Bytes()...), m
+	return append([]byte(nil), s.buf.Bytes()...), m
 }
 
 // TestSamplerDeterministic pins the tentpole contract: the probe series
@@ -127,10 +127,10 @@ func TestWriteFile(t *testing.T) {
 	if sf.Name != "probe" || sf.Path != path {
 		t.Fatalf("series file = %+v", sf)
 	}
-	if sf.Points != 5 || sf.Points != s.Points() {
-		t.Fatalf("points = %d (sampler %d), want 5", sf.Points, s.Points())
+	if sf.Points != 5 || sf.Points != s.points {
+		t.Fatalf("points = %d (sampler %d), want 5", sf.Points, s.points)
 	}
-	if sf.Bytes != int64(len(s.Bytes())) || len(sf.SHA256) != 64 {
+	if sf.Bytes != int64(len(s.buf.Bytes())) || len(sf.SHA256) != 64 {
 		t.Fatalf("series file = %+v", sf)
 	}
 	if sf.SHA256 != s.SHA256() {

@@ -13,7 +13,7 @@ import (
 // internal buffer. It is safe for concurrent use: each Emit marshals
 // outside the lock and performs a single buffered write under it, so
 // lines from concurrent cells never interleave. Marshal or write errors
-// are sticky and reported by Err; Emit itself never fails (telemetry
+// are sticky and reported by Close; Emit itself never fails (telemetry
 // must not abort an experiment).
 //
 // Because writes are buffered, callers that hand the sink a file must
@@ -21,45 +21,22 @@ import (
 // returns the first error the sink saw, making flush-on-close the
 // explicit end of the stream rather than an accident of buffer size.
 //
-// By default the stream carries no wall-clock timestamps, so the span
-// stream of a seeded run is byte-deterministic up to the elapsed_ns /
-// wall_ns / events_per_sec fields; set Stamp to add an RFC 3339 "ts"
-// field to every line.
+// The stream carries no wall-clock timestamps, so the span stream of a
+// seeded run is byte-deterministic up to the elapsed_ns / wall_ns /
+// events_per_sec fields.
 type JSONLSink struct {
 	mu     sync.Mutex
 	bw     *bufio.Writer
 	err    error
-	stamp  bool
 	closed bool
 }
 
 // NewJSONL returns a JSONL sink writing to w.
 func NewJSONL(w io.Writer) *JSONLSink { return &JSONLSink{bw: bufio.NewWriterSize(w, 1<<15)} }
 
-// NewJSONLStamped returns a JSONL sink that timestamps every line.
-func NewJSONLStamped(w io.Writer) *JSONLSink {
-	s := NewJSONL(w)
-	s.stamp = true
-	return s
-}
-
-// stampedEvent wraps Event with a wall-clock timestamp.
-type stampedEvent struct {
-	TS time.Time `json:"ts"`
-	Event
-}
-
 // Emit writes one event line.
 func (s *JSONLSink) Emit(e Event) {
-	var (
-		buf []byte
-		err error
-	)
-	if s.stamp {
-		buf, err = json.Marshal(stampedEvent{TS: time.Now().UTC(), Event: e})
-	} else {
-		buf, err = json.Marshal(e)
-	}
+	buf, err := json.Marshal(e)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
@@ -74,13 +51,6 @@ func (s *JSONLSink) Emit(e Event) {
 	if _, err := s.bw.Write(append(buf, '\n')); err != nil {
 		s.err = fmt.Errorf("obs: write event: %w", err)
 	}
-}
-
-// Err returns the first marshal or write error, if any.
-func (s *JSONLSink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 // Close flushes buffered lines to the underlying writer and returns the

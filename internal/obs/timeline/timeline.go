@@ -226,9 +226,6 @@ func (t *Tracker) Emit(e obs.Event) {
 // Events returns the number of recorded trace events.
 func (t *Tracker) Events() int { return len(t.events) }
 
-// Err returns the first encoding error, if any.
-func (t *Tracker) Err() error { return t.err }
-
 // WriteJSON writes the Chrome trace: track metadata first (process and
 // thread names in entity order), then every recorded event in record
 // order — a deterministic byte stream for a deterministic replication.

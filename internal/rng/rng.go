@@ -104,22 +104,6 @@ func (r *Source) Intn(n int) int {
 	}
 }
 
-// Int63 returns a non-negative random int64.
-func (r *Source) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Distribution produces random variates. Implementations must be safe for
 // sequential use from a single goroutine; they are not required to be
 // goroutine-safe because each replication owns its streams.
@@ -256,22 +240,6 @@ func geometricInv(u, p float64) float64 {
 func (g Geometric) Mean() float64 { return 1 / g.P }
 
 func (g Geometric) String() string { return fmt.Sprintf("geometric(p=%g)", g.P) }
-
-// Bernoulli returns 1 with probability P, else 0.
-type Bernoulli struct{ P float64 }
-
-// Sample draws 0 or 1.
-func (b Bernoulli) Sample(src *Source) float64 {
-	if src.Float64() < b.P {
-		return 1
-	}
-	return 0
-}
-
-// Mean returns P.
-func (b Bernoulli) Mean() float64 { return b.P }
-
-func (b Bernoulli) String() string { return fmt.Sprintf("bernoulli(p=%g)", b.P) }
 
 // Empirical is a discrete distribution over Values with the given Weights.
 // Weights need not be normalized. NewEmpirical validates the inputs.

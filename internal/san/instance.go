@@ -333,9 +333,6 @@ func (in *Instance) SetFlightRecorder(fr *obs.FlightRecorder) {
 	})
 }
 
-// FlightRecorder returns the attached flight recorder, or nil.
-func (in *Instance) FlightRecorder() *obs.FlightRecorder { return in.flight }
-
 // Now returns the instance's current virtual time. Probes and timelines
 // read it from inside fire hooks; between runs it is the time the last
 // replication ended on.
@@ -584,7 +581,6 @@ func (in *Instance) snapshotWarmup() {
 // firing plan, with no closure calls.
 func (in *Instance) fire(ap *actPlan) {
 	a := ap.act
-	a.completed++
 	in.firings++
 	if in.preFire != nil {
 		in.preFire(a)
@@ -951,12 +947,11 @@ func (in *Instance) observeRates() {
 	copy(dirty, wild)
 }
 
-// fail records a fatal execution error and halts the kernel.
+// fail records a fatal execution error; the run loop stops on it.
 func (in *Instance) fail(err error) {
 	if in.failed == nil {
 		in.failed = in.withFlight(err)
 	}
-	in.kernel.Halt()
 }
 
 // withFlight appends the flight recorder's recent-history dump to a

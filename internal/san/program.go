@@ -187,10 +187,6 @@ type Program struct {
 	contract int
 }
 
-// Contract returns the determinism contract version the program was
-// compiled under.
-func (p *Program) Contract() int { return p.contract }
-
 // actRef locates an activity in a program's firing tables.
 type actRef struct {
 	timed bool
@@ -253,19 +249,6 @@ func (p *Program) WildcardActivities() []string {
 	return names
 }
 
-// FusedActivities returns the names of the instantaneous activities
-// compiled for fused-chain continuation (gate-free, and provably unable to
-// enable anything earlier in the priority scan), in firing order.
-func (p *Program) FusedActivities() []string {
-	var names []string
-	for _, ap := range p.instants {
-		if ap.fuseCont {
-			names = append(names, ap.act.name)
-		}
-	}
-	return names
-}
-
 // Determinism contract versions. The contract names the exact byte-level
 // reproduction guarantee a compiled program honors, and selects only the
 // variate stream: which sampling formulas turn the RNG's draws into
@@ -295,15 +278,6 @@ type compileConfig struct {
 
 // CompileOption customizes Compile.
 type CompileOption func(*compileConfig)
-
-// WithoutFusion disables fused-chain continuation: every instantaneous
-// firing restarts the priority scan, as the pre-fusion executor did. The
-// trajectory is bit-identical either way (the equivalence tests pin it);
-// the option exists for exactly those tests and for isolating fusion when
-// debugging a model.
-func WithoutFusion() CompileOption {
-	return func(c *compileConfig) { c.noFuse = true }
-}
 
 // WithContract selects the determinism contract version the program is
 // compiled under (ContractV1 or ContractV2); 0 means DefaultContract.

@@ -72,9 +72,6 @@ func (p *Place) SetCapacity(n int) *Place {
 	return p
 }
 
-// Capacity returns the declared upper bound, or 0 when none was declared.
-func (p *Place) Capacity() int { return p.capacity }
-
 // SetTokens sets the marking. Negative markings and markings above a
 // declared capacity are modeling errors and are recorded on the model;
 // negative markings are clamped to zero.
@@ -207,18 +204,17 @@ type Link struct {
 
 // Activity is a SAN activity.
 type Activity struct {
-	name      string
-	kind      ActivityKind
-	priority  int // instantaneous ordering: lower fires first
-	delay     func(*rng.Source) float64
-	dist      rng.Distribution // set when built from a Distribution; nil for TimedActivityFunc
-	preds     []func() bool
-	inputFns  []func()
-	cases     []Case
-	links     []Link
-	model     *Model
-	defined   int // definition order, tie-break within priority
-	completed uint64
+	name     string
+	kind     ActivityKind
+	priority int // instantaneous ordering: lower fires first
+	delay    func(*rng.Source) float64
+	dist     rng.Distribution // set when built from a Distribution; nil for TimedActivityFunc
+	preds    []func() bool
+	inputFns []func()
+	cases    []Case
+	links    []Link
+	model    *Model
+	defined  int // definition order, tie-break within priority
 	// gatePreds / gateFns / gateCases count the opaque gate components
 	// added directly (Predicate, InputFunc, AddCase), as opposed to the
 	// ones the counted-arc conveniences create. Structural analysis uses
@@ -231,13 +227,6 @@ type Activity struct {
 
 // Name returns the activity's fully qualified name.
 func (a *Activity) Name() string { return a.name }
-
-// Kind returns whether the activity is timed or instantaneous.
-func (a *Activity) Kind() ActivityKind { return a.kind }
-
-// Completed returns how many times the activity has completed in the
-// current replication.
-func (a *Activity) Completed() uint64 { return a.completed }
 
 // Predicate adds an enabling condition; the activity is enabled only when
 // every added predicate holds (input-gate predicates).
@@ -253,13 +242,6 @@ func (a *Activity) addPredicate(fn func() bool) *Activity {
 	}
 	a.preds = append(a.preds, fn)
 	return a
-}
-
-// InputFunc adds an input-gate function executed when the activity
-// completes, before the case's output gate.
-func (a *Activity) InputFunc(fn func()) *Activity {
-	a.gateFns++
-	return a.addInputFunc(fn)
 }
 
 func (a *Activity) addInputFunc(fn func()) *Activity {
@@ -571,9 +553,6 @@ type Sub struct {
 	name  string
 }
 
-// Name returns the submodel name.
-func (s *Sub) Name() string { return s.name }
-
 // Model returns the underlying composed model.
 func (s *Sub) Model() *Model { return s.model }
 
@@ -627,20 +606,6 @@ func (s *Sub) TimedActivity(name string, dist rng.Distribution) *Activity {
 	return a
 }
 
-// Distribution returns the delay distribution the activity was built with,
-// or nil when it uses a marking-dependent delay function.
-func (a *Activity) Distribution() rng.Distribution { return a.dist }
-
-// TimedActivityFunc creates a timed activity whose delay is computed by fn,
-// which may depend on the current marking.
-func (s *Sub) TimedActivityFunc(name string, fn func(*rng.Source) float64) *Activity {
-	if fn == nil {
-		s.model.addErr(fmt.Errorf("san: nil delay function on activity %s", s.qualify(name)))
-		fn = func(*rng.Source) float64 { return 1 }
-	}
-	return s.activity(name, Timed, fn)
-}
-
 // InstantActivity creates an instantaneous activity.
 func (s *Sub) InstantActivity(name string) *Activity {
 	return s.activity(name, Instantaneous, nil)
@@ -667,9 +632,6 @@ func (m *Model) reset() {
 	}
 	for _, p := range m.extPlaces {
 		p.Reset()
-	}
-	for _, a := range m.activities {
-		a.completed = 0
 	}
 }
 

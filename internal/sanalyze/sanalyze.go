@@ -257,17 +257,6 @@ func (r *Report) AllBounded() bool {
 // DeadlockFree reports whether deadlock freedom was proved.
 func (r *Report) DeadlockFree() bool { return r.Deadlock.Status == "deadlock-free" }
 
-// ErrorCount counts findings of Error severity.
-func (r *Report) ErrorCount() int {
-	n := 0
-	for _, f := range r.Findings {
-		if f.Severity == Error {
-			n++
-		}
-	}
-	return n
-}
-
 // Analyze runs every structural pass over a model snapshot.
 func Analyze(st san.Structure, opt Options) *Report {
 	if opt.MaxStates <= 0 {

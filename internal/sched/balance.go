@@ -100,12 +100,3 @@ func (b *Balance) queueHasSibling(q int, v core.VCPUView, vcpus []core.VCPUView)
 	}
 	return false
 }
-
-// QueueLengths returns the current run-queue lengths (for tests).
-func (b *Balance) QueueLengths() []int {
-	lens := make([]int, len(b.queues))
-	for i, q := range b.queues {
-		lens[i] = len(q)
-	}
-	return lens
-}

@@ -122,11 +122,3 @@ func (c *Credit) weight(vm int) float64 {
 	}
 	return 1
 }
-
-// Credits returns the current credit balance of a VCPU (for tests).
-func (c *Credit) Credits(id int) float64 {
-	if c.credits == nil || id < 0 || id >= len(c.credits) {
-		return 0
-	}
-	return c.credits[id]
-}

@@ -213,12 +213,3 @@ func gangInactive(gang []int, inactive []bool) bool {
 	}
 	return true
 }
-
-// Skew returns the current cumulative skew of a VCPU (for tests and
-// tracing).
-func (r *RelaxedCo) Skew(id int) int64 {
-	if id < 0 || id >= len(r.skew) {
-		return 0
-	}
-	return r.skew[id]
-}

@@ -1,13 +1,12 @@
 // Package stats provides the statistics substrate for the simulator:
 // streaming mean/variance accumulators (Welford), time-weighted state
 // accumulators for rate rewards, Student-t confidence intervals for the
-// replication runner, and simple histograms.
+// replication runner.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -27,12 +26,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// N returns the number of observations.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the sample mean (0 for an empty accumulator).
-func (w *Welford) Mean() float64 { return w.mean }
-
 // Variance returns the unbiased sample variance (0 with fewer than two
 // observations).
 func (w *Welford) Variance() float64 {
@@ -51,22 +44,6 @@ func (w *Welford) StdErr() float64 {
 		return 0
 	}
 	return w.StdDev() / math.Sqrt(float64(w.n))
-}
-
-// Merge folds another accumulator into w (parallel Welford combination).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	w.mean += delta * float64(o.n) / float64(n)
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.n = n
 }
 
 // Interval is a symmetric confidence interval around a mean.
@@ -272,103 +249,10 @@ func (tw *TimeWeighted) observeSlow(t, v float64) {
 	panic(fmt.Sprintf("stats: TimeWeighted time went backwards: %g < %g", t, tw.lastT))
 }
 
-// MeanAt returns the time average of the signal over [start, t].
-func (tw *TimeWeighted) MeanAt(t float64) float64 {
-	if !tw.started || t <= tw.start {
-		return 0
-	}
-	integral := tw.integral + tw.lastV*(t-tw.lastT)
-	return integral / (t - tw.start)
-}
-
 // IntegralAt returns the time integral of the signal over [start, t].
 func (tw *TimeWeighted) IntegralAt(t float64) float64 {
 	if !tw.started {
 		return 0
 	}
 	return tw.integral + tw.lastV*(t-tw.lastT)
-}
-
-// Histogram is a fixed-bin histogram over [Low, High); values outside the
-// range land in under/overflow counters.
-type Histogram struct {
-	low, high float64
-	width     float64
-	counts    []int64
-	under     int64
-	over      int64
-	total     int64
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over
-// [low, high). It returns an error for invalid ranges or bin counts.
-func NewHistogram(low, high float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs positive bin count, got %d", bins)
-	}
-	if !(low < high) {
-		return nil, fmt.Errorf("stats: histogram range invalid: [%g, %g)", low, high)
-	}
-	return &Histogram{
-		low:    low,
-		high:   high,
-		width:  (high - low) / float64(bins),
-		counts: make([]int64, bins),
-	}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.low:
-		h.under++
-	case x >= h.high:
-		h.over++
-	default:
-		i := int((x - h.low) / h.width)
-		if i >= len(h.counts) { // guard against floating-point edge
-			i = len(h.counts) - 1
-		}
-		h.counts[i]++
-	}
-}
-
-// Total returns the number of observations, including out-of-range ones.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) int64 { return h.counts[i] }
-
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.counts) }
-
-// Underflow returns the count of observations below the range.
-func (h *Histogram) Underflow() int64 { return h.under }
-
-// Overflow returns the count of observations at or above the range.
-func (h *Histogram) Overflow() int64 { return h.over }
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the given sample using
-// linear interpolation. It returns an error for an empty sample or q out of
-// range. The input slice is not modified.
-func Quantile(sample []float64, q float64) (float64, error) {
-	if len(sample) == 0 {
-		return 0, fmt.Errorf("stats: quantile of empty sample")
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %g out of [0,1]", q)
-	}
-	s := append([]float64(nil), sample...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0], nil
-	}
-	pos := q * float64(len(s)-1)
-	i := int(pos)
-	if i >= len(s)-1 {
-		return s[len(s)-1], nil
-	}
-	frac := pos - float64(i)
-	return s[i]*(1-frac) + s[i+1]*frac, nil
 }

@@ -28,25 +28,25 @@ func TestWelfordAgainstNaive(t *testing.T) {
 	}
 	wantVar := varSum / float64(len(xs)-1)
 
-	if !almostEqual(w.Mean(), mean, 1e-12) {
-		t.Errorf("mean = %g, want %g", w.Mean(), mean)
+	if !almostEqual(w.mean, mean, 1e-12) {
+		t.Errorf("mean = %g, want %g", w.mean, mean)
 	}
 	if !almostEqual(w.Variance(), wantVar, 1e-12) {
 		t.Errorf("variance = %g, want %g", w.Variance(), wantVar)
 	}
-	if w.N() != int64(len(xs)) {
-		t.Errorf("n = %d, want %d", w.N(), len(xs))
+	if w.n != int64(len(xs)) {
+		t.Errorf("n = %d, want %d", w.n, len(xs))
 	}
 }
 
 func TestWelfordEmptyAndSingle(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.StdErr() != 0 {
+	if w.mean != 0 || w.Variance() != 0 || w.StdErr() != 0 {
 		t.Error("empty accumulator should be all-zero")
 	}
 	w.Add(7)
-	if w.Mean() != 7 || w.Variance() != 0 {
-		t.Errorf("single observation: mean=%g var=%g", w.Mean(), w.Variance())
+	if w.mean != 7 || w.Variance() != 0 {
+		t.Errorf("single observation: mean=%g var=%g", w.mean, w.Variance())
 	}
 	if !math.IsInf(w.CI(0.95).HalfWidth, 1) {
 		t.Error("CI of one observation should have infinite half-width")
@@ -65,8 +65,8 @@ func TestWelfordMerge(t *testing.T) {
 		}
 	}
 	left.Merge(right)
-	if !almostEqual(left.Mean(), whole.Mean(), 1e-12) {
-		t.Errorf("merged mean %g, want %g", left.Mean(), whole.Mean())
+	if !almostEqual(left.mean, whole.mean, 1e-12) {
+		t.Errorf("merged mean %g, want %g", left.mean, whole.mean)
 	}
 	if !almostEqual(left.Variance(), whole.Variance(), 1e-9) {
 		t.Errorf("merged variance %g, want %g", left.Variance(), whole.Variance())
@@ -83,7 +83,7 @@ func TestWelfordMergeEmpty(t *testing.T) {
 		t.Error("merging an empty accumulator changed state")
 	}
 	b.Merge(a) // merging into empty copies
-	if b.Mean() != a.Mean() || b.N() != a.N() {
+	if b.mean != a.mean || b.n != a.n {
 		t.Error("merging into empty did not copy")
 	}
 }
@@ -223,43 +223,6 @@ func TestTimeWeightedPanicsOnBackwardsTime(t *testing.T) {
 	tw.Observe(5, 0)
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Errorf("total = %d, want 8", h.Total())
-	}
-	if h.Underflow() != 1 || h.Overflow() != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", h.Underflow(), h.Overflow())
-	}
-	wantBins := []int64{2, 1, 1, 0, 1}
-	for i, want := range wantBins {
-		if got := h.Bin(i); got != want {
-			t.Errorf("bin %d = %d, want %d", i, got, want)
-		}
-	}
-	if h.Bins() != 5 {
-		t.Errorf("bins = %d, want 5", h.Bins())
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero bins should error")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range should error")
-	}
-	if _, err := NewHistogram(5, 1, 3); err == nil {
-		t.Error("inverted range should error")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	s := []float64{4, 1, 3, 2}
 	q, err := Quantile(s, 0.5)
@@ -309,10 +272,10 @@ func TestQuickWelfordMeanWithinBounds(t *testing.T) {
 			}
 		}
 		if count == 0 {
-			return w.Mean() == 0
+			return w.mean == 0
 		}
 		const eps = 1e-6
-		return w.Mean() >= min-eps && w.Mean() <= max+eps && w.Variance() >= -eps
+		return w.mean >= min-eps && w.mean <= max+eps && w.Variance() >= -eps
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -341,14 +304,14 @@ func TestQuickMergeMatchesSequential(t *testing.T) {
 			wb.Add(x)
 		}
 		wa.Merge(wb)
-		if wa.N() != whole.N() {
+		if wa.n != whole.n {
 			return false
 		}
-		if whole.N() == 0 {
+		if whole.n == 0 {
 			return true
 		}
-		scale := math.Max(1, math.Abs(whole.Mean()))
-		return math.Abs(wa.Mean()-whole.Mean()) < 1e-6*scale
+		scale := math.Max(1, math.Abs(whole.mean))
+		return math.Abs(wa.mean-whole.mean) < 1e-6*scale
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,9 @@
 //   - source verification (internal/golint): the simulator's own Go
 //     source is checked against the determinism contract — no math/rand,
 //     no wall-clock reads, no map iteration on simulation hot paths, no
-//     san.Program writes after Compile, no inline sampling of rng draws.
+//     san.Program writes after Compile, no inline sampling of rng draws —
+//     and for dead API: no exported internal/ declaration that only its
+//     own package's tests reference.
 //
 // With -json every finding is emitted as one JSON object per line (a
 // stable machine-readable schema) and the exit status is non-zero only

@@ -147,6 +147,3 @@ func (g *Generator) Next() Workload {
 	}
 	return w
 }
-
-// Generated returns how many workloads have been produced.
-func (g *Generator) Generated() int { return g.count }

@@ -64,8 +64,8 @@ func TestDeterministicSyncEveryNth(t *testing.T) {
 			t.Fatalf("workload %d: sync = %v, want %v", i, w.Sync, wantSync)
 		}
 	}
-	if g.Generated() != 40 {
-		t.Fatalf("generated = %d, want 40", g.Generated())
+	if g.count != 40 {
+		t.Fatalf("generated = %d, want 40", g.count)
 	}
 }
 

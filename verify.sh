@@ -16,6 +16,12 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
+# benchmark/ is a nested module: the root go build/vet never compiles it,
+# so a change to an internal API it uses would otherwise surface only in
+# the nightly benchmark.
+echo "== go vet ./... in benchmark/ (nested module)"
+(cd benchmark && go vet ./...)
+
 # vcpusim vet prints a full model report; show it only when vet fails.
 vet() {
     report=$(go run ./cmd/vcpusim vet "$@") || { echo "$report"; return 1; }
