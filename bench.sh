@@ -14,7 +14,9 @@
 #                             # shrinking and with a fixed horizon, plus
 #                             # the fixed horizon at 10,000 hosts; the
 #                             # cluster rows run again at GOMAXPROCS=1,
-#                             # named .../procs=1)
+#                             # named .../procs=1) and the layer rows (rng
+#                             # samplers, des kernel, scheduler policies,
+#                             # pooled replication setup, t quantile)
 #                             # parsed into JSON under the given label via
 #                             # cmd/benchjson; default out
 #                             # results/bench/BENCH_<label>.json (errors if
@@ -42,8 +44,8 @@ case "${1:-}" in
 smoke)
     # One abbreviated pass so CI catches benchmarks that fail to build or
     # error out, without paying for stable numbers.
-    exec go test -run '^$' -bench "$BENCH|BenchmarkReplicationSetup|BenchmarkTQuantile|BenchmarkRoundRobinSchedule|BenchmarkStrictCoSchedule|BenchmarkRelaxedCoSchedule" \
-        -benchtime 1x -benchmem $PKGS ./internal/stats ./internal/sched
+    exec go test -run '^$' -bench "$BENCH|BenchmarkChurnHeapKernel|BenchmarkReplicationSetup|BenchmarkTQuantile|Schedule\$|BenchmarkExpZig|BenchmarkNormZig|BenchmarkExponentialSample" \
+        -benchtime 1x -benchmem $PKGS ./internal/stats ./internal/sched ./internal/rng
     ;;
 json)
     label="${2:?usage: ./bench.sh json <label> [out.json]}"
@@ -74,6 +76,19 @@ json)
             -benchtime 50x -count=10 -benchmem ./internal/cluster | sed 's|^\(BenchmarkCluster[^ 	]*\)|\1/procs=1|'
         GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkClusterFixedHorizon/hosts=10000$' \
             -benchtime 5x -count=10 -benchmem ./internal/cluster | sed 's|^\(BenchmarkCluster[^ 	]*\)|\1/procs=1|'
+        # Layer rows, one layer per package. They cost 10-600 ns per
+        # iteration, so 50 iterations would measure the timer: each runs a
+        # fixed count sized to take some milliseconds.
+        go test -run '^$' -bench 'BenchmarkExpZig$|BenchmarkNormZig$|BenchmarkExponentialSample$' \
+            -benchtime 1000000x -count=10 -benchmem ./internal/rng
+        go test -run '^$' -bench 'BenchmarkHeapChurn$|BenchmarkChurnHeapKernel$|BenchmarkCancel$|BenchmarkScheduleAndStep$' \
+            -benchtime 200000x -count=10 -benchmem ./internal/des
+        go test -run '^$' -bench 'BenchmarkRoundRobinSchedule$|BenchmarkStrictCoSchedule$|BenchmarkRelaxedCoSchedule$|BenchmarkBalanceSchedule$|BenchmarkCreditSchedule$' \
+            -benchtime 200000x -count=10 -benchmem ./internal/sched
+        go test -run '^$' -bench 'BenchmarkReplicationSetupPooled$' \
+            -benchtime 100000x -count=10 -benchmem ./internal/core
+        go test -run '^$' -bench 'BenchmarkTQuantile$' \
+            -benchtime 1000000x -count=10 -benchmem ./internal/stats
     } | go run ./cmd/benchjson -out "$out" -label "$label"
     ;;
 compare)

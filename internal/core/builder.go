@@ -752,21 +752,35 @@ func registerRewards(sys *System) {
 	m := sys.model
 	// Documented references let sanalyze cross-check every reward against
 	// the model structure (the reward functions themselves are closures).
+	// Most rewards read only a slot's Status, which changes far less often
+	// than the RemainingLoad and Done a busy tick writes: they ref the
+	// slot's Status projection, so a tick re-evaluates them only when the
+	// status moved.
 	slotNames := make([]string, len(sys.vcpus))
+	statusRefs := make([]string, len(sys.vcpus))
 	for i, vc := range sys.vcpus {
 		slotNames[i] = vc.slot.Name()
+		statusRefs[i] = vc.slot.Project("Status", slotStatus)
 	}
 	blockedNames := make([]string, len(sys.vms))
 	for i, vm := range sys.vms {
 		blockedNames[i] = vm.blocked.Name()
 	}
-	// With a fault plan, spinning() additionally depends on the injected
-	// stall state, which changes exactly when the fault marker places do:
-	// document them so the incidence index re-evaluates the spin-sensitive
-	// rewards on fault transitions.
-	spinRefs := slotNames
+	// spinning() also reads SyncPoint and RemainingLoad, but only in a
+	// spinlock VM; without one, the spin-sensitive rewards read Status
+	// alone. With a fault plan, spinning() additionally depends on the
+	// injected stall state, which changes exactly when the fault marker
+	// places do: document them so the incidence index re-evaluates the
+	// spin-sensitive rewards on fault transitions.
+	spinRefs := statusRefs
+	for _, vm := range sys.vms {
+		if vm.syncKind == workload.SyncSpinlock {
+			spinRefs = slotNames
+			break
+		}
+	}
 	if sys.inj != nil {
-		spinRefs = append(append([]string(nil), slotNames...), sys.inj.MarkerNames()...)
+		spinRefs = append(append([]string(nil), spinRefs...), sys.inj.MarkerNames()...)
 	}
 	for _, vc := range sys.vcpus {
 		vc := vc
@@ -775,13 +789,13 @@ func registerRewards(sys *System) {
 				return 1
 			}
 			return 0
-		}, vc.slot.Name())
+		}, statusRefs[vc.id])
 		m.AddRateReward(VCPUUtilizationMetric(vc.vm, vc.sibling), func() float64 {
 			if vc.slot.Peek().Status == Busy {
 				return 1
 			}
 			return 0
-		}, vc.slot.Name())
+		}, statusRefs[vc.id])
 	}
 	for p := 0; p < sys.cfg.PCPUs; p++ {
 		p := p
@@ -800,7 +814,7 @@ func registerRewards(sys *System) {
 			}
 		}
 		return float64(active) / float64(len(sys.vcpus))
-	}, slotNames...)
+	}, statusRefs...)
 	m.AddRateReward(VCPUUtilizationAvgMetric, func() float64 {
 		busy := 0
 		for _, vc := range sys.vcpus {
@@ -809,7 +823,7 @@ func registerRewards(sys *System) {
 			}
 		}
 		return float64(busy) / float64(len(sys.vcpus))
-	}, slotNames...)
+	}, statusRefs...)
 	m.AddRateReward(PCPUUtilizationAvgMetric, func() float64 {
 		used := 0
 		for _, v := range *sys.pcpus.Peek() {
@@ -850,22 +864,22 @@ func registerRewards(sys *System) {
 		}
 		return float64(working) / float64(len(sys.vcpus))
 	}, spinRefs...)
-	registerFaultRewards(sys)
+	registerFaultRewards(sys, statusRefs)
 }
 
+// slotStatus is the key of a slot's Status projection.
+func slotStatus(s *Slot) uint64 { return uint64(s.Status) }
+
 // registerFaultRewards defines the dependability reward variables of a
-// fault campaign; a healthy system (no plan) registers nothing.
-func registerFaultRewards(sys *System) {
+// fault campaign; a healthy system (no plan) registers nothing. statusRefs
+// are the slots' Status projections, indexed by VCPU id.
+func registerFaultRewards(sys *System, statusRefs []string) {
 	flt := sys.flt
 	if flt == nil {
 		return
 	}
 	m := sys.model
-	slotNames := make([]string, len(sys.vcpus))
-	for i, vc := range sys.vcpus {
-		slotNames[i] = vc.slot.Name()
-	}
-	degRefs := append(slotNames, sys.inj.MarkerNames()...)
+	degRefs := append(append([]string(nil), statusRefs...), sys.inj.MarkerNames()...)
 	// Availability accrued only while degraded; divided by the degraded
 	// fraction (faults.DegradedMetric, registered by the Injector) it
 	// gives availability-under-faults.

@@ -12,10 +12,13 @@ import (
 // structure snapshot alone, applying the documented compilation rule: an
 // activity with no predicates has no place dependencies (instantaneous
 // ones go to the wildcard set so stabilization still reaches them); an
-// activity with predicates depends on every known place named by one of
-// its input links, and becomes a wildcard if it documents none. Rate
-// rewards depend on each place ref; activity refs and opaque rewards are
-// not place-indexed.
+// activity whose predicates are all input arcs (no gate predicate) depends
+// only on its arc places, which are its counted input links (the builder
+// declares no counted input link that is not an arc); any other activity
+// with predicates depends on every known place named by one of its input
+// links, and becomes a wildcard if it documents none. Rate rewards depend
+// on each place ref (the snapshot shows a projection ref as its place);
+// activity refs and opaque rewards are not place-indexed.
 func structureDeps(st san.Structure) (deps map[string][3][]string, wilds []string) {
 	known := make(map[string]bool, len(st.Places))
 	deps = make(map[string][3][]string, len(st.Places))
@@ -39,9 +42,10 @@ func structureDeps(st san.Structure) (deps map[string][3][]string, wilds []strin
 			}
 			continue
 		}
+		arcOnly := a.GatePredicates == 0
 		indexed := false
 		for _, l := range a.Links {
-			if l.Kind != san.LinkInput || !known[l.Place] {
+			if l.Kind != san.LinkInput || !known[l.Place] || arcOnly && l.Tokens == 0 {
 				continue
 			}
 			indexed = true
@@ -77,7 +81,11 @@ func structureDeps(st san.Structure) (deps map[string][3][]string, wilds []strin
 // the paper's Figure 8 system and on the same system with a mixed fault
 // campaign composed in. The compiled graph is what the executor trusts to
 // skip re-testing activities, so any divergence from the documented links
-// is an executor correctness bug, not a doc nit.
+// is an executor correctness bug, not a doc nit. A reward that refs a
+// slot's Status projection is compiled under the projection, not the
+// slot, so a slot's rate dependents are those of the slot and its
+// projection together, and in these systems (no spinlock VM) every slot
+// reward refs the projection.
 func TestCompiledDepsMatchStructure(t *testing.T) {
 	fig8 := SystemConfig{
 		PCPUs:     2,
@@ -108,10 +116,19 @@ func TestCompiledDepsMatchStructure(t *testing.T) {
 			}
 			want, wantWilds := structureDeps(model.Structure())
 
+			projected := 0
 			for place, wantSlots := range want {
 				timed, inst, rates, ok := prog.Dependents(place)
 				if !ok {
 					t.Fatalf("place %s missing from compiled graph", place)
+				}
+				direct := rates
+				if pt, pi, projRates, ok := prog.Dependents(place + ".Status"); ok {
+					if len(pt)+len(pi) != 0 || len(direct) != 0 {
+						t.Errorf("slot %s: activities %v %v under its projection, rewards %v under the slot itself", place, pt, pi, direct)
+					}
+					rates = append(append([]string(nil), direct...), projRates...)
+					projected++
 				}
 				got := [3][]string{timed, inst, rates}
 				for slot, label := range []string{"timed", "inst", "rates"} {
@@ -130,6 +147,10 @@ func TestCompiledDepsMatchStructure(t *testing.T) {
 						}
 					}
 				}
+			}
+
+			if projected != len(sys.vcpus) {
+				t.Errorf("%d slots compiled with a Status projection, want all %d", projected, len(sys.vcpus))
 			}
 
 			gotWilds := prog.WildcardActivities()

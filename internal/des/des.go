@@ -45,7 +45,6 @@ type Kernel struct {
 	fired     uint64
 	scheduled uint64
 	cancelled uint64
-	halted    bool // set by the kernel tests' Halt, read by their RunUntil
 	// arena is the contiguous storage block NewEvent hands out reusable
 	// events from after a Reserve: one allocation for a whole activation
 	// set instead of one per event, and the events' hot fields (time, seq,

@@ -28,15 +28,19 @@ func (k *Kernel) ScheduleAfter(delay float64, priority int, name string, handler
 	return k.Schedule(k.now+delay, priority, name, handler)
 }
 
+// halted records the kernels whose handlers called Halt during RunUntil.
+// The kernel's tests run serially, so a package-level set serves.
+var halted = map[*Kernel]bool{}
+
 // Halt stops RunUntil after the current event completes.
-func (k *Kernel) Halt() { k.halted = true }
+func (k *Kernel) Halt() { halted[k] = true }
 
 // RunUntil fires events until the clock would pass horizon, the event list
 // empties, or Halt is called. Events scheduled exactly at the horizon fire.
 // Afterwards the clock is set to the horizon (if it was reached).
 func (k *Kernel) RunUntil(horizon float64) {
-	k.halted = false
-	for !k.halted {
+	delete(halted, k)
+	for !halted[k] {
 		if k.NextTime() > horizon {
 			break // also the empty-queue exit: NextTime is +Inf
 		}
@@ -44,6 +48,7 @@ func (k *Kernel) RunUntil(horizon float64) {
 			break
 		}
 	}
+	delete(halted, k)
 	if k.now < horizon {
 		k.now = horizon
 	}

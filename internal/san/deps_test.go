@@ -10,21 +10,33 @@ import (
 	"vcpusim/internal/rng"
 )
 
-// TestDependencyGraphSmallNets hand-checks the compiled enabling-dependency
-// graph on a net exercising every classification the compiler makes:
-// arc-documented readers, gate predicates with documented input links,
-// predicates with no documented reads (wildcards), always-enabled
-// activities, and rate rewards with place refs, activity refs, and no refs.
-func TestDependencyGraphSmallNets(t *testing.T) {
+// buildDepsNet is a net exercising every classification the compiler
+// makes: arc-only readers (one of them documenting a case read), gate
+// predicates with documented input links, predicates with no documented
+// reads (wildcards), always-enabled activities, and rate rewards with
+// place refs, projection refs, activity refs, and no refs.
+func buildDepsNet() *Model {
 	m := NewModel("deps")
 	s := m.Sub("s")
 	p := s.Place("p", 1)
 	q := s.Place("q", 0)
 	r := s.Place("r", 0)
+	x := NewExtPlace(s, "x", func() [2]int { return [2]int{} })
 
 	// consume: pure-arc reader of p.
 	consume := s.InstantActivity("consume")
 	consume.InputArc(p, 1).OutputArc(q, 1)
+
+	// drain: arc-only predicate on q; its case reads r and writes x, which
+	// the input link documents without making drain a reader of r.
+	drain := s.InstantActivity("drain")
+	drain.InputArc(q, 2).Link(LinkInput, r.Name()).Link(LinkOutput, x.Name())
+	drain.AddCase(nil, func() {
+		if r.Tokens() > 0 {
+			x.Get()[1]++
+		}
+		x.Get()[0]++
+	})
 
 	// gated: opaque predicate reading q, documented by a zero-count link.
 	gated := s.TimedActivity("gated", rng.Exponential{Rate: 1})
@@ -46,8 +58,16 @@ func TestDependencyGraphSmallNets(t *testing.T) {
 	m.AddRateReward("watchP", func() float64 { return float64(p.Tokens()) }, p.Name())
 	m.AddRateReward("countGated", func() float64 { return 0 }, gated.Name())
 	m.AddRateReward("opaque", func() float64 { return 1 })
+	m.AddRateReward("watchX0", func() float64 { return float64(x.Peek()[0]) },
+		x.Project("first", func(v *[2]int) uint64 { return uint64(v[0]) }))
+	m.AddRateReward("watchX", func() float64 { return float64(x.Peek()[1]) }, x.Name())
+	return m
+}
 
-	prog, err := Compile(m)
+// TestDependencyGraphSmallNets hand-checks the compiled enabling-dependency
+// graph on buildDepsNet.
+func TestDependencyGraphSmallNets(t *testing.T) {
+	prog, err := Compile(buildDepsNet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +91,11 @@ func TestDependencyGraphSmallNets(t *testing.T) {
 		}
 	}
 	assertDeps("s/p", nil, []string{"s/consume"}, []string{"watchP"})
-	assertDeps("s/q", []string{"s/gated"}, nil, nil)
-	assertDeps("s/r", nil, nil, nil) // wild's read of r is undocumented
+	assertDeps("s/q", []string{"s/gated"}, []string{"s/drain"}, nil)
+	// wild's read of r is undocumented; drain's is a case read.
+	assertDeps("s/r", nil, nil, nil)
+	assertDeps("s/x", nil, nil, []string{"watchX"})
+	assertDeps("s/x.first", nil, nil, []string{"watchX0"})
 
 	wilds := prog.WildcardActivities()
 	sort.Strings(wilds)
@@ -85,14 +108,17 @@ func TestDependencyGraphSmallNets(t *testing.T) {
 	}
 }
 
-// bruteForceDeps recomputes a place's dependents from the exported
-// structure snapshot alone, mirroring the documented compilation rule:
-// an activity with predicates depends on every place named by one of its
-// input links; one with no documented input link is a wildcard; one with
-// no predicates has no place dependencies at all (instantaneous ones
-// become wildcards so they stay always-considered). Rate rewards depend on
-// each place named in Refs.
-func bruteForceDeps(st Structure, place string) (timed, inst, rates []string) {
+// bruteForceDeps recomputes a place's or projection's dependents from the
+// structure snapshot and the rewards' declared refs, mirroring the
+// documented compilation rule: an activity whose predicates are all input
+// arcs depends on its arc places only; any other activity with predicates
+// depends on every place named by one of its input links; one with no
+// documented input link is a wildcard; one with no predicates has no place
+// dependencies at all (instantaneous ones become wildcards so they stay
+// always-considered). Rate rewards depend on each place or projection
+// named in their declared Refs (the snapshot shows a projection as its
+// place).
+func bruteForceDeps(m *Model, st Structure, place string) (timed, inst, rates []string) {
 	known := make(map[string]bool, len(st.Places))
 	for _, p := range st.Places {
 		known[p.Name] = true
@@ -103,6 +129,9 @@ func bruteForceDeps(st Structure, place string) (timed, inst, rates []string) {
 		}
 		reads := false
 		for _, l := range a.Links {
+			if a.GatePredicates == 0 && !l.arc {
+				continue
+			}
 			if l.Kind == LinkInput && l.Place == place && known[l.Place] {
 				reads = true
 			}
@@ -116,10 +145,7 @@ func bruteForceDeps(st Structure, place string) (timed, inst, rates []string) {
 			inst = append(inst, a.Name)
 		}
 	}
-	for _, r := range st.Rewards {
-		if r.Kind != RewardRate {
-			continue
-		}
+	for _, r := range m.rates {
 		for _, ref := range r.Refs {
 			if ref == place {
 				rates = append(rates, r.Name)
@@ -131,33 +157,43 @@ func bruteForceDeps(st Structure, place string) (timed, inst, rates []string) {
 
 // TestDependencyGraphMatchesStructure cross-checks the compiled graph
 // against the brute-force recomputation on the tandem benchmark model —
-// every arc documented, so every place must resolve identically.
+// every arc documented, so every place must resolve identically — and on
+// the fused-chain workbench (arc-only activities with cases) and
+// buildDepsNet (projection refs, case reads documented as input links).
 func TestDependencyGraphMatchesStructure(t *testing.T) {
-	m := buildTandem(7)
-	prog, err := Compile(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := m.Structure()
-	for _, pl := range st.Places {
-		gotT, gotI, gotR, ok := prog.Dependents(pl.Name)
-		if !ok {
-			t.Fatalf("place %s not in compiled graph", pl.Name)
+	for i, m := range []*Model{buildTandem(7), buildChainModel(), buildDepsNet()} {
+		prog, err := Compile(m)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wantT, wantI, wantR := bruteForceDeps(st, pl.Name)
-		sort.Strings(gotT)
-		sort.Strings(gotI)
-		sort.Strings(gotR)
-		sort.Strings(wantT)
-		sort.Strings(wantI)
-		sort.Strings(wantR)
-		if !equalNames(gotT, wantT) || !equalNames(gotI, wantI) || !equalNames(gotR, wantR) {
-			t.Errorf("place %s: compiled deps %v/%v/%v, brute force %v/%v/%v",
-				pl.Name, gotT, gotI, gotR, wantT, wantI, wantR)
+		if wilds := prog.WildcardActivities(); i == 0 && len(wilds) != 0 {
+			t.Errorf("tandem has undocumented readers: %v", wilds)
 		}
-	}
-	if wilds := prog.WildcardActivities(); len(wilds) != 0 {
-		t.Errorf("tandem has undocumented readers: %v", wilds)
+		st := m.Structure()
+		names := make([]string, 0, len(st.Places)+len(m.projections))
+		for _, pl := range st.Places {
+			names = append(names, pl.Name)
+		}
+		for _, pr := range m.projections {
+			names = append(names, pr.name)
+		}
+		for _, name := range names {
+			gotT, gotI, gotR, ok := prog.Dependents(name)
+			if !ok {
+				t.Fatalf("%s: %s not in compiled graph", m.Name(), name)
+			}
+			wantT, wantI, wantR := bruteForceDeps(m, st, name)
+			sort.Strings(gotT)
+			sort.Strings(gotI)
+			sort.Strings(gotR)
+			sort.Strings(wantT)
+			sort.Strings(wantI)
+			sort.Strings(wantR)
+			if !equalNames(gotT, wantT) || !equalNames(gotI, wantI) || !equalNames(gotR, wantR) {
+				t.Errorf("%s: %s: compiled deps %v/%v/%v, brute force %v/%v/%v",
+					m.Name(), name, gotT, gotI, gotR, wantT, wantI, wantR)
+			}
+		}
 	}
 }
 

@@ -29,10 +29,7 @@ func (p *Program) FusedActivities() []string {
 
 // InputFunc adds an input-gate function executed when the activity
 // completes, before the case's output gate.
-func (a *Activity) InputFunc(fn func()) *Activity {
-	a.gateFns++
-	return a.addInputFunc(fn)
-}
+func (a *Activity) InputFunc(fn func()) *Activity { return a.addInputFunc(fn) }
 
 // TimedActivityFunc creates a timed activity whose delay is computed by fn,
 // which may depend on the current marking.

@@ -10,15 +10,16 @@ import (
 	"vcpusim/internal/des"
 	"vcpusim/internal/obs"
 	"vcpusim/internal/rng"
-	"vcpusim/internal/stats"
 )
 
 // rateState is one rate reward's execution state, packed for the
-// observation loop that runs after every timed completion.
+// observation loop that runs after every timed completion: the time
+// integral of the reward up to the last observation, the value it has held
+// since, and the reward function.
 type rateState struct {
-	tw  stats.TimeWeighted
-	fn  func() float64
-	val float64
+	integral float64
+	val      float64
+	fn       func() float64
 }
 
 // Instance is the mutable half of the compile-once executive: everything a
@@ -123,14 +124,20 @@ type Instance struct {
 	// caseWeights is the chooseCase scratch buffer (max case count).
 	caseWeights []float64
 
-	// rateSt packs each rate reward's hot-path state — accumulator, reward
-	// function, cached value — into one struct so an observation touches a
+	// rateSt packs each rate reward's hot-path state — integral, cached
+	// value, reward function — into one struct so an observation touches a
 	// single cache line. rateDirty (a subslice of dirtyArena) marks rewards
 	// whose watched places or activities changed since the last
-	// observation; the program's rateWildMask is re-copied into it after
-	// every pass.
+	// observation, and after them the projections whose place was touched;
+	// the program's rateWildMask is re-copied into it after every pass.
 	rateSt    []rateState
 	rateDirty bitset
+	// rateT is the reward clock: every rate reward is observed at the same
+	// instants, so one last-observation time serves them all.
+	rateT float64
+	// projKeys caches each projection's key as of the last observation
+	// that evaluated it.
+	projKeys []uint64
 
 	// Transient-removal state: rewards are measured over
 	// [warmup, horizon] only. horizon is set by BeginRun and read by the
@@ -160,6 +167,7 @@ func (p *Program) NewInstance() (*Instance, error) {
 		mask4:      p.mask4,
 		impulses:   make([]float64, len(m.impulses)),
 		rateSt:     make([]rateState, len(m.rates)),
+		projKeys:   make([]uint64, len(p.projs)),
 	}
 	// One contiguous arena for the three dirty sets: the program's touch
 	// masks and ops are compiled against this layout (candTimed's words at
@@ -240,12 +248,13 @@ func (in *Instance) Reset(seed uint64) {
 	in.candInst.zero()
 	in.candInst.setAll(len(in.instants))
 	in.rateDirty.zero()
-	in.rateDirty.setAll(len(in.rateSt))
+	in.rateDirty.setAll(len(in.rateSt) + len(in.projKeys))
 
 	for i := range in.rateSt {
-		in.rateSt[i].tw = stats.TimeWeighted{}
+		in.rateSt[i].integral = 0
 		in.rateSt[i].val = 0
 	}
+	in.rateT = 0
 	in.warmup = 0
 	in.horizon = 0
 	in.warmSnapped = false
@@ -553,7 +562,7 @@ func (in *Instance) EndRun() (Results, error) {
 	}
 	window := in.horizon - in.warmup
 	for i, rr := range m.rates {
-		res.Rates[rr.Name] = (in.rateSt[i].tw.IntegralAt(in.horizon) - in.warmIntegral[i]) / window
+		res.Rates[rr.Name] = (in.integralAt(i, in.horizon) - in.warmIntegral[i]) / window
 	}
 	for i, ir := range m.impulses {
 		res.Impulses[ir.Name] = in.impulses[i] - in.warmImpulses[i]
@@ -565,54 +574,35 @@ func (in *Instance) EndRun() (Results, error) {
 // point. It must run before any observation past the warmup time.
 func (in *Instance) snapshotWarmup() {
 	for i := range in.rateSt {
-		in.warmIntegral[i] = in.rateSt[i].tw.IntegralAt(in.warmup)
+		in.warmIntegral[i] = in.integralAt(i, in.warmup)
 	}
 	copy(in.warmImpulses, in.impulses)
 	in.warmSnapped = true
+}
+
+// integralAt returns rate reward i's time integral over [0, t], for t at or
+// after the last observation: the reward has held its value since then.
+func (in *Instance) integralAt(i int, t float64) float64 {
+	s := &in.rateSt[i]
+	return s.integral + s.val*(t-in.rateT)
 }
 
 // fire completes an activity: input-gate functions run first, then one case
 // is selected by weight and its output gate runs. Gate execution runs with
 // dirty tracking on; once a fatal error is recorded the remaining gate
 // stages are skipped, so a failed replication never mutates the marking
-// past the error point. Activities whose gates are purely counted arcs take
-// the compiled path: the same marking steps — same order, same
-// negative/capacity checks, same dirty touches — applied directly from the
-// firing plan, with no closure calls.
+// past the error point. Activities whose input functions are all counted
+// arcs take the compiled path for them: the same marking steps — same
+// order, same negative/capacity checks, same dirty touches — applied
+// directly from the firing plan, with no closure calls; their cases, if
+// any were added, then run as closures.
 func (in *Instance) fire(ap *actPlan) {
 	a := ap.act
 	in.firings++
 	if in.preFire != nil {
 		in.preFire(a)
 	}
-	if ap.fireCompiled {
-		if ft := ap.fireTouch; ft != nil {
-			// Fused-touch path (narrow arenas): one OR marks every place the
-			// plan touches plus its rate-dirty bits, and the steps skip the
-			// per-place touches. Marking before the steps keeps the dirty
-			// sets a superset of the per-step path on the error exit, which
-			// a failed replication never reads.
-			ar := in.dirtyArena
-			for i, w := range ft {
-				ar[i] |= w
-			}
-			for _, st := range ap.fireArcs {
-				in.applyArcStep(st)
-				if in.failed != nil {
-					return
-				}
-			}
-		} else {
-			for _, st := range ap.fireArcs {
-				in.applyArcStep(st)
-				in.touchID(st.p.id)
-				if in.failed != nil {
-					return
-				}
-			}
-		}
-		// The implicit single case has an empty output gate: nothing to run.
-	} else {
+	if !ap.fireCompiled {
 		in.tracking = true
 		for _, fn := range a.inputFns {
 			fn()
@@ -621,6 +611,35 @@ func (in *Instance) fire(ap *actPlan) {
 				return
 			}
 		}
+	} else if ft := ap.fireTouch; ft != nil {
+		// Fused-touch path (narrow arenas): one OR marks every place the
+		// plan touches plus its rate-dirty bits, and the steps skip the
+		// per-place touches. Marking before the steps keeps the dirty sets
+		// a superset of the per-step path on the error exit, which a failed
+		// replication never reads.
+		ar := in.dirtyArena
+		for i, w := range ft {
+			ar[i] |= w
+		}
+		for _, st := range ap.fireArcs {
+			in.applyArcStep(st)
+			if in.failed != nil {
+				return
+			}
+		}
+	} else {
+		for _, st := range ap.fireArcs {
+			in.applyArcStep(st)
+			in.touchID(st.p.id)
+			if in.failed != nil {
+				return
+			}
+		}
+	}
+	// A case-free plan's only case is the implicit empty one: nothing to
+	// run.
+	if !ap.caseFree {
+		in.tracking = true
 		var c *Case
 		if len(a.cases) == 1 {
 			c = &a.cases[0]
@@ -914,37 +933,60 @@ func (in *Instance) complete(i int) {
 
 // observeRates records the current value of every rate reward at the
 // current time. Only rewards whose watched places or activities were
-// dirtied since the last observation are re-evaluated; the rest observe
-// their cached value, so the accumulated integral is bit-identical to
-// evaluating every reward at every event.
+// dirtied since the last observation are re-evaluated, and a reward that
+// refs a projection only when a touch of its place changed the key; the
+// rest keep their cached value, which the skipped evaluation would have
+// returned, so the accumulated integral is bit-identical to evaluating every
+// reward at every event. The integral update is the one float64 expression
+// value*(now-last) for every reward, against the shared reward clock.
 func (in *Instance) observeRates() {
 	now := in.kernel.Now()
+	dt := now - in.rateT
+	in.rateT = now
 	st := in.rateSt
 	dirty := in.rateDirty
 	wild := in.prog.rateWildMask
+	if len(in.projKeys) > 0 {
+		in.checkProjections()
+	}
 	if len(dirty) == 1 {
-		// ≤64 rewards: hoist the dirty word out of the loop.
+		// ≤64 rewards and projections: hoist the dirty word out of the loop.
 		d := dirty[0]
 		for i := range st {
 			s := &st[i]
+			s.integral += s.val * dt
 			if d&(1<<uint(i)) != 0 {
 				s.val = s.fn()
 			}
-			s.tw.Observe(now, s.val)
 		}
 		dirty[0] = wild[0]
 		return
 	}
 	for i := range st {
 		s := &st[i]
+		s.integral += s.val * dt
 		if dirty.has(i) {
 			s.val = s.fn()
 		}
-		s.tw.Observe(now, s.val)
 	}
 	// Reset to the wildcard baseline: rewards without usable Refs stay
 	// dirty and are re-evaluated at every observation.
 	copy(dirty, wild)
+}
+
+// checkProjections re-evaluates the key of every projection whose place was
+// touched since the last observation, and dirties the rewards behind each
+// key that changed. The projection bits follow the rewards' in rateDirty.
+func (in *Instance) checkProjections() {
+	dirty := in.rateDirty
+	p := in.prog
+	for b := dirty.next(p.nRates); b >= 0; b = dirty.next(b + 1) {
+		j := b - p.nRates
+		if k := p.projs[j].key(); k != in.projKeys[j] {
+			in.projKeys[j] = k
+			dirty.or(p.projRewards[j*p.wR : (j+1)*p.wR])
+		}
+	}
 }
 
 // fail records a fatal execution error; the run loop stops on it.

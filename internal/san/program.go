@@ -37,7 +37,8 @@ type arcPred struct {
 
 // arcStep is one counted arc's marking effect (consume for input arcs,
 // produce for output arcs), in input-function order. For activities whose
-// gates consist purely of counted arcs, the step list is the whole firing.
+// input functions are all counted arcs, the step list is the whole input
+// gate; the cases (if any were added) run after it.
 type arcStep struct {
 	p     *Place
 	delta int
@@ -45,9 +46,9 @@ type arcStep struct {
 
 // actPlan is the compiled execution plan of one activity: its identity, the
 // precomputed reward fan-out of a completion, and — when the activity's
-// gates are counted arcs — closure-free enabling and firing plans. Plans
-// are immutable after Compile; all mutable per-replication state lives on
-// the Instance.
+// predicates or input functions are counted arcs — closure-free enabling
+// and firing plans. Plans are immutable after Compile; all mutable
+// per-replication state lives on the Instance.
 type actPlan struct {
 	act *Activity
 	// impulseIdx are the model impulse-reward indexes triggered by this
@@ -70,14 +71,17 @@ type actPlan struct {
 	enabP *Place
 	enabN int
 
-	// fireArcs, when fireCompiled, is the activity's entire firing effect
-	// as data: the counted-arc marking steps in input-function order,
-	// followed by the implicit empty case. Compiled only when the activity
-	// has no opaque InputFunc and no case (gate-free), so applying the
-	// steps is exactly what the closures would do — including the
-	// negative-marking and capacity checks and the dirty-place touches.
+	// fireArcs, when fireCompiled, is the activity's input gate as data:
+	// the counted-arc marking steps in input-function order. Compiled when
+	// every input function is a counted arc, so applying the steps is
+	// exactly what the closures would do — including the negative-marking
+	// and capacity checks and the dirty-place touches. Unless caseFree,
+	// the activity's cases then run as closures with tracking on, as they
+	// would after the input closures; a caseFree activity has only the
+	// implicit empty case, so the steps are its entire firing.
 	fireArcs     []arcStep
 	fireCompiled bool
+	caseFree     bool
 	// fireTouch, when non-nil, is the union of the dirty rows of every
 	// place in fireArcs plus the plan's rateIdx bits, pre-computed over the
 	// arena's full stride: a compiled firing always touches the same
@@ -86,13 +90,13 @@ type actPlan struct {
 	// where the unconditional OR beats the sparse op lists.
 	fireTouch []uint64
 
-	// fuseCont marks instantaneous gate-free activities whose firing can
-	// only dirty the enabling of activities at or after their own position
-	// in the (priority, definition) firing order. After such a firing the
-	// stabilization scan continues in place — re-testing the activity
-	// itself, then walking forward into the fused chain — instead of
-	// restarting from priority zero, because no earlier activity can have
-	// become enabled. Compiled false whenever the model has wildcard
+	// fuseCont marks instantaneous case-free compiled activities whose
+	// firing can only dirty the enabling of activities at or after their
+	// own position in the (priority, definition) firing order. After such
+	// a firing the stabilization scan continues in place — re-testing the
+	// activity itself, then walking forward into the fused chain — instead
+	// of restarting from priority zero, because no earlier activity can
+	// have become enabled. Compiled false whenever the model has wildcard
 	// instantaneous activities (their reads are undocumented, so every
 	// marking change must re-test them).
 	fuseCont bool
@@ -118,8 +122,11 @@ type touchOp struct {
 // graph — for each place, exactly the activities whose enabling predicate
 // (input arcs and gate reads) and the rate rewards whose value can change
 // when that place's marking changes — lowered into per-place touch masks.
-// A Program is compiled once per model and shared by every Instance derived
-// from it; nothing on it changes during a run.
+// An activity whose predicates are all input arcs reads only its arc
+// places; a reward that refs a projection depends on the projection, which
+// a touch of its place marks for a key check. A Program is compiled once
+// per model and shared by every Instance derived from it; nothing on it
+// changes during a run.
 //
 // Because the model's marking lives on the Model itself (gate closures
 // capture places directly), instances of the same Program share that
@@ -136,16 +143,26 @@ type Program struct {
 	instants []*actPlan
 
 	// extBase offsets extended-place ids into the shared incidence id
-	// space: token places occupy [0, len(places)), extended places follow.
+	// space: token places occupy [0, len(places)), extended places follow,
+	// then projections (deps and Dependents only; nothing touches them).
 	extBase int
+
+	// projs are the model's projections in declaration order. Projection j
+	// owns bit nRates+j of an instance's rate-dirty set: a touch of its
+	// place sets the bit, and the observation that finds it set
+	// re-evaluates the key and, when the key changed, dirties the rate
+	// rewards that ref the projection, projRewards[j*wR:(j+1)*wR].
+	projs       []projection
+	projRewards []uint64
+	nRates      int
 
 	// deps is the enabling-dependency graph the touch masks are lowered
 	// from, retained for diagnostics (livelock reports), analysis, and
 	// tests: per place id, the firing-table indexes of dependent timed
 	// activities, instantaneous activities, and rate rewards.
 	deps incidence
-	// placeIDs resolves fully qualified place names (token and extended)
-	// to their incidence ids.
+	// placeIDs resolves fully qualified place and projection names to
+	// their incidence ids.
 	placeIDs map[string]int
 
 	// wT/wI/wR are the word counts of the three dirty bitsets laid out
@@ -217,7 +234,10 @@ func (p *Program) Model() *Model { return p.model }
 // rate rewards the compiled enabling-dependency graph re-tests when the
 // place's marking changes. ok is false when the place is unknown.
 // Activities with undocumented reads are not listed per place; they are in
-// WildcardActivities and re-tested on every pass.
+// WildcardActivities and re-tested on every pass. An activity whose
+// predicates are all input arcs is listed under its arc places only. A
+// reward that refs a projection is listed under the projection's name, not
+// its place: it is re-evaluated when a touch of the place changed the key.
 func (p *Program) Dependents(place string) (timed, inst, rates []string, ok bool) {
 	id, ok := p.placeIDs[place]
 	if !ok {
@@ -348,17 +368,24 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 		}
 	}
 
-	// Place name → incidence id (token places first, then extended).
+	// Place name → incidence id (token places first, then extended, then
+	// projections).
 	p.extBase = len(m.places)
-	places := make(map[string]int, len(m.places)+len(m.extPlaces))
+	ids := len(m.places) + len(m.extPlaces)
+	places := make(map[string]int, ids+len(m.projections))
 	for _, pl := range m.places {
 		places[pl.name] = pl.id
 	}
 	for i, pl := range m.extPlaces {
 		places[pl.Name()] = p.extBase + i // NewExtPlace assigns ids in creation order
 	}
+	for j, pr := range m.projections {
+		places[pr.name] = ids + j
+	}
+	p.projs = m.projections
 	p.placeIDs = places
-	inc := newIncidence(len(m.places) + len(m.extPlaces))
+	p.nRates = len(m.rates)
+	inc := newIncidence(ids + len(m.projections))
 
 	p.wildTimed = newBitset(len(p.timed))
 	p.wildInst = newBitset(len(p.instants))
@@ -376,9 +403,12 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 			// after its own completion, which complete() marks directly.
 			return
 		}
+		// Predicates that are all input arcs read exactly their arc places;
+		// other input links document what the cases read.
+		arcOnly := a.gatePreds == 0
 		indexed := false
 		for _, l := range a.links {
-			if l.Kind != LinkInput {
+			if l.Kind != LinkInput || arcOnly && !l.arc {
 				continue
 			}
 			pid, ok := places[l.Place]
@@ -414,7 +444,7 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 	// Rate rewards: Refs → watched places or completion-counted activities.
 	// Activity refs are rare (most refs are places, resolved by the map),
 	// so they take a linear scan instead of a second name map.
-	p.rateWildMask = newBitset(len(m.rates))
+	p.rateWildMask = newBitset(len(m.rates) + len(m.projections))
 	activityPlan := func(name string) *actPlan {
 		for _, a := range m.activities {
 			if a.name == name {
@@ -445,10 +475,9 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 	// Closure-free plans, reconstructed from the arc-flagged links (for
 	// those, the documented (place, count) IS the installed gate
 	// semantics, in creation order — the closures' execution order).
-	// Enabling compiles whenever every predicate is a counted input arc;
-	// firing compiles whenever additionally every input function is a
-	// counted arc and the only case is the implicit empty one. The gate*
-	// counters distinguish arc-installed components from opaque ones. All
+	// Enabling compiles whenever every predicate is a counted input arc
+	// (gatePreds counts the opaque ones); the input gate compiles whenever
+	// every input function is a counted arc, ahead of any added cases. All
 	// plans share two exact-capacity pools, so compiling arcs costs two
 	// allocations however many activities have them.
 	var predPool []arcPred
@@ -500,9 +529,10 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 				ap.enabN = preds[0].n
 			}
 		}
-		if a.gateFns == 0 && a.gateCases == 0 && len(steps) == len(a.inputFns) {
+		if len(steps) == len(a.inputFns) {
 			ap.fireArcs = steps
 			ap.fireCompiled = true
+			ap.caseFree = a.gateCases == 0
 		}
 	}
 	for _, ap := range p.timed {
@@ -532,15 +562,15 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 		compilePlans(ap)
 	}
 
-	// Fused-chain marks: an instantaneous gate-free firing whose touched
-	// places have no dependent instantaneous activity earlier than itself
-	// cannot enable anything the priority scan already passed, so the scan
-	// may continue in place. Disabled model-wide by wildcard instantaneous
-	// activities (undocumented reads must be re-tested after every change)
-	// and by the WithoutFusion option.
+	// Fused-chain marks: an instantaneous case-free compiled firing whose
+	// touched places have no dependent instantaneous activity earlier than
+	// itself cannot enable anything the priority scan already passed, so
+	// the scan may continue in place. Disabled model-wide by wildcard
+	// instantaneous activities (undocumented reads must be re-tested after
+	// every change) and by the WithoutFusion option.
 	if !cfg.noFuse && !p.wildInstAny {
 		for i, ap := range p.instants {
-			if !ap.fireCompiled {
+			if !ap.fireCompiled || !ap.caseFree {
 				continue
 			}
 			minDep := math.MaxInt
@@ -560,14 +590,14 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 	// Lower the dependency graph into per-place touch masks: touching a
 	// place ORs precompiled masks into the instance's dirty arena, which
 	// lays the three dirty sets out consecutively (candTimed words, then
-	// candInst, then rateDirty). Models whose sets each fit in one word
-	// take a dense three-words-per-place layout; wider models get sparse
-	// per-place op lists covering only the nonzero words.
+	// candInst, then rateDirty, whose bits past the rate rewards mark
+	// projections). Models whose sets each fit in one word take a dense
+	// three-words-per-place layout; wider models get sparse per-place op
+	// lists covering only the nonzero words.
 	p.wT = (len(p.timed) + 63) / 64
 	p.wI = (len(p.instants) + 63) / 64
-	p.wR = (len(m.rates) + 63) / 64
+	p.wR = (len(m.rates) + len(m.projections) + 63) / 64
 	p.mask111 = p.wT == 1 && p.wI == 1 && p.wR == 1
-	ids := len(m.places) + len(m.extPlaces)
 	stride := p.wT + p.wI + p.wR
 	p.mask4 = stride == 4
 	// The fused firing rows (below) live in the same backing array as the
@@ -590,6 +620,15 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 		}
 		for _, i := range inc.rates[id] {
 			mr.set(int(i))
+		}
+	}
+	p.projRewards = make([]uint64, len(m.projections)*p.wR)
+	for j, pr := range m.projections {
+		id := p.extBase + pr.ext
+		bitset(rows[id*stride+p.wT+p.wI : (id+1)*stride]).set(p.nRates + j)
+		rewards := bitset(p.projRewards[j*p.wR : (j+1)*p.wR])
+		for _, i := range inc.rates[ids+j] {
+			rewards.set(int(i))
 		}
 	}
 	if p.mask111 || p.mask4 {

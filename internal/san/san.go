@@ -144,6 +144,36 @@ func (p *ExtPlace[T]) Set(v T) {
 // by the model.
 func (p *ExtPlace[T]) Reset() { p.value = p.init() }
 
+// Project declares a projection of the place and returns its reward ref,
+// "<place>.<field>". A rate reward that documents the projection instead of
+// the place reads only the part of the value key extracts: a touch of the
+// place marks the projection, and the executor re-evaluates the rewards
+// behind it only when key's result changed since the last observation. key
+// must therefore capture everything those rewards read from the place.
+// Static analysis sees the ref as a reference to the place itself.
+func (p *ExtPlace[T]) Project(field string, key func(*T) uint64) string {
+	name := p.name + "." + field
+	if key == nil {
+		p.model.addErr(fmt.Errorf("san: nil key for projection %s", name))
+		return name
+	}
+	p.model.claimName(name)
+	p.model.projections = append(p.model.projections, projection{
+		name: name,
+		ext:  p.id,
+		key:  func() uint64 { return key(&p.value) },
+	})
+	return name
+}
+
+// projection is one declared ExtPlace.Project: a reward ref narrower than
+// its extended place.
+type projection struct {
+	name string        // the ref, "<place>.<field>"
+	ext  int           // the place's index among the model's extended places
+	key  func() uint64 // the projected part of the current value
+}
+
 // JoinedBy returns the submodels that share this extended place.
 func (p *ExtPlace[T]) JoinedBy() []string { return append([]string(nil), p.joins...) }
 
@@ -215,14 +245,15 @@ type Activity struct {
 	links    []Link
 	model    *Model
 	defined  int // definition order, tie-break within priority
-	// gatePreds / gateFns / gateCases count the opaque gate components
-	// added directly (Predicate, InputFunc, AddCase), as opposed to the
-	// ones the counted-arc conveniences create. Structural analysis uses
-	// them to tell activities whose semantics ARE their documented arcs
-	// from activities with behavior the documentation only approximates;
-	// the compiled executor uses them to decide when the arc records above
-	// fully describe the activity.
-	gatePreds, gateFns, gateCases int
+	// gatePreds / gateCases count the opaque predicates and cases added
+	// directly (Predicate, AddCase), as opposed to the ones the
+	// counted-arc conveniences create. Structural analysis uses them to
+	// tell activities whose semantics ARE their documented arcs from
+	// activities with behavior the documentation only approximates; the
+	// compiled executor uses gatePreds to decide when the arc records
+	// above are the whole enabling condition. Opaque input functions need
+	// no counter: they are the input functions without an arc link.
+	gatePreds, gateCases int
 }
 
 // Name returns the activity's fully qualified name.
@@ -351,7 +382,9 @@ type RateReward struct {
 	// Fn evaluates the instantaneous reward under the current marking.
 	Fn func() float64
 	// Refs documents the places/activities the reward function reads, for
-	// structure export and static analysis (the function itself is opaque).
+	// structure export and static analysis (the function itself is opaque),
+	// and tells the executor when to re-evaluate it. A ref may name a
+	// projection (ExtPlace.Project) instead of a whole extended place.
 	Refs []string
 }
 
@@ -395,6 +428,7 @@ type Model struct {
 	rates         []RateReward
 	impulses      []ImpulseReward
 	conservations []Conservation
+	projections   []projection
 	byName        map[string]bool
 	errs          []error
 	// notify, when set, is called on every recorded modeling error so a
@@ -620,6 +654,9 @@ func (s *Sub) activity(name string, kind ActivityKind, delay func(*rng.Source) f
 		delay:   delay,
 		model:   s.model,
 		defined: len(s.model.activities),
+		// Most activities document a few links: one allocation covers
+		// them instead of the doublings from one.
+		links: make([]Link, 0, 4),
 	}
 	s.model.activities = append(s.model.activities, a)
 	return a

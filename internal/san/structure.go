@@ -48,7 +48,8 @@ type ActivityInfo struct {
 	// input arcs install one each; GatePredicates counts the rest).
 	Predicates int
 	// GatePredicates / GateFuncs / GateCases count the opaque gate
-	// components added directly through Predicate, InputFunc, and AddCase.
+	// components: predicates and cases added directly through Predicate
+	// and AddCase, and input functions not installed by a counted arc.
 	// An activity with all three zero is a pure-arc activity: its enabling
 	// condition and marking effect are exactly its counted links, so
 	// structural analysis can execute it symbolically.
@@ -114,9 +115,14 @@ func (m *Model) Structure() Structure {
 			Priority:       a.priority,
 			Predicates:     len(a.preds),
 			GatePredicates: a.gatePreds,
-			GateFuncs:      a.gateFns,
+			GateFuncs:      len(a.inputFns),
 			GateCases:      a.gateCases,
 			Links:          a.Links(),
+		}
+		for _, l := range a.links {
+			if l.arc {
+				info.GateFuncs-- // every arc installs one input function
+			}
 		}
 		for _, c := range a.cases {
 			info.Cases = append(info.Cases, CaseInfo{Weight: c.Weight()})
@@ -127,7 +133,7 @@ func (m *Model) Structure() Structure {
 		st.Rewards = append(st.Rewards, RewardInfo{
 			Name: r.Name,
 			Kind: RewardRate,
-			Refs: append([]string(nil), r.Refs...),
+			Refs: m.placeRefs(r.Refs),
 		})
 	}
 	for _, r := range m.impulses {
@@ -135,8 +141,24 @@ func (m *Model) Structure() Structure {
 			Name:     r.Name,
 			Kind:     RewardImpulse,
 			Activity: r.Activity.Name(),
-			Refs:     append([]string(nil), r.Refs...),
+			Refs:     m.placeRefs(r.Refs),
 		})
 	}
 	return st
+}
+
+// placeRefs copies reward refs with every projection ref replaced by its
+// extended place: a projection narrows when the executor re-evaluates a
+// reward, not what the reward reads from the model's structure.
+func (m *Model) placeRefs(refs []string) []string {
+	out := append([]string(nil), refs...)
+	for i, ref := range out {
+		for _, pr := range m.projections {
+			if pr.name == ref {
+				out[i] = m.extPlaces[pr.ext].Name()
+				break
+			}
+		}
+	}
+	return out
 }

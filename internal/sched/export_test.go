@@ -24,3 +24,16 @@ func (r *RelaxedCo) Skew(id int) int64 {
 	}
 	return r.skew[id]
 }
+
+// pop removes and returns the queue's head.
+func (q *vcpuQueue) pop() (int, bool) {
+	if len(q.order) == 0 {
+		return 0, false
+	}
+	id := q.order[0]
+	q.removeAt(0)
+	return id, true
+}
+
+// len returns the number of queued VCPUs.
+func (q *vcpuQueue) len() int { return len(q.order) }

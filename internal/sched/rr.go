@@ -124,15 +124,6 @@ func (q *vcpuQueue) push(id int) {
 	q.member[id] = true
 }
 
-func (q *vcpuQueue) pop() (int, bool) {
-	if len(q.order) == 0 {
-		return 0, false
-	}
-	id := q.order[0]
-	q.removeAt(0)
-	return id, true
-}
-
 // remove deletes id from the queue wherever it is.
 func (q *vcpuQueue) remove(id int) {
 	if !q.has(id) {
@@ -147,8 +138,5 @@ func (q *vcpuQueue) removeAt(i int) {
 	q.member[q.order[i]] = false
 	q.order = append(q.order[:i], q.order[i+1:]...)
 }
-
-// len returns the number of queued VCPUs.
-func (q *vcpuQueue) len() int { return len(q.order) }
 
 func (q *vcpuQueue) String() string { return fmt.Sprint(q.order) }

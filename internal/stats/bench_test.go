@@ -22,11 +22,3 @@ func BenchmarkTQuantileUncached(b *testing.B) {
 		_ = tQuantileFresh(0.95, 20)
 	}
 }
-
-func BenchmarkTimeWeightedObserve(b *testing.B) {
-	var tw TimeWeighted
-	tw.Start(0, 0)
-	for i := 0; i < b.N; i++ {
-		tw.Observe(float64(i+1), float64(i%2))
-	}
-}

@@ -21,15 +21,6 @@ func (w *Welford) Merge(o Welford) {
 	w.n = n
 }
 
-// MeanAt returns the time average of the signal over [start, t].
-func (tw *TimeWeighted) MeanAt(t float64) float64 {
-	if !tw.started || t <= tw.start {
-		return 0
-	}
-	integral := tw.integral + tw.lastV*(t-tw.lastT)
-	return integral / (t - tw.start)
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of the given sample using
 // linear interpolation. It returns an error for an empty sample or q out of
 // range. The input slice is not modified.

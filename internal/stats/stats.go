@@ -207,52 +207,3 @@ func lgamma(x float64) float64 {
 	v, _ := math.Lgamma(x)
 	return v
 }
-
-// TimeWeighted accumulates the time integral of a piecewise-constant signal,
-// the basis of SAN rate rewards: the mean over [start, now] is the
-// time-averaged value of the signal.
-type TimeWeighted struct {
-	start    float64
-	lastT    float64
-	lastV    float64
-	integral float64
-	started  bool
-}
-
-// Start begins accumulation at time t with initial value v. It resets any
-// prior state.
-func (tw *TimeWeighted) Start(t, v float64) {
-	*tw = TimeWeighted{start: t, lastT: t, lastV: v, started: true}
-}
-
-// Observe records that the signal changed to v at time t. Time must be
-// non-decreasing. The running case is branch-plus-arithmetic; first
-// observation and the time-regression panic live in the cold helper.
-// Observe does not inline: its cost (89 in go build -gcflags=-m=2) is
-// over the compiler's budget of 80.
-func (tw *TimeWeighted) Observe(t, v float64) {
-	if !tw.started || t < tw.lastT {
-		tw.observeSlow(t, v)
-		return
-	}
-	tw.integral += tw.lastV * (t - tw.lastT)
-	tw.lastT = t
-	tw.lastV = v
-}
-
-//go:noinline
-func (tw *TimeWeighted) observeSlow(t, v float64) {
-	if !tw.started {
-		tw.Start(t, v)
-		return
-	}
-	panic(fmt.Sprintf("stats: TimeWeighted time went backwards: %g < %g", t, tw.lastT))
-}
-
-// IntegralAt returns the time integral of the signal over [start, t].
-func (tw *TimeWeighted) IntegralAt(t float64) float64 {
-	if !tw.started {
-		return 0
-	}
-	return tw.integral + tw.lastV*(t-tw.lastT)
-}

@@ -185,44 +185,6 @@ func TestIntervalRelHalfWidth(t *testing.T) {
 	}
 }
 
-func TestTimeWeighted(t *testing.T) {
-	var tw TimeWeighted
-	tw.Start(0, 1) // value 1 over [0, 10)
-	tw.Observe(10, 0)
-	tw.Observe(15, 2) // value 0 over [10,15), 2 over [15,20)
-	if got := tw.MeanAt(20); !almostEqual(got, (10*1+5*0+5*2)/20.0, 1e-12) {
-		t.Errorf("time-weighted mean = %g, want 1.0", got)
-	}
-	if got := tw.IntegralAt(20); !almostEqual(got, 20, 1e-12) {
-		t.Errorf("integral = %g, want 20", got)
-	}
-}
-
-func TestTimeWeightedBeforeStart(t *testing.T) {
-	var tw TimeWeighted
-	if tw.MeanAt(5) != 0 || tw.IntegralAt(5) != 0 {
-		t.Error("unstarted accumulator should be zero")
-	}
-	tw.Observe(3, 2) // first Observe acts as Start
-	if got := tw.MeanAt(5); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("mean after implicit start = %g, want 2", got)
-	}
-	if got := tw.MeanAt(3); got != 0 {
-		t.Errorf("mean over empty interval = %g, want 0", got)
-	}
-}
-
-func TestTimeWeightedPanicsOnBackwardsTime(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on backwards time")
-		}
-	}()
-	var tw TimeWeighted
-	tw.Start(10, 1)
-	tw.Observe(5, 0)
-}
-
 func TestQuantile(t *testing.T) {
 	s := []float64{4, 1, 3, 2}
 	q, err := Quantile(s, 0.5)
