@@ -14,10 +14,13 @@
 #                             # shrinking and with a fixed horizon, plus
 #                             # the fixed horizon at 10,000 hosts; the
 #                             # cluster rows run again at GOMAXPROCS=1,
-#                             # named .../procs=1) and the layer rows (rng
+#                             # named .../procs=1), the layer rows (rng
 #                             # samplers, des kernel, scheduler policies,
-#                             # pooled replication setup, t quantile)
-#                             # parsed into JSON under the given label via
+#                             # pooled replication setup, t quantile) and
+#                             # the end-to-end rows (Figures 8-10, Figure 8
+#                             # on the SAN engine, and one RunCells pool at
+#                             # GOMAXPROCS 2 and 1), parsed into JSON under
+#                             # the given label via
 #                             # cmd/benchjson; default out
 #                             # results/bench/BENCH_<label>.json (errors if
 #                             # that file already exists — never silently
@@ -39,13 +42,16 @@ cd "$(dirname "$0")"
 
 PKGS="./internal/san ./internal/core ./internal/des ./internal/cluster"
 BENCH="BenchmarkRunner|BenchmarkScheduleAndStep|BenchmarkHeapChurn|BenchmarkCancel|BenchmarkClusterReplicate|BenchmarkClusterFixedHorizon"
+# The root package's figure rows: each iteration regenerates a figure's grid
+# at a reduced replication budget.
+FIGS='BenchmarkFigure8$|BenchmarkFigure8SAN$|BenchmarkFigure9$|BenchmarkFigure10$'
 
 case "${1:-}" in
 smoke)
     # One abbreviated pass so CI catches benchmarks that fail to build or
     # error out, without paying for stable numbers.
-    exec go test -run '^$' -bench "$BENCH|BenchmarkChurnHeapKernel|BenchmarkReplicationSetup|BenchmarkTQuantile|Schedule\$|BenchmarkExpZig|BenchmarkNormZig|BenchmarkExponentialSample" \
-        -benchtime 1x -benchmem $PKGS ./internal/stats ./internal/sched ./internal/rng
+    exec go test -run '^$' -bench "$BENCH|BenchmarkChurnHeapKernel|BenchmarkReplicationSetup|BenchmarkTQuantile|Schedule\$|BenchmarkExpZig|BenchmarkNormZig|BenchmarkExponentialSample|$FIGS|BenchmarkRunCells\$" \
+        -benchtime 1x -benchmem $PKGS ./internal/stats ./internal/sched ./internal/rng .
     ;;
 json)
     label="${2:?usage: ./bench.sh json <label> [out.json]}"
@@ -89,6 +95,15 @@ json)
             -benchtime 100000x -count=10 -benchmem ./internal/core
         go test -run '^$' -bench 'BenchmarkTQuantile$' \
             -benchtime 1000000x -count=10 -benchmem ./internal/stats
+        # End-to-end rows, 10-50 ms per iteration. The RunCells pool runs
+        # as wide as GOMAXPROCS: pinned to 2, and again at 1 under a
+        # .../procs=1 name.
+        go test -run '^$' -bench "$FIGS" \
+            -benchtime 50x -count=10 -benchmem .
+        GOMAXPROCS=2 go test -run '^$' -bench 'BenchmarkRunCells$' \
+            -benchtime 50x -count=10 -benchmem .
+        GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkRunCells$' \
+            -benchtime 50x -count=10 -benchmem . | sed 's|^\(BenchmarkRunCells[^ 	]*\)|\1/procs=1|'
     } | go run ./cmd/benchjson -out "$out" -label "$label"
     ;;
 compare)

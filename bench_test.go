@@ -33,6 +33,33 @@ func BenchmarkFigure8(b *testing.B) {
 	}
 }
 
+// BenchmarkFigure8SAN is BenchmarkFigure8 on the SAN engine: the same
+// cells, replicated through the executor the fast engine bypasses.
+func BenchmarkFigure8SAN(b *testing.B) {
+	p := benchParams()
+	p.Engine = experiments.EngineSAN
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.Figure8(context.Background(), p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunCells runs the Figure 8 grid on the SAN engine through one
+// RunCells pool as wide as GOMAXPROCS, four replications per cell, so the
+// pool's workers share cells; ./bench.sh json records it at the ambient
+// GOMAXPROCS and again at 1.
+func BenchmarkRunCells(b *testing.B) {
+	p := benchParams()
+	p.Engine = experiments.EngineSAN
+	p.Sim.MinReps, p.Sim.MaxReps, p.Sim.Parallelism = 4, 4, 0
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.Figure8(context.Background(), p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFigure9 regenerates the paper's Figure 9 series (PCPU
 // utilization across the three VM sets).
 func BenchmarkFigure9(b *testing.B) {

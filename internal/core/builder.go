@@ -569,11 +569,15 @@ func (sys *System) schedulerStep(timestamp *san.ExtPlace[int64]) {
 		sys.pendingOut = make([]bool, n)
 		sys.viewBuf = make([]VCPUView, n)
 		sys.pviewBuf = make([]PCPUView, len(*pc))
+		// A VCPU's identity never changes: write it once.
+		for _, vc := range sys.vcpus {
+			v := &sys.viewBuf[vc.id]
+			v.ID = vc.id
+			v.VM = vc.vm
+			v.Sibling = vc.sibling
+		}
 	}
 	pendingOut := sys.pendingOut
-	for i := range pendingOut {
-		pendingOut[i] = false
-	}
 	if flt := sys.flt; flt != nil {
 		// Per-tick fault scratch: read by the impulse rewards that fire on
 		// Scheduling_Func right after this gate returns.
@@ -604,6 +608,8 @@ func (sys *System) schedulerStep(timestamp *san.ExtPlace[int64]) {
 		h := vc.host.Peek()
 		status := s.Status
 		if pendingOut[vc.id] {
+			// Read once per tick: clear it for the next one here.
+			pendingOut[vc.id] = false
 			status = Inactive
 		}
 		if sys.parked != nil && sys.parked[vc.vm] {
@@ -613,9 +619,6 @@ func (sys *System) schedulerStep(timestamp *san.ExtPlace[int64]) {
 		// builds the struct in a temporary and block-copies it into the
 		// slice, which shows up as measurable copy time at tick rate.
 		v := &views[vc.id]
-		v.ID = vc.id
-		v.VM = vc.vm
-		v.Sibling = vc.sibling
 		v.Status = status
 		v.RemainingLoad = s.RemainingLoad
 		v.SyncPoint = s.SyncPoint

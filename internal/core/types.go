@@ -173,8 +173,9 @@ func (a *Actions) Reset() {
 // reset mechanism is needed.
 //
 // The vcpus and pcpus slices are buffers the engine refills in place every
-// tick: a scheduler must not retain them, or acts, past the call. The VCPU
-// set and each VCPU's VM membership (ID, VM, Sibling) are fixed for a
+// tick: a scheduler must not modify them, or retain them or acts past the
+// call (the engine writes each view's ID, VM and Sibling only once). The
+// VCPU set and each VCPU's VM membership (ID, VM, Sibling) are fixed for a
 // scheduler's lifetime — only the state fields change, and a VM that is
 // not admitted on a host shows up as Parked statuses, not as missing
 // views — so a scheduler may derive the gang topology once (see Gangs).

@@ -115,3 +115,36 @@ func BenchmarkRunnerMM1(b *testing.B) {
 		b.ReportMetric(float64(events)/sec, "events/s")
 	}
 }
+
+// BenchmarkRunnerChain measures stabilization on pure-arc instantaneous
+// chains (buildHopChain): every clock token walks the whole chain, so
+// nearly all the work is instantaneous firings and the candidate scans
+// between them. The model compiles once; each iteration resets the
+// instance and runs one replication.
+func BenchmarkRunnerChain(b *testing.B) {
+	for _, n := range []int{48, 300} {
+		b.Run(fmt.Sprintf("hops=%d", n), func(b *testing.B) {
+			prog, err := Compile(buildHopChain(n, false))
+			if err != nil {
+				b.Fatal(err)
+			}
+			in, err := prog.NewInstance()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			var firings uint64
+			for i := 0; i < b.N; i++ {
+				in.Reset(uint64(i) + 1)
+				res, err := in.Run(200)
+				if err != nil {
+					b.Fatal(err)
+				}
+				firings += res.Firings
+			}
+			if sec := b.Elapsed().Seconds(); sec > 0 {
+				b.ReportMetric(float64(firings)/sec, "firings/s")
+			}
+		})
+	}
+}

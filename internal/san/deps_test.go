@@ -158,7 +158,7 @@ func bruteForceDeps(m *Model, st Structure, place string) (timed, inst, rates []
 // TestDependencyGraphMatchesStructure cross-checks the compiled graph
 // against the brute-force recomputation on the tandem benchmark model —
 // every arc documented, so every place must resolve identically — and on
-// the fused-chain workbench (arc-only activities with cases) and
+// the chain workbench (arc-only activities with cases) and
 // buildDepsNet (projection refs, case reads documented as input links).
 func TestDependencyGraphMatchesStructure(t *testing.T) {
 	for i, m := range []*Model{buildTandem(7), buildChainModel(), buildDepsNet()} {
@@ -209,10 +209,10 @@ func equalNames(a, b []string) bool {
 	return true
 }
 
-// buildChainModel is the fused-chain workbench: a deterministic clock
-// drives a token through a pure-arc instantaneous chain (fusable) into a
-// gated instantaneous splitter (not fusable: probabilistic cases), with
-// rate and impulse rewards watching the flow.
+// buildChainModel is the instantaneous-chain workbench: an exponential
+// clock drives a token through a pure-arc instantaneous chain (compiled
+// firing plans) into a gated instantaneous splitter (probabilistic cases,
+// run as closures), with rate and impulse rewards watching the flow.
 func buildChainModel() *Model {
 	m := NewModel("chain")
 	s := m.Sub("s")
@@ -249,68 +249,6 @@ func buildChainModel() *Model {
 	m.AddRateReward("leftShare", func() float64 { return float64(left.Tokens()) }, left.Name())
 	m.AddImpulseReward("hops", hop2, nil)
 	return m
-}
-
-// TestFusedActivitiesCompile pins which activities the compiler marks for
-// fused-chain continuation: pure-arc instants whose writes cannot enable
-// anything earlier in the scan, and nothing else.
-func TestFusedActivitiesCompile(t *testing.T) {
-	prog, err := Compile(buildChainModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused := prog.FusedActivities()
-	sort.Strings(fused)
-	// split has probabilistic cases (opaque output gates), so it cannot be
-	// compiled; the pure-arc hops and drains can. drainL/drainR both write
-	// sink, whose only instantaneous reader sits after them, and hop1/hop2
-	// write forward along the chain.
-	want := []string{"s/drainL", "s/drainR", "s/hop1", "s/hop2"}
-	if !reflect.DeepEqual(fused, want) {
-		t.Errorf("FusedActivities = %v, want %v", fused, want)
-	}
-
-	unfused, err := Compile(buildChainModel(), WithoutFusion())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := unfused.FusedActivities(); len(got) != 0 {
-		t.Errorf("WithoutFusion still fused %v", got)
-	}
-
-	// A wildcard instantaneous activity disables fusion model-wide: its
-	// reads are undocumented, so every marking change must re-test it.
-	m := buildChainModel()
-	s := m.Sub("w")
-	gate := s.Place("gate", 0)
-	wild := s.InstantActivity("wild")
-	wild.Predicate(func() bool { return gate.Tokens() > 0 }).
-		AddCase(nil, func() { gate.Add(-1) })
-	prog, err = Compile(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := prog.FusedActivities(); len(got) != 0 {
-		t.Errorf("model with wildcard instant still fused %v", got)
-	}
-}
-
-// TestFusedVsUnfusedBitIdentity is the fusion contract: with and without
-// fused-chain continuation, the trajectory — every reward value, every
-// counter — must be bit-identical across seeds. Only the number of
-// priority-scan restarts may differ.
-func TestFusedVsUnfusedBitIdentity(t *testing.T) {
-	compile := func(opts ...CompileOption) *Program {
-		prog, err := Compile(buildChainModel(), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(opts) == 0 && len(prog.FusedActivities()) == 0 {
-			t.Fatal("fusion not active; test would be vacuous")
-		}
-		return prog
-	}
-	requireSameRuns(t, compile(), compile(WithoutFusion()))
 }
 
 // TestFusedTouchMatchesPerStepTouch: on a narrow dirty arena a compiled

@@ -7,26 +7,6 @@ import (
 	"vcpusim/internal/rng"
 )
 
-// WithoutFusion disables fused-chain continuation: every instantaneous
-// firing restarts the priority scan, as the pre-fusion executor did. The
-// trajectory is bit-identical either way (the equivalence tests pin it).
-func WithoutFusion() CompileOption {
-	return func(c *compileConfig) { c.noFuse = true }
-}
-
-// FusedActivities returns the names of the instantaneous activities
-// compiled for fused-chain continuation (gate-free, and provably unable to
-// enable anything earlier in the priority scan), in firing order.
-func (p *Program) FusedActivities() []string {
-	var names []string
-	for _, ap := range p.instants {
-		if ap.fuseCont {
-			names = append(names, ap.act.name)
-		}
-	}
-	return names
-}
-
 // InputFunc adds an input-gate function executed when the activity
 // completes, before the case's output gate.
 func (a *Activity) InputFunc(fn func()) *Activity { return a.addInputFunc(fn) }

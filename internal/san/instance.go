@@ -630,7 +630,7 @@ func (in *Instance) fire(ap *actPlan) {
 	} else {
 		for _, st := range ap.fireArcs {
 			in.applyArcStep(st)
-			in.touchID(st.p.id)
+			in.touchID(int(st.p.id))
 			if in.failed != nil {
 				return
 			}
@@ -640,10 +640,8 @@ func (in *Instance) fire(ap *actPlan) {
 	// run.
 	if !ap.caseFree {
 		in.tracking = true
-		var c *Case
-		if len(a.cases) == 1 {
-			c = &a.cases[0]
-		} else {
+		c := ap.case1
+		if c == nil {
 			c = in.chooseCase(a)
 			if in.failed != nil {
 				in.tracking = false
@@ -724,11 +722,9 @@ func (in *Instance) sampleDelay(ap *actPlan) float64 {
 	}
 }
 
-// chooseCase selects one case by normalized weight.
+// chooseCase selects one of an activity's several cases by normalized
+// weight.
 func (in *Instance) chooseCase(a *Activity) *Case {
-	if len(a.cases) == 1 {
-		return &a.cases[0]
-	}
 	total := 0.0
 	weights := in.caseWeights[:len(a.cases)]
 	for i := range a.cases {
@@ -758,83 +754,74 @@ func (in *Instance) chooseCase(a *Activity) *Case {
 // stabilize fires enabled instantaneous activities in (priority, definition)
 // order until none is enabled. Only candidates — activities whose watched
 // places were dirtied since they were last found disabled, plus the
-// wildcard set — are re-examined: an instantaneous activity that was
-// disabled at the end of the previous stabilization stays disabled until
-// some firing touches a place it reads.
+// wildcard set — are examined: an instantaneous activity that was disabled
+// at the end of the previous stabilization stays disabled until some
+// firing touches a place it reads.
 //
-// After a firing the scan normally restarts from priority zero (a marking
-// change can enable anything). Firings of fused activities — compiled
-// gate-free firings whose written places provably have no dependent
-// instantaneous activity earlier in the scan order — skip the restart and
-// continue in place instead: every candidate before the scan position is
-// already cleared and cannot have been re-enabled, so the continued scan
-// visits exactly the candidates, in exactly the order, a restart would.
-// The firing sequence (and so the trajectory) is bit-identical; only the
-// number of bitset scans changes.
+// The loop always examines the lowest set candidate. When it reaches
+// candidate i, every candidate below i has already been cleared, and only
+// a firing sets bits again: after a disabled candidate it walks on from
+// i+1, and after a firing it folds the wildcard set back in and takes the
+// lowest candidate the firing left set. That visits exactly the
+// candidates, in exactly the order, of a scan restarted from priority zero
+// after every firing.
 func (in *Instance) stabilize() error {
 	n := 0 // completed instantaneous firings in this stabilization
+	cand, instants := in.candInst, in.instants
 	wildAny := in.prog.wildInstAny
-	for {
-		if wildAny {
-			in.candInst.or(in.prog.wildInst)
+	if wildAny {
+		cand.or(in.prog.wildInst)
+	}
+	for i := cand.next(0); i >= 0; {
+		ap := instants[i]
+		cand.clear(i)
+		if in.anyDisabled && in.disabledInst.has(i) {
+			i = cand.next(i + 1)
+			continue
 		}
-		fired := false
-		i := in.candInst.next(0)
-		for i >= 0 {
-			ap := in.instants[i]
-			in.candInst.clear(i)
-			if in.anyDisabled && in.disabledInst.has(i) {
-				i = in.candInst.next(i + 1)
-				continue
-			}
-			if !in.enabledPlan(ap) {
-				i = in.candInst.next(i + 1)
-				continue
-			}
-			if in.flight != nil {
-				in.flight.Record(in.kernel.Now(), obs.FlightFiring, int32(len(in.timed)+i), int64(in.firings))
-			}
-			in.fire(ap)
-			in.instFirings++
-			if in.actFirings != nil {
-				in.actFirings[len(in.timed)+i]++
-			}
-			// The firing may have left the activity enabled (its own
-			// reads untouched): keep it a candidate so the next scan
-			// re-examines it, as a full scan would.
-			in.candInst.set(i)
-			fired = true
-			if in.failed != nil {
-				break
-			}
-			n++
-			if n+stabRingLen > stabilizeCap {
-				// Approaching the livelock cap: record the firing so the
-				// error can name the cycle. Never taken in healthy models.
-				in.stabRing[n%stabRingLen] = int32(i)
-				if n > stabilizeCap {
-					err := in.livelockErr(n)
-					in.fail(err)
-					return err
-				}
-			}
-			if ap.fuseCont && !in.anyDisabled {
-				// Fused continuation: re-test this activity first (its bit
-				// is set), then walk on. next(i) lands on i itself.
-				i = in.candInst.next(i)
-				continue
-			}
-			break // restart the priority scan after the marking change
+		var enabled bool
+		if p := ap.enabP; p != nil {
+			enabled = p.tokens >= ap.enabN
+		} else {
+			enabled = in.enabledPlan(ap)
 		}
+		if !enabled {
+			i = cand.next(i + 1)
+			continue
+		}
+		if in.flight != nil {
+			in.flight.Record(in.kernel.Now(), obs.FlightFiring, int32(len(in.timed)+i), int64(in.firings))
+		}
+		in.fire(ap)
+		in.instFirings++
+		if in.actFirings != nil {
+			in.actFirings[len(in.timed)+i]++
+		}
+		// The firing may have left the activity enabled (its own reads
+		// untouched): keep it a candidate so it is examined again.
+		cand.set(i)
 		if in.failed != nil {
 			in.noteStabDepth(n)
 			return in.failed
 		}
-		if !fired {
-			in.noteStabDepth(n)
-			return nil
+		n++
+		if n+stabRingLen > stabilizeCap {
+			// Approaching the livelock cap: record the firing so the
+			// error can name the cycle. Never taken in healthy models.
+			in.stabRing[n%stabRingLen] = int32(i)
+			if n > stabilizeCap {
+				err := in.livelockErr(n)
+				in.fail(err)
+				return err
+			}
 		}
+		if wildAny {
+			cand.or(in.prog.wildInst)
+		}
+		i = cand.next(0)
 	}
+	in.noteStabDepth(n)
+	return nil
 }
 
 // livelockErr builds the stabilization-cap error, naming the activities the

@@ -2,7 +2,6 @@ package san
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -82,6 +81,9 @@ type actPlan struct {
 	fireArcs     []arcStep
 	fireCompiled bool
 	caseFree     bool
+	// case1, when the activity has exactly one case, is that case: fire
+	// runs its output gate without weighing it.
+	case1 *Case
 	// fireTouch, when non-nil, is the union of the dirty rows of every
 	// place in fireArcs plus the plan's rateIdx bits, pre-computed over the
 	// arena's full stride: a compiled firing always touches the same
@@ -89,17 +91,6 @@ type actPlan struct {
 	// the rate-dirty loop. Populated only for narrow arenas (stride ≤ 4),
 	// where the unconditional OR beats the sparse op lists.
 	fireTouch []uint64
-
-	// fuseCont marks instantaneous case-free compiled activities whose
-	// firing can only dirty the enabling of activities at or after their
-	// own position in the (priority, definition) firing order. After such
-	// a firing the stabilization scan continues in place — re-testing the
-	// activity itself, then walking forward into the fused chain — instead
-	// of restarting from priority zero, because no earlier activity can
-	// have become enabled. Compiled false whenever the model has wildcard
-	// instantaneous activities (their reads are undocumented, so every
-	// marking change must re-test them).
-	fuseCont bool
 
 	// Compiled delay sampler (timed activities): delayKind selects direct
 	// arithmetic with parameters delayA/delayB, or the activity's delay
@@ -269,6 +260,23 @@ func (p *Program) WildcardActivities() []string {
 	return names
 }
 
+// QuietPlaces returns the names of the places, token places first, that no
+// activity, reward or projection depends on: writes to them skip the touch.
+func (p *Program) QuietPlaces() []string {
+	var names []string
+	for _, pl := range p.model.places {
+		if pl.quiet {
+			names = append(names, pl.name)
+		}
+	}
+	for _, pl := range p.model.extPlaces {
+		if pl.isQuiet() {
+			names = append(names, pl.Name())
+		}
+	}
+	return names
+}
+
 // Determinism contract versions. The contract names the exact byte-level
 // reproduction guarantee a compiled program honors, and selects only the
 // variate stream: which sampling formulas turn the RNG's draws into
@@ -292,7 +300,6 @@ const (
 
 // compileConfig holds Compile's option state.
 type compileConfig struct {
-	noFuse   bool
 	contract int
 }
 
@@ -310,10 +317,9 @@ func WithContract(version int) CompileOption {
 // Compile validates model and compiles its immutable execution plan: the
 // activity firing orders, the per-activity reward fan-out, the
 // enabling-dependency graph with its per-place touch masks, closure-free
-// enabling and firing plans for counted-arc gates, and fused-chain marks
-// for instantaneous activities that cannot re-enable earlier ones. The
-// model's marking is untouched; Instance.Reset restores it before each
-// replication.
+// enabling and firing plans for counted-arc gates, and the quiet places no
+// activity or reward depends on. The model's marking is untouched;
+// Instance.Reset restores it before each replication.
 func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 	if err := model.Validate(); err != nil {
 		return nil, fmt.Errorf("san: model %q invalid: %w", model.Name(), err)
@@ -332,39 +338,43 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 	m := model
 	p := &Program{model: m, contract: cfg.contract}
 
-	// Activity lists. Timed activities keep definition order (the draw
-	// order); instantaneous ones sort by (priority, definition).
-	plan := make(map[*Activity]*actPlan, len(m.activities))
-	var instActs []*Activity
+	// Activity tables. Timed activities keep definition order (the draw
+	// order); instantaneous ones sort by (priority, definition). The plans
+	// share one array in table order.
+	n := len(m.activities)
+	order := make([]*Activity, 0, n)
 	for _, a := range m.activities {
-		switch a.kind {
-		case Timed:
-			ap := &actPlan{act: a}
-			p.timed = append(p.timed, ap)
-			plan[a] = ap
-		default:
-			instActs = append(instActs, a)
+		if a.kind == Timed {
+			order = append(order, a)
 		}
-		if n := len(a.cases); n > p.maxCases {
-			p.maxCases = n
+		if c := len(a.cases); c > p.maxCases {
+			p.maxCases = c
 		}
 	}
-	sort.SliceStable(instActs, func(i, j int) bool {
-		if instActs[i].priority != instActs[j].priority {
-			return instActs[i].priority < instActs[j].priority
+	nT := len(order)
+	for _, a := range m.activities {
+		if a.kind != Timed {
+			order = append(order, a)
 		}
-		return instActs[i].defined < instActs[j].defined
+	}
+	inst := order[nT:]
+	sort.SliceStable(inst, func(i, j int) bool {
+		if inst[i].priority != inst[j].priority {
+			return inst[i].priority < inst[j].priority
+		}
+		return inst[i].defined < inst[j].defined
 	})
-	for _, a := range instActs {
-		ap := &actPlan{act: a}
-		p.instants = append(p.instants, ap)
-		plan[a] = ap
+	pool, tables, plan := make([]actPlan, n), make([]*actPlan, n), make([]*actPlan, n)
+	for k, a := range order {
+		pool[k].act = a
+		tables[k], plan[a.defined] = &pool[k], &pool[k] // plan: by definition index
 	}
+	p.timed, p.instants = tables[:nT:nT], tables[nT:]
 	// Reward fan-out: impulse rewards by triggering activity; rate rewards
 	// by documented place/activity references.
 	for i, ir := range m.impulses {
-		if ap := plan[ir.Activity]; ap != nil {
-			ap.impulseIdx = append(ap.impulseIdx, int32(i))
+		if a := ir.Activity; a.model == m {
+			plan[a.defined].impulseIdx = append(plan[a.defined].impulseIdx, int32(i))
 		}
 	}
 
@@ -374,7 +384,7 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 	ids := len(m.places) + len(m.extPlaces)
 	places := make(map[string]int, ids+len(m.projections))
 	for _, pl := range m.places {
-		places[pl.name] = pl.id
+		places[pl.name] = int(pl.id)
 	}
 	for i, pl := range m.extPlaces {
 		places[pl.Name()] = p.extBase + i // NewExtPlace assigns ids in creation order
@@ -448,7 +458,7 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 	activityPlan := func(name string) *actPlan {
 		for _, a := range m.activities {
 			if a.name == name {
-				return plan[a]
+				return plan[a.defined]
 			}
 		}
 		return nil
@@ -498,6 +508,9 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 	stepPool = make([]arcStep, 0, nStep)
 	compilePlans := func(ap *actPlan) {
 		a := ap.act
+		if len(a.cases) == 1 {
+			ap.case1 = &a.cases[0]
+		}
 		predStart, stepStart := len(predPool), len(stepPool)
 		for _, l := range a.links {
 			if !l.arc {
@@ -562,31 +575,6 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 		compilePlans(ap)
 	}
 
-	// Fused-chain marks: an instantaneous case-free compiled firing whose
-	// touched places have no dependent instantaneous activity earlier than
-	// itself cannot enable anything the priority scan already passed, so
-	// the scan may continue in place. Disabled model-wide by wildcard
-	// instantaneous activities (undocumented reads must be re-tested after
-	// every change) and by the WithoutFusion option.
-	if !cfg.noFuse && !p.wildInstAny {
-		for i, ap := range p.instants {
-			if !ap.fireCompiled || !ap.caseFree {
-				continue
-			}
-			minDep := math.MaxInt
-			for _, st := range ap.fireArcs {
-				for _, d := range inc.inst[st.p.id] {
-					if int(d) < minDep {
-						minDep = int(d)
-					}
-				}
-			}
-			if minDep >= i {
-				ap.fuseCont = true
-			}
-		}
-	}
-
 	// Lower the dependency graph into per-place touch masks: touching a
 	// place ORs precompiled masks into the instance's dirty arena, which
 	// lays the three dirty sets out consecutively (candTimed words, then
@@ -631,6 +619,17 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 			rewards.set(int(i))
 		}
 	}
+	// Quiet places: a place whose row is all zero has no dependent
+	// activity, reward or projection, so touching it would OR nothing; its
+	// writes skip the touch.
+	for id := 0; id < ids; id++ {
+		quiet := !bitset(rows[id*stride : (id+1)*stride]).any()
+		if id < p.extBase {
+			m.places[id].quiet = quiet
+		} else {
+			m.extPlaces[id-p.extBase].setQuiet(quiet)
+		}
+	}
 	if p.mask111 || p.mask4 {
 		p.touchMasks = rows
 	} else {
@@ -664,7 +663,8 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 			fused = fused[:start+stride]
 			ft := fused[start : start+stride : start+stride]
 			for _, st := range ap.fireArcs {
-				row := rows[st.p.id*stride : (st.p.id+1)*stride]
+				id := int(st.p.id)
+				row := rows[id*stride : (id+1)*stride]
 				for w, mask := range row {
 					ft[w] |= mask
 				}

@@ -40,8 +40,9 @@ type Place struct {
 	name     string
 	initial  int
 	tokens   int
-	capacity int // declared upper bound, 0 = undeclared
-	id       int // index into the model's place list (incidence indexing)
+	capacity int   // declared upper bound, 0 = undeclared
+	id       int32 // index into the model's place list (incidence indexing)
+	quiet    bool  // no dependents (set by Compile): writes skip the touch
 	model    *Model
 	joins    []string // submodels sharing this place
 }
@@ -84,8 +85,8 @@ func (p *Place) SetTokens(n int) {
 		p.model.addErr(fmt.Errorf("san: place %s marked %d, above its declared capacity %d", p.name, n, p.capacity))
 	}
 	p.tokens = n
-	if r := p.model.run; r != nil && r.tracking {
-		r.touchID(p.id)
+	if r := p.model.run; r != nil && r.tracking && !p.quiet {
+		r.touchID(int(p.id))
 	}
 }
 
@@ -107,7 +108,8 @@ type ExtPlace[T any] struct {
 	name  string
 	init  func() T
 	value T
-	id    int // index into the model's extended-place list
+	id    int32 // index into the model's extended-place list
+	quiet bool  // no dependents (set by Compile): Get and Set skip the touch
 	model *Model
 	joins []string
 }
@@ -117,11 +119,13 @@ func (p *ExtPlace[T]) Name() string { return p.name }
 
 // Get returns a pointer to the current value so gates can read and mutate
 // it in place. During gate execution the place is conservatively marked
-// dirty for the runner's incidence tracking; gate code that only reads the
-// value should use Peek instead.
+// dirty for the runner's incidence tracking (unless nothing depends on the
+// place); gate code that only reads the value should use Peek instead.
 func (p *ExtPlace[T]) Get() *T {
-	if r := p.model.run; r != nil && r.tracking {
-		r.touchID(r.extBase + p.id)
+	if !p.quiet { // tested first: a quiet place never loads its model
+		if r := p.model.run; r != nil && r.tracking {
+			r.touchID(r.extBase + int(p.id))
+		}
 	}
 	return &p.value
 }
@@ -134,8 +138,8 @@ func (p *ExtPlace[T]) Peek() *T { return &p.value }
 
 // Set replaces the current value.
 func (p *ExtPlace[T]) Set(v T) {
-	if r := p.model.run; r != nil && r.tracking {
-		r.touchID(r.extBase + p.id)
+	if r := p.model.run; r != nil && r.tracking && !p.quiet {
+		r.touchID(r.extBase + int(p.id))
 	}
 	p.value = v
 }
@@ -160,7 +164,7 @@ func (p *ExtPlace[T]) Project(field string, key func(*T) uint64) string {
 	p.model.claimName(name)
 	p.model.projections = append(p.model.projections, projection{
 		name: name,
-		ext:  p.id,
+		ext:  int(p.id),
 		key:  func() uint64 { return key(&p.value) },
 	})
 	return name
@@ -179,12 +183,17 @@ func (p *ExtPlace[T]) JoinedBy() []string { return append([]string(nil), p.joins
 
 func (p *ExtPlace[T]) recordJoin(sub string) { p.joins = append(p.joins, sub) }
 
+func (p *ExtPlace[T]) setQuiet(q bool) { p.quiet = q }
+func (p *ExtPlace[T]) isQuiet() bool   { return p.quiet }
+
 // extNode lets the model hold extended places of any type.
 type extNode interface {
 	Name() string
 	Reset()
 	JoinedBy() []string
 	recordJoin(sub string)
+	setQuiet(q bool)
+	isQuiet() bool
 }
 
 // ActivityKind distinguishes timed from instantaneous activities.
@@ -597,7 +606,7 @@ func (s *Sub) qualify(name string) string { return s.name + "/" + name }
 func (s *Sub) Place(name string, initial int) *Place {
 	q := s.qualify(name)
 	s.model.claimName(q)
-	p := &Place{name: q, initial: initial, tokens: initial, id: len(s.model.places), model: s.model, joins: []string{s.name}}
+	p := &Place{name: q, initial: initial, tokens: initial, id: int32(len(s.model.places)), model: s.model, joins: []string{s.name}}
 	s.model.places = append(s.model.places, p)
 	return p
 }
@@ -624,7 +633,7 @@ func NewExtPlace[T any](s *Sub, name string, init func() T) *ExtPlace[T] {
 	if init == nil {
 		init = func() T { var zero T; return zero }
 	}
-	p := &ExtPlace[T]{name: q, init: init, value: init(), id: len(s.model.extPlaces), model: s.model, joins: []string{s.name}}
+	p := &ExtPlace[T]{name: q, init: init, value: init(), id: int32(len(s.model.extPlaces)), model: s.model, joins: []string{s.name}}
 	s.model.extPlaces = append(s.model.extPlaces, p)
 	return p
 }

@@ -22,6 +22,12 @@ go vet ./...
 echo "== go vet ./... in benchmark/ (nested module)"
 (cd benchmark && go vet ./...)
 
+# Its tests pin every workload's digest (expected/digests.json), so a
+# change that moves a workload's numbers fails here, not only when the
+# benchmark runs.
+echo "== go test ./... in benchmark/ (nested module)"
+(cd benchmark && go test ./...)
+
 # vcpusim vet prints a full model report; show it only when vet fails.
 vet() {
     report=$(go run ./cmd/vcpusim vet "$@") || { echo "$report"; return 1; }
