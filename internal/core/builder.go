@@ -266,20 +266,15 @@ func BuildSystem(cfg SystemConfig, sched Scheduler, src *rng.Source) (*System, e
 	// --- Clock: fires every time unit, driving processing and the
 	// scheduling function (paper §III.B.5) ---
 	clock := hv.TimedActivity("Clock", rng.Deterministic{Value: 1})
-	// Counted output links: the gate marks every tick place by exactly
-	// one token per firing. Together with the instantaneous activities
-	// draining each tick place, this gives the structural analyzer a
-	// drain certificate proving the tick places bounded.
-	clock.LinkN(san.LinkOutput, hvTick.Name(), 1)
+	// Output arcs: every firing marks each tick place with exactly one
+	// token, so the executor applies the fan-out from its compiled firing
+	// plan. Together with the instantaneous activities draining each tick
+	// place, the arcs give the structural analyzer a drain certificate
+	// proving the tick places bounded.
+	clock.OutputArc(hvTick, 1)
 	for _, v := range sys.vcpus {
-		clock.LinkN(san.LinkOutput, v.tick.Name(), 1)
+		clock.OutputArc(v.tick, 1)
 	}
-	clock.AddCase(nil, func() {
-		for _, v := range sys.vcpus {
-			v.tick.Add(1)
-		}
-		hvTick.Add(1)
-	})
 	sys.clock = clock
 
 	// --- Scheduling_Func: timeslice accounting + the plugged-in
