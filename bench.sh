@@ -18,7 +18,8 @@
 #                             # samplers, des kernel, scheduler policies,
 #                             # pooled replication setup, t quantile) and
 #                             # the end-to-end rows (Figures 8-10, Figure 8
-#                             # on the SAN engine, and one RunCells pool at
+#                             # on the SAN engine, one fast-engine
+#                             # replication, and one RunCells pool at
 #                             # GOMAXPROCS 2 and 1), parsed into JSON under
 #                             # the given label via
 #                             # cmd/benchjson; default out
@@ -42,15 +43,16 @@ cd "$(dirname "$0")"
 
 PKGS="./internal/san ./internal/core ./internal/des ./internal/cluster"
 BENCH="BenchmarkRunner|BenchmarkScheduleAndStep|BenchmarkHeapChurn|BenchmarkCancel|BenchmarkClusterReplicate|BenchmarkClusterFixedHorizon"
-# The root package's figure rows: each iteration regenerates a figure's grid
-# at a reduced replication budget.
-FIGS='BenchmarkFigure8$|BenchmarkFigure8SAN$|BenchmarkFigure9$|BenchmarkFigure10$'
+# The root package's rows: each figure iteration regenerates a figure's grid
+# at a reduced replication budget, and each EngineFast iteration is one
+# 10,000-tick fast-engine replication, its tick loop without a grid around it.
+ROOT='BenchmarkFigure8$|BenchmarkFigure8SAN$|BenchmarkFigure9$|BenchmarkFigure10$|BenchmarkEngineFast$'
 
 case "${1:-}" in
 smoke)
     # One abbreviated pass so CI catches benchmarks that fail to build or
     # error out, without paying for stable numbers.
-    exec go test -run '^$' -bench "$BENCH|BenchmarkChurnHeapKernel|BenchmarkReplicationSetup|BenchmarkTQuantile|Schedule\$|BenchmarkExpZig|BenchmarkNormZig|BenchmarkExponentialSample|$FIGS|BenchmarkRunCells\$" \
+    exec go test -run '^$' -bench "$BENCH|BenchmarkChurnHeapKernel|BenchmarkReplicationSetup|BenchmarkTQuantile|Schedule\$|BenchmarkExpZig|BenchmarkNormZig|BenchmarkExponentialSample|$ROOT|BenchmarkRunCells\$" \
         -benchtime 1x -benchmem $PKGS ./internal/stats ./internal/sched ./internal/rng .
     ;;
 json)
@@ -95,10 +97,10 @@ json)
             -benchtime 100000x -count=10 -benchmem ./internal/core
         go test -run '^$' -bench 'BenchmarkTQuantile$' \
             -benchtime 1000000x -count=10 -benchmem ./internal/stats
-        # End-to-end rows, 10-50 ms per iteration. The RunCells pool runs
-        # as wide as GOMAXPROCS: pinned to 2, and again at 1 under a
-        # .../procs=1 name.
-        go test -run '^$' -bench "$FIGS" \
+        # End-to-end rows, 10-50 ms per iteration (EngineFast: about 1 ms).
+        # The RunCells pool runs as wide as GOMAXPROCS: pinned to 2, and
+        # again at 1 under a .../procs=1 name.
+        go test -run '^$' -bench "$ROOT" \
             -benchtime 50x -count=10 -benchmem .
         GOMAXPROCS=2 go test -run '^$' -bench 'BenchmarkRunCells$' \
             -benchtime 50x -count=10 -benchmem .

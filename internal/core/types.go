@@ -172,9 +172,12 @@ func (a *Actions) Reset() {
 // counters); a fresh Scheduler is constructed for every replication, so no
 // reset mechanism is needed.
 //
-// The vcpus and pcpus slices are buffers the engine refills in place every
-// tick: a scheduler must not modify them, or retain them or acts past the
-// call (the engine writes each view's ID, VM and Sibling only once). The
+// The vcpus and pcpus slices are engine-owned and reused every tick: the
+// fast engine (internal/fastsim) hands its live VCPU and PCPU state, the
+// SAN engine a buffer it refills from the marking. A scheduler must
+// therefore not modify them — on the fast engine a write would change the
+// simulated system, not a copy — nor retain them or acts past the call
+// (both engines write each view's ID, VM and Sibling only once). The
 // VCPU set and each VCPU's VM membership (ID, VM, Sibling) are fixed for a
 // scheduler's lifetime — only the state fields change, and a VM that is
 // not admitted on a host shows up as Parked statuses, not as missing

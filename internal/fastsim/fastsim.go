@@ -25,26 +25,12 @@ import (
 	"vcpusim/internal/workload"
 )
 
-// vcpuState is the merged VM-side and hypervisor-side state of one VCPU.
-type vcpuState struct {
-	vm      int
-	sibling int
-
-	status        core.Status
-	remainingLoad int64
-	syncPoint     bool
-
-	pcpu      int
-	timeslice int64
-	lastIn    int64
-	runtime   int64
-}
-
 // vmState is the job-flow state of one VM.
 type vmState struct {
 	syncKind workload.SyncKind
 	blocked  bool
 	numReady int
+	loaded   int // VCPUs with RemainingLoad > 0
 	gen      *workload.Generator
 	vcpus    []int // global VCPU ids, sibling order
 
@@ -58,12 +44,22 @@ type vmState struct {
 }
 
 // Engine simulates one replication. Construct with New; single-use.
+//
+// The engine's VCPU and PCPU state is the view slices it hands to the
+// scheduling function: each tick Schedule reads the live state, as the
+// paper's C function reads the host's VCPU_host_external and PCPU_external
+// arrays, and the core.Scheduler contract forbids it to write them. New
+// writes each view's ID, VM and Sibling (and each PCPU's ID) once.
 type Engine struct {
 	cfg   core.SystemConfig
 	sched core.Scheduler
-	vcpus []vcpuState
+	vcpus []core.VCPUView
 	vms   []vmState
-	pcpus []int // VCPU per PCPU, -1 idle
+	pcpus []core.PCPUView
+
+	// spinlock reports whether any VM uses the spinlock extension; without
+	// one no VCPU can spin, and sample skips the per-VCPU check.
+	spinlock bool
 
 	now int64
 
@@ -86,11 +82,8 @@ type Engine struct {
 	// Tracer, if any, observes schedule-in/out transitions.
 	tracer Tracer
 
-	// Per-tick scratch refilled in place, as core.System's scheduler step
-	// does: the views handed to the scheduler, its Actions accumulator,
-	// and process's per-VM spinlock-preemption mask.
-	views     []core.VCPUView
-	pviews    []core.PCPUView
+	// Per-tick scratch reused in place: the scheduler's Actions
+	// accumulator and process's per-VM spinlock-preemption mask.
 	acts      core.Actions
 	preempted []bool
 }
@@ -157,8 +150,9 @@ func New(cfg core.SystemConfig, sched core.Scheduler, seed uint64) (*Engine, err
 	n := cfg.TotalVCPUs()
 	e := &Engine{
 		cfg: cfg, sched: sched,
-		vcpus: make([]vcpuState, 0, n),
+		vcpus: make([]core.VCPUView, 0, n),
 		vms:   make([]vmState, 0, len(cfg.VMs)),
+		pcpus: make([]core.PCPUView, cfg.PCPUs),
 	}
 	ids := make([]int, n)
 	for i, vmCfg := range cfg.VMs {
@@ -170,16 +164,16 @@ func New(cfg core.SystemConfig, sched core.Scheduler, seed uint64) (*Engine, err
 		vm := vmState{gen: gen, syncKind: vmCfg.Workload.SyncKind, vcpus: ids[first : first+vmCfg.VCPUs]}
 		for k := range vm.vcpus {
 			vm.vcpus[k] = len(e.vcpus)
-			e.vcpus = append(e.vcpus, vcpuState{
-				vm: i, sibling: k,
-				status: core.Inactive, pcpu: -1, lastIn: -1,
+			e.vcpus = append(e.vcpus, core.VCPUView{
+				ID: len(e.vcpus), VM: i, Sibling: k,
+				Status: core.Inactive, PCPU: -1, LastScheduledIn: -1,
 			})
 		}
 		e.vms = append(e.vms, vm)
+		e.spinlock = e.spinlock || vm.syncKind == workload.SyncSpinlock
 	}
-	e.pcpus = make([]int, cfg.PCPUs)
 	for i := range e.pcpus {
-		e.pcpus[i] = -1
+		e.pcpus[i] = core.PCPUView{ID: i, VCPU: -1}
 	}
 	ticks := make([]int64, 2*n+cfg.PCPUs)
 	e.activeTicks, e.busyTicks, e.pcpuTicks = ticks[:n:n], ticks[n:2*n:2*n], ticks[2*n:]
@@ -238,19 +232,21 @@ func (e *Engine) process() {
 	}
 	for id := range e.vcpus {
 		v := &e.vcpus[id]
-		if v.status != core.Busy {
+		if v.Status != core.Busy {
 			continue
 		}
-		if preempted[v.vm] && !(v.syncPoint && v.remainingLoad > 0) {
+		if preempted[v.VM] && !(v.SyncPoint && v.RemainingLoad > 0) {
 			continue // spinning
 		}
-		v.remainingLoad--
-		if v.remainingLoad <= 0 {
-			v.remainingLoad = 0
-			wasSync := v.syncPoint
-			v.syncPoint = false
-			v.status = core.Ready
-			e.vms[v.vm].numReady++
+		v.RemainingLoad--
+		if v.RemainingLoad <= 0 {
+			v.RemainingLoad = 0
+			wasSync := v.SyncPoint
+			v.SyncPoint = false
+			v.Status = core.Ready
+			vm := &e.vms[v.VM]
+			vm.numReady++
+			vm.loaded--
 			if e.tracer != nil {
 				e.tracer.JobComplete(e.now, id, wasSync)
 			}
@@ -267,7 +263,7 @@ func (e *Engine) jobFlow() {
 		vm := &e.vms[vi]
 		for done := false; !done; {
 			progress := false
-			if vm.blocked && e.allDrained(vm) {
+			if vm.blocked && vm.loaded == 0 {
 				vm.blocked = false
 				if e.now >= e.warmup {
 					vm.unblocks++
@@ -307,7 +303,7 @@ func (e *Engine) dispatchable(vi int) bool {
 func (e *Engine) hasInFlightSync(vi int) bool {
 	for _, id := range e.vms[vi].vcpus {
 		v := &e.vcpus[id]
-		if v.syncPoint && v.remainingLoad > 0 {
+		if v.SyncPoint && v.RemainingLoad > 0 {
 			return true
 		}
 	}
@@ -319,7 +315,7 @@ func (e *Engine) hasInFlightSync(vi int) bool {
 func (e *Engine) lockHolderPreempted(vi int) bool {
 	for _, id := range e.vms[vi].vcpus {
 		v := &e.vcpus[id]
-		if v.syncPoint && v.remainingLoad > 0 && v.status == core.Inactive {
+		if v.SyncPoint && v.RemainingLoad > 0 && v.Status == core.Inactive {
 			return true
 		}
 	}
@@ -330,36 +326,27 @@ func (e *Engine) lockHolderPreempted(vi int) bool {
 // spinlock.
 func (e *Engine) spinning(id int) bool {
 	v := &e.vcpus[id]
-	if e.vms[v.vm].syncKind != workload.SyncSpinlock || v.status != core.Busy {
+	if e.vms[v.VM].syncKind != workload.SyncSpinlock || v.Status != core.Busy {
 		return false
 	}
-	if v.syncPoint && v.remainingLoad > 0 {
+	if v.SyncPoint && v.RemainingLoad > 0 {
 		return false
 	}
-	return e.lockHolderPreempted(v.vm)
-}
-
-// allDrained reports whether every VCPU of the VM finished its load.
-func (e *Engine) allDrained(vm *vmState) bool {
-	for _, id := range vm.vcpus {
-		if e.vcpus[id].remainingLoad > 0 {
-			return false
-		}
-	}
-	return true
+	return e.lockHolderPreempted(v.VM)
 }
 
 // dispatch assigns a workload to the lowest-sibling READY VCPU.
 func (e *Engine) dispatch(vm *vmState, w workload.Workload) {
 	for _, id := range vm.vcpus {
 		v := &e.vcpus[id]
-		if v.status != core.Ready {
+		if v.Status != core.Ready {
 			continue
 		}
-		v.remainingLoad = w.Load
-		v.syncPoint = w.Sync
-		v.status = core.Busy
+		v.RemainingLoad = w.Load
+		v.SyncPoint = w.Sync
+		v.Status = core.Busy
 		vm.numReady--
+		vm.loaded++ // a workload's load is at least one tick
 		break
 	}
 	if w.Sync && vm.syncKind == workload.SyncBarrier {
@@ -368,67 +355,44 @@ func (e *Engine) dispatch(vm *vmState, w workload.Workload) {
 }
 
 // hypervisorStep charges runtime, expires timeslices, and invokes the
-// plugged-in scheduling function.
+// plugged-in scheduling function on the engine's own views.
 func (e *Engine) hypervisorStep() error {
 	if e.now > 0 {
 		for id := range e.vcpus {
 			v := &e.vcpus[id]
-			if v.pcpu < 0 {
+			if v.PCPU < 0 {
 				continue
 			}
-			v.runtime++
-			v.timeslice--
-			if v.timeslice <= 0 {
+			v.Runtime++
+			v.Timeslice--
+			if v.Timeslice <= 0 {
 				e.scheduleOut(id, true)
 			}
 		}
 	}
 
-	if e.views == nil {
+	if e.preempted == nil {
 		// Sized at the first tick rather than in New, so building an
 		// engine costs no more than its model state. Every run loop
-		// starts with this step, so process finds preempted sized too.
-		e.views = make([]core.VCPUView, len(e.vcpus))
-		e.pviews = make([]core.PCPUView, len(e.pcpus))
+		// starts with this step, so process finds it sized.
 		e.preempted = make([]bool, len(e.vms))
 	}
-	views := e.views
-	for id := range e.vcpus {
-		v := &e.vcpus[id]
-		views[id] = core.VCPUView{
-			ID:              id,
-			VM:              v.vm,
-			Sibling:         v.sibling,
-			Status:          v.status,
-			RemainingLoad:   v.remainingLoad,
-			SyncPoint:       v.syncPoint,
-			PCPU:            v.pcpu,
-			Timeslice:       v.timeslice,
-			LastScheduledIn: v.lastIn,
-			Runtime:         v.runtime,
-		}
-	}
-	pviews := e.pviews
-	for i, v := range e.pcpus {
-		pviews[i] = core.PCPUView{ID: i, VCPU: v}
-	}
-
 	e.acts.Reset()
-	e.sched.Schedule(e.now, views, pviews, &e.acts)
+	e.sched.Schedule(e.now, e.vcpus, e.pcpus, &e.acts)
 	return e.apply(&e.acts)
 }
 
 // scheduleOut transitions a VCPU to INACTIVE, freeing its PCPU.
 func (e *Engine) scheduleOut(id int, expired bool) {
 	v := &e.vcpus[id]
-	p := v.pcpu
-	e.pcpus[p] = -1
-	v.pcpu = -1
-	v.timeslice = 0
-	if v.status == core.Ready {
-		e.vms[v.vm].numReady--
+	p := v.PCPU
+	e.pcpus[p].VCPU = -1
+	v.PCPU = -1
+	v.Timeslice = 0
+	if v.Status == core.Ready {
+		e.vms[v.VM].numReady--
 	}
-	v.status = core.Inactive
+	v.Status = core.Inactive
 	e.schedOuts++
 	if e.tracer != nil {
 		e.tracer.ScheduleOut(e.now, id, p, expired)
@@ -443,7 +407,7 @@ func (e *Engine) apply(acts *core.Actions) error {
 		if id < 0 || id >= len(e.vcpus) {
 			return fmt.Errorf("fastsim: scheduler %q preempted unknown VCPU %d", e.sched.Name(), id)
 		}
-		if e.vcpus[id].pcpu < 0 {
+		if e.vcpus[id].PCPU < 0 {
 			return fmt.Errorf("fastsim: scheduler %q preempted inactive VCPU %d", e.sched.Name(), id)
 		}
 		e.scheduleOut(id, false)
@@ -456,21 +420,21 @@ func (e *Engine) apply(acts *core.Actions) error {
 			return fmt.Errorf("fastsim: scheduler %q assigned unknown PCPU %d", e.sched.Name(), a.PCPU)
 		case a.Timeslice < 1:
 			return fmt.Errorf("fastsim: scheduler %q assigned non-positive timeslice %d", e.sched.Name(), a.Timeslice)
-		case e.vcpus[a.VCPU].pcpu >= 0:
+		case e.vcpus[a.VCPU].PCPU >= 0:
 			return fmt.Errorf("fastsim: scheduler %q double-assigned VCPU %d", e.sched.Name(), a.VCPU)
-		case e.pcpus[a.PCPU] >= 0:
+		case e.pcpus[a.PCPU].VCPU >= 0:
 			return fmt.Errorf("fastsim: scheduler %q assigned busy PCPU %d", e.sched.Name(), a.PCPU)
 		}
 		v := &e.vcpus[a.VCPU]
-		e.pcpus[a.PCPU] = a.VCPU
-		v.pcpu = a.PCPU
-		v.timeslice = a.Timeslice
-		v.lastIn = e.now
-		if v.remainingLoad > 0 {
-			v.status = core.Busy
+		e.pcpus[a.PCPU].VCPU = a.VCPU
+		v.PCPU = a.PCPU
+		v.Timeslice = a.Timeslice
+		v.LastScheduledIn = e.now
+		if v.RemainingLoad > 0 {
+			v.Status = core.Busy
 		} else {
-			v.status = core.Ready
-			e.vms[v.vm].numReady++
+			v.Status = core.Ready
+			e.vms[v.VM].numReady++
 		}
 		e.schedIns++
 		if e.tracer != nil {
@@ -487,11 +451,11 @@ func (e *Engine) sample() {
 		return
 	}
 	for id := range e.vcpus {
-		switch e.vcpus[id].status {
+		switch e.vcpus[id].Status {
 		case core.Busy:
 			e.busyTicks[id]++
 			e.activeTicks[id]++
-			if e.spinning(id) {
+			if e.spinlock && e.spinning(id) {
 				e.spinTicks++
 			} else {
 				e.workTicks++
@@ -500,8 +464,8 @@ func (e *Engine) sample() {
 			e.activeTicks[id]++
 		}
 	}
-	for p, v := range e.pcpus {
-		if v >= 0 {
+	for p := range e.pcpus {
+		if e.pcpus[p].VCPU >= 0 {
 			e.pcpuTicks[p]++
 		}
 	}
@@ -523,8 +487,8 @@ func (e *Engine) results() map[string]float64 {
 		v := &e.vcpus[id]
 		avail := float64(e.activeTicks[id]) / t
 		busy := float64(e.busyTicks[id]) / t
-		out[core.AvailabilityMetric(v.vm, v.sibling)] = avail
-		out[core.VCPUUtilizationMetric(v.vm, v.sibling)] = busy
+		out[core.AvailabilityMetric(v.VM, v.Sibling)] = avail
+		out[core.VCPUUtilizationMetric(v.VM, v.Sibling)] = busy
 		sumActive += avail
 		sumBusy += busy
 	}

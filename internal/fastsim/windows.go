@@ -40,8 +40,8 @@ func (e *Engine) windowMetrics(from, to counters) map[string]float64 {
 		v := &e.vcpus[id]
 		avail := float64(to.active[id]-from.active[id]) / t
 		busy := float64(to.busy[id]-from.busy[id]) / t
-		out[core.AvailabilityMetric(v.vm, v.sibling)] = avail
-		out[core.VCPUUtilizationMetric(v.vm, v.sibling)] = busy
+		out[core.AvailabilityMetric(v.VM, v.Sibling)] = avail
+		out[core.VCPUUtilizationMetric(v.VM, v.Sibling)] = busy
 		sumActive += avail
 		sumBusy += busy
 	}

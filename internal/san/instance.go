@@ -969,7 +969,7 @@ func (in *Instance) checkProjections() {
 	p := in.prog
 	for b := dirty.next(p.nRates); b >= 0; b = dirty.next(b + 1) {
 		j := b - p.nRates
-		if k := p.projs[j].key(); k != in.projKeys[j] {
+		if k := p.projs[j].key(p.projs[j].val); k != in.projKeys[j] {
 			in.projKeys[j] = k
 			dirty.or(p.projRewards[j*p.wR : (j+1)*p.wR])
 		}

@@ -31,6 +31,7 @@ package san
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"vcpusim/internal/rng"
 )
@@ -165,7 +166,8 @@ func (p *ExtPlace[T]) Project(field string, key func(*T) uint64) string {
 	p.model.projections = append(p.model.projections, projection{
 		name: name,
 		ext:  int(p.id),
-		key:  func() uint64 { return key(&p.value) },
+		key:  *(*func(unsafe.Pointer) uint64)(unsafe.Pointer(&key)),
+		val:  unsafe.Pointer(&p.value),
 	})
 	return name
 }
@@ -173,9 +175,16 @@ func (p *ExtPlace[T]) Project(field string, key func(*T) uint64) string {
 // projection is one declared ExtPlace.Project: a reward ref narrower than
 // its extended place.
 type projection struct {
-	name string        // the ref, "<place>.<field>"
-	ext  int           // the place's index among the model's extended places
-	key  func() uint64 // the projected part of the current value
+	name string // the ref, "<place>.<field>"
+	ext  int    // the place's index among the model's extended places
+	// key(val) is the projected part of the place's current value: key is
+	// the caller's func(*T) uint64 with its parameter type erased, val the
+	// place's &value. A *T and an unsafe.Pointer are the same machine word,
+	// so the call passes key exactly the pointer it was declared for, and
+	// each projection check is one indirect call, where a closure around
+	// key(&p.value) would make two.
+	key func(unsafe.Pointer) uint64
+	val unsafe.Pointer
 }
 
 // JoinedBy returns the submodels that share this extended place.

@@ -38,7 +38,8 @@ func (b *Balance) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUView
 	}
 	// Enqueue newly inactive VCPUs onto the shortest run queue that holds
 	// no sibling (the balance placement rule).
-	for _, v := range vcpus {
+	for i := range vcpus {
+		v := &vcpus[i]
 		if v.Status != core.Inactive {
 			continue
 		}
@@ -68,7 +69,7 @@ func (b *Balance) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUView
 // sibling of v; if every queue holds a sibling (more siblings than PCPUs
 // cannot happen under the framework's VCPUs<=PCPUs constraint), it falls
 // back to the globally shortest queue.
-func (b *Balance) pickQueue(v core.VCPUView, vcpus []core.VCPUView) int {
+func (b *Balance) pickQueue(v *core.VCPUView, vcpus []core.VCPUView) int {
 	best, bestLen := -1, int(^uint(0)>>1)
 	fallback, fallbackLen := 0, int(^uint(0)>>1)
 	for q := range b.queues {
@@ -92,7 +93,7 @@ func (b *Balance) pickQueue(v core.VCPUView, vcpus []core.VCPUView) int {
 }
 
 // queueHasSibling reports whether run queue q holds a sibling of v.
-func (b *Balance) queueHasSibling(q int, v core.VCPUView, vcpus []core.VCPUView) bool {
+func (b *Balance) queueHasSibling(q int, v *core.VCPUView, vcpus []core.VCPUView) bool {
 	for _, id := range b.queues[q] {
 		if vcpus[id].VM == v.VM && id != v.ID {
 			return true

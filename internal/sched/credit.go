@@ -66,8 +66,8 @@ func (c *Credit) Schedule(now int64, vcpus []core.VCPUView, pcpus []core.PCPUVie
 		c.lastFill = now
 	}
 	// Burn one credit per running tick.
-	for _, v := range vcpus {
-		if v.Status.Active() {
+	for i := range vcpus {
+		if v := &vcpus[i]; v.Status.Active() {
 			c.credits[v.ID]--
 		}
 	}
@@ -96,8 +96,8 @@ func (c *Credit) Schedule(now int64, vcpus []core.VCPUView, pcpus []core.PCPUVie
 	// Grant idle PCPUs to the richest waiting VCPUs. IDs are unique, so
 	// the order is total and any correct sort yields it.
 	c.waiting = c.waiting[:0]
-	for _, v := range vcpus {
-		if v.Status == core.Inactive {
+	for i := range vcpus {
+		if v := &vcpus[i]; v.Status == core.Inactive {
 			c.waiting = append(c.waiting, candidate{credit: c.credits[v.ID], id: v.ID})
 		}
 	}

@@ -13,7 +13,10 @@ import (
 // ordering (runtime accounting, timeslice expiry, scheduling function,
 // action application with validation). Like the engines it hands the
 // scheduler reused view buffers and one reused Actions, so a tick
-// allocates only what the scheduler does.
+// allocates only what the scheduler does. The buffers are copies of the
+// harness state, so every tick also checks the core.Scheduler contract:
+// Schedule must leave every view field as it found it, because the fast
+// engine hands its live state.
 type harness struct {
 	t     *testing.T
 	vcpus []core.VCPUView
@@ -66,6 +69,16 @@ func (h *harness) tick() {
 	h.pbuf = append(h.pbuf[:0], h.pcpus...)
 	h.acts.Reset()
 	h.sched.Schedule(h.now, h.vbuf, h.pbuf, &h.acts)
+	for i := range h.vcpus {
+		if h.vbuf[i] != h.vcpus[i] {
+			h.t.Fatalf("t=%d: %s modified VCPU view %d: %+v, was %+v", h.now, h.sched.Name(), i, h.vbuf[i], h.vcpus[i])
+		}
+	}
+	for i := range h.pcpus {
+		if h.pbuf[i] != h.pcpus[i] {
+			h.t.Fatalf("t=%d: %s modified PCPU view %d: %+v, was %+v", h.now, h.sched.Name(), i, h.pbuf[i], h.pcpus[i])
+		}
+	}
 	assigns, preempts := h.acts.Recorded()
 	for _, id := range preempts {
 		if id < 0 || id >= len(h.vcpus) || h.vcpus[id].PCPU < 0 {
@@ -143,4 +156,41 @@ func fmtShares(s []float64) string {
 		out += fmt.Sprintf("%.3f", v)
 	}
 	return out + "]"
+}
+
+// TestScheduleLeavesViewsUnchanged runs every registered scheduler on
+// under-, fully and over-committed hosts through the harness, whose tick
+// fails if Schedule changes any field of the views it was handed. The
+// views also carry nonzero values in the fields no built-in scheduler
+// reads (a held workload, a stall, a throttle), so a write that clears
+// one shows too.
+func TestScheduleLeavesViewsUnchanged(t *testing.T) {
+	hosts := []struct {
+		pcpus   int
+		vmSizes []int
+	}{
+		{1, []int{2, 1, 1}},
+		{2, []int{2, 1, 1}},
+		{4, []int{2, 2, 1}},
+		{4, []int{2, 1}},
+	}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			f, err := Factory(name, Params{Timeslice: 5, EnterSkew: 4, ExitSkew: 2, ConcurrentVMs: []int{0}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, host := range hosts {
+				h := newHarness(t, f(), host.pcpus, host.vmSizes...)
+				for i := range h.vcpus {
+					v := &h.vcpus[i]
+					v.RemainingLoad, v.SyncPoint, v.Stalled = int64(7*i+3), i%2 == 0, i%3 == 0
+				}
+				for p := range h.pcpus {
+					h.pcpus[p].Throttle = 0.5
+				}
+				h.run(300)
+			}
+		})
+	}
 }

@@ -87,7 +87,8 @@ func (r *RelaxedCo) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUVi
 
 	// Effective state for this tick: statuses after our own co-stops.
 	inactive := r.inactive
-	for _, v := range vcpus {
+	for i := range vcpus {
+		v := &vcpus[i]
 		inactive[v.ID] = v.Status == core.Inactive
 	}
 	idle := core.AppendIdlePCPUs(r.idle[:0], pcpus)
