@@ -10,14 +10,10 @@ import (
 	"vcpusim/internal/rng"
 )
 
-// The tests in this file keep their original names from the calendar-queue
-// backend they were first written for. That backend is gone; each now runs
-// its edge case against the heap kernel.
-
-// TestCalendarResetIndistinguishableFromNew resets a kernel with a pending
+// TestHeapKernelResetIndistinguishableFromNew resets a kernel with a pending
 // event left behind and checks that, besides Now/Len/Pending, NextTime is
 // back to +Inf and a rerun fires the fresh kernel's trace.
-func TestCalendarResetIndistinguishableFromNew(t *testing.T) {
+func TestHeapKernelResetIndistinguishableFromNew(t *testing.T) {
 	fresh := NewKernel()
 	want := driveKernel(t, fresh)
 
@@ -56,9 +52,9 @@ func TestCalendarResetIndistinguishableFromNew(t *testing.T) {
 	}
 }
 
-// TestCalendarResetAllocFree is the Reset+refill allocation check at a
+// TestHeapKernelResetAllocFree is the Reset+refill allocation check at a
 // queue depth of 64, the tandem-64 event population.
-func TestCalendarResetAllocFree(t *testing.T) {
+func TestHeapKernelResetAllocFree(t *testing.T) {
 	k := NewKernel()
 	events := make([]*Event, 64)
 	for i := range events {
@@ -89,9 +85,9 @@ func TestCalendarResetAllocFree(t *testing.T) {
 	}
 }
 
-// TestCalendarMassSameTimeFIFO piles many events onto a single timestamp
+// TestHeapKernelMassSameTimeFIFO piles many events onto a single timestamp
 // and checks the sequence-number tie-break holds exactly.
-func TestCalendarMassSameTimeFIFO(t *testing.T) {
+func TestHeapKernelMassSameTimeFIFO(t *testing.T) {
 	k := NewKernel()
 	const n = 2000
 	var got []int
@@ -112,9 +108,9 @@ func TestCalendarMassSameTimeFIFO(t *testing.T) {
 	}
 }
 
-// TestCalendarExtremeTimestamps checks that absurdly large (and +Inf)
+// TestHeapKernelExtremeTimestamps checks that absurdly large (and +Inf)
 // timestamps still pop in order.
-func TestCalendarExtremeTimestamps(t *testing.T) {
+func TestHeapKernelExtremeTimestamps(t *testing.T) {
 	k := NewKernel()
 	for _, at := range []float64{1e300, 2, math.Inf(1), 1e18, 0, 7} {
 		if _, err := k.Schedule(at, 0, "e", func() {}); err != nil {
@@ -136,9 +132,9 @@ func TestCalendarExtremeTimestamps(t *testing.T) {
 	}
 }
 
-// TestCalendarCancelHead cancels the current minimum twice, then
+// TestHeapKernelCancelHead cancels the current minimum twice, then
 // everything, checking NextTime, Len and the cancel counter each time.
-func TestCalendarCancelHead(t *testing.T) {
+func TestHeapKernelCancelHead(t *testing.T) {
 	k := NewKernel()
 	evs := make([]*Event, 5)
 	for i := range evs {
@@ -164,11 +160,11 @@ func TestCalendarCancelHead(t *testing.T) {
 	}
 }
 
-// TestQuickCalendarOrderSorted is the sorted-pop property under churn:
+// TestQuickHeapKernelOrderSorted is the sorted-pop property under churn:
 // clustered times force ties, a random subset is cancelled before the run,
 // and handlers schedule more work mid-run. Every event that fires must do
 // so in (time, priority, seq) order, and exactly the uncancelled ones fire.
-func TestQuickCalendarOrderSorted(t *testing.T) {
+func TestQuickHeapKernelOrderSorted(t *testing.T) {
 	type key struct {
 		t    float64
 		prio int
