@@ -28,7 +28,6 @@ import (
 // vmState is the job-flow state of one VM.
 type vmState struct {
 	syncKind workload.SyncKind
-	blocked  bool
 	numReady int
 	loaded   int // VCPUs with RemainingLoad > 0
 	gen      *workload.Generator
@@ -38,6 +37,12 @@ type vmState struct {
 	// value so a dispatch does not allocate; valid while hasPending.
 	pending    workload.Workload
 	hasPending bool
+
+	// blocked is the barrier state; since is the first tick of it (or of
+	// its absence) not yet credited. blocked sits beside hasPending so
+	// the two bools share a word.
+	blocked bool
+	since   int64
 
 	jobs     int64 // workloads dispatched (in the measured window)
 	unblocks int64 // barrier releases (in the measured window)
@@ -51,7 +56,6 @@ type vmState struct {
 // arrays, and the core.Scheduler contract forbids it to write them. New
 // writes each view's ID, VM and Sibling (and each PCPU's ID) once.
 type Engine struct {
-	cfg   core.SystemConfig
 	sched core.Scheduler
 	vcpus []core.VCPUView
 	vms   []vmState
@@ -66,14 +70,20 @@ type Engine struct {
 	// warmup is the transient prefix excluded from the rewards.
 	warmup int64
 
-	// Reward accumulators: ticks in state, keyed like the SAN metrics.
+	// Reward accumulators: sampled ticks in state, keyed like the SAN
+	// metrics. Occupancy is credited when a state ends (see creditVCPU),
+	// not tick by tick; settle credits the states still open. Work ticks
+	// are busy ticks minus spin ticks.
 	activeTicks  []int64
 	busyTicks    []int64
 	pcpuTicks    []int64
 	blockedTicks int64
 	spinTicks    int64
-	workTicks    int64
 	sampled      int64
+
+	// vcpuSince holds the first tick of each VCPU's status not yet
+	// credited.
+	vcpuSince []int64
 
 	// Engine counters (see Stats): plain increments, always on.
 	schedIns  int64
@@ -145,11 +155,12 @@ func New(cfg core.SystemConfig, sched core.Scheduler, seed uint64) (*Engine, err
 	}
 	src := rng.New(seed)
 	// Every per-VCPU slice is allocated at its final size, the VMs'
-	// id lists and the three tick counters each share one backing array:
-	// engine set-up is a per-cell cost of every experiment grid.
+	// id lists and the tick counters with the VCPUs' since-ticks each
+	// share one backing array: engine set-up is a per-cell cost of every
+	// experiment grid.
 	n := cfg.TotalVCPUs()
 	e := &Engine{
-		cfg: cfg, sched: sched,
+		sched: sched,
 		vcpus: make([]core.VCPUView, 0, n),
 		vms:   make([]vmState, 0, len(cfg.VMs)),
 		pcpus: make([]core.PCPUView, cfg.PCPUs),
@@ -175,8 +186,9 @@ func New(cfg core.SystemConfig, sched core.Scheduler, seed uint64) (*Engine, err
 	for i := range e.pcpus {
 		e.pcpus[i] = core.PCPUView{ID: i, VCPU: -1}
 	}
-	ticks := make([]int64, 2*n+cfg.PCPUs)
-	e.activeTicks, e.busyTicks, e.pcpuTicks = ticks[:n:n], ticks[n:2*n:2*n], ticks[2*n:]
+	ticks := make([]int64, 3*n+cfg.PCPUs)
+	e.activeTicks, e.busyTicks, e.vcpuSince = ticks[:n:n], ticks[n:2*n:2*n], ticks[2*n:3*n:3*n]
+	e.pcpuTicks = ticks[3*n:]
 	return e, nil
 }
 
@@ -218,6 +230,7 @@ func (e *Engine) RunInterval(warmup, horizon int64) (map[string]float64, error) 
 		e.jobFlow()
 		e.sample()
 	}
+	e.settle()
 	return e.results(), nil
 }
 
@@ -243,6 +256,7 @@ func (e *Engine) process() {
 			v.RemainingLoad = 0
 			wasSync := v.SyncPoint
 			v.SyncPoint = false
+			e.creditVCPU(id, e.now)
 			v.Status = core.Ready
 			vm := &e.vms[v.VM]
 			vm.numReady++
@@ -258,12 +272,23 @@ func (e *Engine) process() {
 // mirroring the SAN model's instantaneous activities: unblock if the
 // barrier cleared, generate into the pending slot when a READY VCPU exists,
 // dispatch the pending workload unless the spinlock gate holds it back.
+// A VM with no READY VCPU, or blocked at a barrier not yet drained, can do
+// none of the three and is skipped; a blocked VM holds no pending
+// workload, since generation needs it unblocked and dispatch follows.
 func (e *Engine) jobFlow() {
 	for vi := range e.vms {
 		vm := &e.vms[vi]
+		if vm.blocked {
+			if vm.loaded > 0 {
+				continue
+			}
+		} else if vm.numReady == 0 {
+			continue
+		}
 		for done := false; !done; {
 			progress := false
 			if vm.blocked && vm.loaded == 0 {
+				e.creditVM(vi, e.now)
 				vm.blocked = false
 				if e.now >= e.warmup {
 					vm.unblocks++
@@ -276,7 +301,7 @@ func (e *Engine) jobFlow() {
 				progress = true
 			}
 			if vm.hasPending && vm.numReady > 0 && e.dispatchable(vi) {
-				e.dispatch(vm, vm.pending)
+				e.dispatch(vi, vm.pending)
 				if e.now >= e.warmup {
 					vm.jobs++
 				}
@@ -335,8 +360,9 @@ func (e *Engine) spinning(id int) bool {
 	return e.lockHolderPreempted(v.VM)
 }
 
-// dispatch assigns a workload to the lowest-sibling READY VCPU.
-func (e *Engine) dispatch(vm *vmState, w workload.Workload) {
+// dispatch assigns a workload to VM vi's lowest-sibling READY VCPU.
+func (e *Engine) dispatch(vi int, w workload.Workload) {
+	vm := &e.vms[vi]
 	for _, id := range vm.vcpus {
 		v := &e.vcpus[id]
 		if v.Status != core.Ready {
@@ -344,12 +370,14 @@ func (e *Engine) dispatch(vm *vmState, w workload.Workload) {
 		}
 		v.RemainingLoad = w.Load
 		v.SyncPoint = w.Sync
+		e.creditVCPU(id, e.now)
 		v.Status = core.Busy
 		vm.numReady--
 		vm.loaded++ // a workload's load is at least one tick
 		break
 	}
 	if w.Sync && vm.syncKind == workload.SyncBarrier {
+		e.creditVM(vi, e.now)
 		vm.blocked = true
 	}
 }
@@ -386,6 +414,7 @@ func (e *Engine) hypervisorStep() error {
 func (e *Engine) scheduleOut(id int, expired bool) {
 	v := &e.vcpus[id]
 	p := v.PCPU
+	e.creditVCPU(id, e.now)
 	e.pcpus[p].VCPU = -1
 	v.PCPU = -1
 	v.Timeslice = 0
@@ -426,6 +455,7 @@ func (e *Engine) apply(acts *core.Actions) error {
 			return fmt.Errorf("fastsim: scheduler %q assigned busy PCPU %d", e.sched.Name(), a.PCPU)
 		}
 		v := &e.vcpus[a.VCPU]
+		e.creditVCPU(a.VCPU, e.now)
 		e.pcpus[a.PCPU].VCPU = a.VCPU
 		v.PCPU = a.PCPU
 		v.Timeslice = a.Timeslice
@@ -444,37 +474,70 @@ func (e *Engine) apply(acts *core.Actions) error {
 	return nil
 }
 
-// sample accumulates one tick of state occupancy (ticks before the warmup
-// point are discarded).
+// sample counts one sampled tick (ticks before the warmup point are
+// discarded) and, under the spinlock extension, the VCPUs spinning in it.
+// State occupancy is credited on transitions instead.
 func (e *Engine) sample() {
 	if e.now < e.warmup {
 		return
 	}
-	for id := range e.vcpus {
-		switch e.vcpus[id].Status {
-		case core.Busy:
-			e.busyTicks[id]++
-			e.activeTicks[id]++
-			if e.spinlock && e.spinning(id) {
+	if e.spinlock {
+		for id := range e.vcpus {
+			if e.spinning(id) {
 				e.spinTicks++
-			} else {
-				e.workTicks++
 			}
-		case core.Ready:
-			e.activeTicks[id]++
-		}
-	}
-	for p := range e.pcpus {
-		if e.pcpus[p].VCPU >= 0 {
-			e.pcpuTicks[p]++
-		}
-	}
-	for vi := range e.vms {
-		if e.vms[vi].blocked {
-			e.blockedTicks++
 		}
 	}
 	e.sampled++
+}
+
+// creditVCPU credits VCPU id's current status, and the PCPU it holds,
+// with the ticks they have been sampled in before tick at, and starts its
+// next status at at. Every write of a VCPU's Status calls it first. A VCPU
+// is READY or BUSY exactly while it holds a PCPU (apply grants both,
+// scheduleOut revokes both), so its active ticks are its PCPU's occupied
+// ticks.
+func (e *Engine) creditVCPU(id int, at int64) {
+	v := &e.vcpus[id]
+	if n := at - max(e.vcpuSince[id], e.warmup); n > 0 && v.Status.Active() {
+		e.activeTicks[id] += n
+		e.pcpuTicks[v.PCPU] += n
+		if v.Status == core.Busy {
+			e.busyTicks[id] += n
+		}
+	}
+	e.vcpuSince[id] = at
+}
+
+// creditVM is creditVCPU for VM vi's barrier state; every write of a VM's
+// blocked flag calls it first.
+func (e *Engine) creditVM(vi int, at int64) {
+	vm := &e.vms[vi]
+	if n := at - max(vm.since, e.warmup); n > 0 && vm.blocked {
+		e.blockedTicks += n
+	}
+	vm.since = at
+}
+
+// settle credits every open state up to the end of the last sampled tick,
+// so the counters hold exactly what sampling each tick would have added.
+func (e *Engine) settle() {
+	at := e.warmup + e.sampled
+	for id := range e.vcpus {
+		e.creditVCPU(id, at)
+	}
+	for vi := range e.vms {
+		e.creditVM(vi, at)
+	}
+}
+
+// workTicks is the busy ticks not spent spinning.
+func (e *Engine) workTicks() int64 {
+	work := -e.spinTicks
+	for _, b := range e.busyTicks {
+		work += b
+	}
+	return work
 }
 
 // results converts tick counts to time-averaged metrics keyed like the SAN
@@ -502,7 +565,7 @@ func (e *Engine) results() map[string]float64 {
 	out[core.PCPUUtilizationAvgMetric] = sumPCPU / float64(len(e.pcpus))
 	out[core.BlockedFractionMetric] = float64(e.blockedTicks) / t / float64(len(e.vms))
 	out[core.SpinFractionMetric] = float64(e.spinTicks) / t / float64(len(e.vcpus))
-	out[core.EffectiveUtilizationMetric] = float64(e.workTicks) / t / float64(len(e.vcpus))
+	out[core.EffectiveUtilizationMetric] = float64(e.workTicks()) / t / float64(len(e.vcpus))
 	for vi := range e.vms {
 		out[core.JobsMetric(vi)] = float64(e.vms[vi].jobs)
 		out[core.UnblocksMetric(vi)] = float64(e.vms[vi].unblocks)

@@ -25,7 +25,7 @@ func (e *Engine) snapshot() counters {
 		pcpu:    append([]int64(nil), e.pcpuTicks...),
 		blocked: e.blockedTicks,
 		spin:    e.spinTicks,
-		work:    e.workTicks,
+		work:    e.workTicks(),
 		sampled: e.sampled,
 	}
 }
@@ -79,8 +79,9 @@ func (e *Engine) RunWindowed(warmup, horizon, window int64) ([]map[string]float6
 	var out []map[string]float64
 	last := e.snapshot()
 	flush := func() {
-		cur := e.snapshot()
-		if cur.sampled-last.sampled == window {
+		if e.sampled-last.sampled == window {
+			e.settle()
+			cur := e.snapshot()
 			out = append(out, e.windowMetrics(last, cur))
 			last = cur
 		}

@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 
 	"vcpusim/internal/core"
+	"vcpusim/internal/rng"
 )
 
 func newRCS(ts, enter, exit int64) *RelaxedCo {
@@ -170,5 +172,129 @@ func TestRelaxedCoSkewAccessorBounds(t *testing.T) {
 	r := newRCS(10, 5, 2)
 	if r.Skew(-1) != 0 || r.Skew(99) != 0 {
 		t.Fatal("out-of-range skew should be 0")
+	}
+}
+
+// TestRelaxedCoLoneVCPUNeverSkews: a one-VCPU VM has no sibling to run
+// ahead of it, so however long it waits its skew stays zero and it never
+// enters co-mode, even at the lowest enter threshold (1, with exit 0),
+// while the 2-VCPU VM beside it does.
+func TestRelaxedCoLoneVCPUNeverSkews(t *testing.T) {
+	r := newRCS(30, 1, 0)
+	if r.enterSkew != 1 || r.exitSkew != 0 {
+		t.Fatalf("thresholds enter=%d exit=%d, want 1/0", r.enterSkew, r.exitSkew)
+	}
+	h := newHarness(t, r, 1, 2, 1, 1)
+	pairCoMode := false
+	for i := 0; i < 3000; i++ {
+		h.tick()
+		for _, id := range []int{2, 3} {
+			if got := r.Skew(id); got != 0 {
+				t.Fatalf("t=%d: lone VCPU %d skew = %d, want 0", h.now, id, got)
+			}
+		}
+		if r.coMode[1] || r.coMode[2] {
+			t.Fatalf("t=%d: a one-VCPU VM entered co-mode", h.now)
+		}
+		pairCoMode = pairCoMode || r.coMode[0]
+	}
+	if !pairCoMode {
+		t.Fatal("the 2-VCPU VM never entered co-mode: the lone VCPUs were never starved beside a skewing gang")
+	}
+}
+
+// refUpdateSkews is RCS's two-pass skew update: every gang's skews first,
+// then every gang's enter/exit hysteresis. It is the reference the
+// one-pass updateSkews must equal.
+func refUpdateSkews(gangs *core.Gangs, skew []int64, coMode []bool, enter, exit int64, vcpus []core.VCPUView) {
+	for vi := 0; vi < gangs.Len(); vi++ {
+		gang := gangs.Members(vi)
+		anyActive := false
+		for _, id := range gang {
+			if vcpus[id].Status.Active() {
+				anyActive = true
+				break
+			}
+		}
+		for _, id := range gang {
+			if !vcpus[id].Status.Active() && anyActive {
+				skew[id]++
+			} else if skew[id] > 0 {
+				skew[id]--
+			}
+		}
+	}
+	for vi := range coMode {
+		var max int64
+		for _, id := range gangs.Members(vi) {
+			if skew[id] > max {
+				max = skew[id]
+			}
+		}
+		if max > enter {
+			coMode[vi] = true
+		} else if max < exit {
+			coMode[vi] = false
+		}
+	}
+}
+
+// TestRelaxedCoOnePassSkewMatchesTwoPass drives the one-pass update and
+// the two-pass reference with the same random status sequences, over
+// random gang shapes and skew thresholds (EnterSkew 1 with ExitSkew 0
+// included), and requires equal skews and co-modes after every tick.
+func TestRelaxedCoOnePassSkewMatchesTwoPass(t *testing.T) {
+	src := rng.New(25)
+	statuses := [...]core.Status{core.Inactive, core.Ready, core.Busy}
+	var enters, exits int
+	for trial := 0; trial < 300; trial++ {
+		var vcpus []core.VCPUView
+		for vm, n := 0, 1+src.Intn(5); vm < n; vm++ {
+			for k, size := 0, 1+src.Intn(4); k < size; k++ {
+				vcpus = append(vcpus, core.VCPUView{ID: len(vcpus), VM: vm, Sibling: k, PCPU: -1, LastScheduledIn: -1})
+			}
+		}
+		p := RelaxedCoParams{Timeslice: 30, EnterSkew: 1 + int64(src.Intn(8))}
+		if trial%3 == 0 {
+			p.EnterSkew = 1 // the default exit is then 0
+		} else {
+			p.ExitSkew = 1 + int64(src.Intn(int(p.EnterSkew)))
+		}
+		r := NewRelaxedCo(p)
+		// One Schedule call on an all-inactive host derives the gangs and
+		// sizes the state; the reference starts from the same zeros.
+		var acts core.Actions
+		r.Schedule(0, vcpus, nil, &acts)
+		skew := make([]int64, len(vcpus))
+		coMode := make([]bool, r.gangs.Len())
+		refUpdateSkews(&r.gangs, skew, coMode, r.enterSkew, r.exitSkew, vcpus)
+
+		for tick := 1; tick <= 200; tick++ {
+			// Sticky statuses, so skews build up and decay over runs of
+			// ticks instead of hovering at zero.
+			for i := range vcpus {
+				if src.Intn(5) == 0 {
+					vcpus[i].Status = statuses[src.Intn(len(statuses))]
+				}
+			}
+			was := append([]bool(nil), coMode...)
+			r.updateSkews(vcpus)
+			refUpdateSkews(&r.gangs, skew, coMode, r.enterSkew, r.exitSkew, vcpus)
+			for vi := range coMode {
+				switch {
+				case coMode[vi] && !was[vi]:
+					enters++
+				case !coMode[vi] && was[vi]:
+					exits++
+				}
+			}
+			if !reflect.DeepEqual(r.skew, skew) || !reflect.DeepEqual(r.coMode, coMode) {
+				t.Fatalf("trial %d (enter %d, exit %d), tick %d: one pass skew %v co-mode %v, two passes skew %v co-mode %v",
+					trial, r.enterSkew, r.exitSkew, tick, r.skew, r.coMode, skew, coMode)
+			}
+		}
+	}
+	if enters == 0 || exits == 0 {
+		t.Fatalf("co-mode entered %d and left %d times: the sequences never crossed the thresholds", enters, exits)
 	}
 }
