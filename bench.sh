@@ -16,7 +16,8 @@
 #                             # cluster rows run again at GOMAXPROCS=1,
 #                             # named .../procs=1), the layer rows (rng
 #                             # samplers, des kernel, scheduler policies,
-#                             # pooled replication setup, t quantile) and
+#                             # fresh and pooled replication setup, t
+#                             # quantile) and
 #                             # the end-to-end rows (Figures 8-10, Figure 8
 #                             # on the SAN engine, one fast-engine
 #                             # replication, and one RunCells pool at
@@ -95,6 +96,11 @@ json)
             -benchtime 200000x -count=10 -benchmem ./internal/sched
         go test -run '^$' -bench 'BenchmarkReplicationSetupPooled$' \
             -benchtime 100000x -count=10 -benchmem ./internal/core
+        # A fresh build+compile costs tens of microseconds, not the pooled
+        # path's hundreds of nanoseconds: a smaller count keeps each run at
+        # some milliseconds.
+        go test -run '^$' -bench 'BenchmarkReplicationSetupFresh$' \
+            -benchtime 200x -count=10 -benchmem ./internal/core
         go test -run '^$' -bench 'BenchmarkTQuantile$' \
             -benchtime 1000000x -count=10 -benchmem ./internal/stats
         # End-to-end rows, 10-50 ms per iteration (EngineFast: about 1 ms).

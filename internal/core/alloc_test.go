@@ -4,8 +4,50 @@ import (
 	"testing"
 
 	"vcpusim/internal/core"
+	"vcpusim/internal/rng"
+	"vcpusim/internal/san"
 	"vcpusim/internal/sched"
 )
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestFreshSetupAllocs pins the allocations of a fresh Figure 8
+// replication set-up: build, compile, instance and reset, the path
+// BenchmarkReplicationSetupFresh times. Counted arcs are recorded as data,
+// so the model's InputArc/OutputArc calls allocate no closure. The set-up
+// takes 524 allocations; the bound leaves room for small unrelated growth,
+// not for a closure per arc step and per input-arc test (31 in this
+// model: 18 arcs, 13 of them input arcs).
+func TestFreshSetupAllocs(t *testing.T) {
+	if raceEnabled {
+		// Metric names go through fmt, whose printer cache is a
+		// sync.Pool; under the race detector a Pool drops items at
+		// random, so allocation counts are not exact.
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	const budget = 539
+	cfg := benchFig8Config(2)
+	allocs := testing.AllocsPerRun(5, func() {
+		src := rng.New(1)
+		sys, err := core.BuildSystem(cfg, sched.NewRoundRobin(30), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := san.Compile(sys.Model())
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := prog.NewInstance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst.Reset(src.Uint64())
+	})
+	if allocs > budget {
+		t.Errorf("fresh Figure 8 set-up: %.0f allocations, want at most %d", allocs, budget)
+	}
+}
 
 // TestWorkerAllocsIndependentOfHorizon is the SAN-side twin of fastsim's
 // horizon check: once a pooled worker has run a replication, the

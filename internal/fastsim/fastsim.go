@@ -14,7 +14,10 @@
 // The per-tick ordering is the canonical one from DESIGN.md: process →
 // VM job flow → hypervisor (timeslice accounting, expiry, scheduling
 // function) → job flow again → reward sampling. Given the same seed, the
-// fast engine and the SAN engine produce bit-identical reward values.
+// fast engine and the SAN engine produce bit-identical per-entity reward
+// values (per VCPU, per PCPU and per VM); the six fleet averages (the
+// "*/avg" keys) agree within 1e-9 only, because the two engines accumulate
+// them in different orders.
 package fastsim
 
 import (
@@ -70,16 +73,15 @@ type Engine struct {
 	// warmup is the transient prefix excluded from the rewards.
 	warmup int64
 
-	// Reward accumulators: sampled ticks in state, keyed like the SAN
-	// metrics. Occupancy is credited when a state ends (see creditVCPU),
-	// not tick by tick; settle credits the states still open. Work ticks
-	// are busy ticks minus spin ticks.
+	// Reward accumulators of the current window: sampled ticks in state,
+	// keyed like the SAN metrics. Occupancy is credited when a state ends
+	// (see creditVCPU), not tick by tick; settle credits the states still
+	// open. Work ticks are busy ticks minus spin ticks.
 	activeTicks  []int64
 	busyTicks    []int64
 	pcpuTicks    []int64
 	blockedTicks int64
 	spinTicks    int64
-	sampled      int64
 
 	// vcpuSince holds the first tick of each VCPU's status not yet
 	// credited.
@@ -119,7 +121,7 @@ type Stats struct {
 // Stats returns the engine counters accumulated so far. Call after Run;
 // a single-use engine never resets them.
 func (e *Engine) Stats() Stats {
-	s := Stats{Ticks: e.sampled, ScheduleIns: e.schedIns, ScheduleOuts: e.schedOuts}
+	s := Stats{Ticks: max(e.now-e.warmup, 0), ScheduleIns: e.schedIns, ScheduleOuts: e.schedOuts}
 	for vi := range e.vms {
 		s.Jobs += e.vms[vi].jobs
 		s.Unblocks += e.vms[vi].unblocks
@@ -205,33 +207,83 @@ func (e *Engine) Run(horizon int64) (map[string]float64, error) {
 // [warmup, horizon) only, discarding the initial transient — the
 // counterpart of the SAN runner's RunInterval.
 func (e *Engine) RunInterval(warmup, horizon int64) (map[string]float64, error) {
-	if horizon <= 0 {
-		return nil, fmt.Errorf("fastsim: non-positive horizon %d", horizon)
-	}
-	if warmup < 0 || warmup >= horizon {
-		return nil, fmt.Errorf("fastsim: warmup %d outside [0, horizon %d)", warmup, horizon)
-	}
-	e.warmup = warmup
-	// t=0: the initial hypervisor invocation (the SAN model's initial
-	// HV_Tick token), then job flow for freshly scheduled VCPUs.
-	if err := e.hypervisorStep(); err != nil {
+	span := horizon - warmup
+	if err := checkRun(warmup, horizon, span); err != nil {
 		return nil, err
 	}
-	e.jobFlow()
-	e.sample()
-	e.now++
+	var out map[string]float64
+	if err := e.run(warmup, horizon, span, func() { out = e.metrics(span, true) }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
+// RunWindowed simulates horizon ticks (after discarding a warmup prefix)
+// and returns the metric map of every consecutive window of `window`
+// ticks — the raw material for single-run steady-state estimation via the
+// method of batch means (sim.BatchMeans). The measured span
+// (horizon - warmup) must be a positive multiple of window.
+func (e *Engine) RunWindowed(warmup, horizon, window int64) ([]map[string]float64, error) {
+	if err := checkRun(warmup, horizon, window); err != nil {
+		return nil, err
+	}
+	var out []map[string]float64
+	if err := e.run(warmup, horizon, window, func() { out = append(out, e.metrics(window, false)) }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// checkRun validates a run's measured interval [warmup, horizon) and its
+// window length.
+func checkRun(warmup, horizon, window int64) error {
+	if horizon <= 0 {
+		return fmt.Errorf("fastsim: non-positive horizon %d", horizon)
+	}
+	if warmup < 0 || warmup >= horizon {
+		return fmt.Errorf("fastsim: warmup %d outside [0, horizon %d)", warmup, horizon)
+	}
+	if window <= 0 || (horizon-warmup)%window != 0 {
+		return fmt.Errorf("fastsim: window %d must positively divide the measured span %d", window, horizon-warmup)
+	}
+	return nil
+}
+
+// run is the tick loop. It simulates from the engine's current tick up to
+// horizon, measuring from warmup on; at the end of every window of window
+// sampled ticks it settles the open states, calls emit to read the reward
+// accumulators and clears them for the next window. A later call with the
+// same warmup and window resumes where the last one stopped.
+func (e *Engine) run(warmup, horizon, window int64, emit func()) error {
+	e.warmup = warmup
+	// end is the first tick past the current window.
+	end := warmup + window
+	if e.now > warmup {
+		end += (e.now - warmup) / window * window
+	}
 	for ; e.now < horizon; e.now++ {
-		e.process()
-		e.jobFlow()
+		// Tick 0 opens with the initial hypervisor invocation (the SAN
+		// model's initial HV_Tick token): nothing is loaded to process yet.
+		if e.now > 0 {
+			e.process()
+			e.jobFlow()
+		}
 		if err := e.hypervisorStep(); err != nil {
-			return nil, err
+			return err
 		}
 		e.jobFlow()
 		e.sample()
+		if e.now+1 == end {
+			e.settle(end)
+			emit()
+			clear(e.activeTicks)
+			clear(e.busyTicks)
+			clear(e.pcpuTicks)
+			e.blockedTicks, e.spinTicks = 0, 0
+			end += window
+		}
 	}
-	e.settle()
-	return e.results(), nil
+	return nil
 }
 
 // process advances every BUSY VCPU's workload by one tick. Under the
@@ -401,8 +453,9 @@ func (e *Engine) hypervisorStep() error {
 
 	if e.preempted == nil {
 		// Sized at the first tick rather than in New, so building an
-		// engine costs no more than its model state. Every run loop
-		// starts with this step, so process finds it sized.
+		// engine costs no more than its model state. The tick loop runs
+		// this step at tick 0, before any process, so process finds it
+		// sized.
 		e.preempted = make([]bool, len(e.vms))
 	}
 	e.acts.Reset()
@@ -474,21 +527,18 @@ func (e *Engine) apply(acts *core.Actions) error {
 	return nil
 }
 
-// sample counts one sampled tick (ticks before the warmup point are
-// discarded) and, under the spinlock extension, the VCPUs spinning in it.
-// State occupancy is credited on transitions instead.
+// sample counts, under the spinlock extension, the VCPUs spinning in a
+// sampled tick (ticks before the warmup point are discarded). State
+// occupancy is credited on transitions instead.
 func (e *Engine) sample() {
-	if e.now < e.warmup {
+	if !e.spinlock || e.now < e.warmup {
 		return
 	}
-	if e.spinlock {
-		for id := range e.vcpus {
-			if e.spinning(id) {
-				e.spinTicks++
-			}
+	for id := range e.vcpus {
+		if e.spinning(id) {
+			e.spinTicks++
 		}
 	}
-	e.sampled++
 }
 
 // creditVCPU credits VCPU id's current status, and the PCPU it holds,
@@ -519,10 +569,10 @@ func (e *Engine) creditVM(vi int, at int64) {
 	vm.since = at
 }
 
-// settle credits every open state up to the end of the last sampled tick,
-// so the counters hold exactly what sampling each tick would have added.
-func (e *Engine) settle() {
-	at := e.warmup + e.sampled
+// settle credits every open state up to tick at, the end of the last
+// sampled tick, so the accumulators hold exactly what sampling each tick
+// would have added.
+func (e *Engine) settle(at int64) {
 	for id := range e.vcpus {
 		e.creditVCPU(id, at)
 	}
@@ -531,21 +581,18 @@ func (e *Engine) settle() {
 	}
 }
 
-// workTicks is the busy ticks not spent spinning.
-func (e *Engine) workTicks() int64 {
-	work := -e.spinTicks
-	for _, b := range e.busyTicks {
-		work += b
+// metrics converts the accumulators of a window of ticks sampled ticks to
+// time-averaged metrics keyed like the SAN engine's reward variables; jobs
+// adds each VM's job and unblock counts.
+func (e *Engine) metrics(ticks int64, jobs bool) map[string]float64 {
+	t := float64(ticks)
+	n := 2*len(e.vcpus) + len(e.pcpus) + 6
+	if jobs {
+		n += 2 * len(e.vms)
 	}
-	return work
-}
-
-// results converts tick counts to time-averaged metrics keyed like the SAN
-// engine's reward variables.
-func (e *Engine) results() map[string]float64 {
-	t := float64(e.sampled)
-	out := make(map[string]float64, 2*len(e.vcpus)+len(e.pcpus)+4)
+	out := make(map[string]float64, n)
 	var sumActive, sumBusy, sumPCPU float64
+	work := -e.spinTicks
 	for id := range e.vcpus {
 		v := &e.vcpus[id]
 		avail := float64(e.activeTicks[id]) / t
@@ -554,6 +601,7 @@ func (e *Engine) results() map[string]float64 {
 		out[core.VCPUUtilizationMetric(v.VM, v.Sibling)] = busy
 		sumActive += avail
 		sumBusy += busy
+		work += e.busyTicks[id]
 	}
 	for p := range e.pcpus {
 		u := float64(e.pcpuTicks[p]) / t
@@ -565,10 +613,12 @@ func (e *Engine) results() map[string]float64 {
 	out[core.PCPUUtilizationAvgMetric] = sumPCPU / float64(len(e.pcpus))
 	out[core.BlockedFractionMetric] = float64(e.blockedTicks) / t / float64(len(e.vms))
 	out[core.SpinFractionMetric] = float64(e.spinTicks) / t / float64(len(e.vcpus))
-	out[core.EffectiveUtilizationMetric] = float64(e.workTicks()) / t / float64(len(e.vcpus))
-	for vi := range e.vms {
-		out[core.JobsMetric(vi)] = float64(e.vms[vi].jobs)
-		out[core.UnblocksMetric(vi)] = float64(e.vms[vi].unblocks)
+	out[core.EffectiveUtilizationMetric] = float64(work) / t / float64(len(e.vcpus))
+	if jobs {
+		for vi := range e.vms {
+			out[core.JobsMetric(vi)] = float64(e.vms[vi].jobs)
+			out[core.UnblocksMetric(vi)] = float64(e.vms[vi].unblocks)
+		}
 	}
 	return out
 }

@@ -11,99 +11,37 @@ import (
 	"vcpusim/internal/workload"
 )
 
-// refCounts is per-tick occupancy sampling: each sampled tick reads every
-// VCPU, PCPU and VM and adds one tick to the counter of the state it is
-// in. The engine credits occupancy on transitions instead; this is the
-// reference its counters must equal.
-type refCounts counters
-
-func newRefCounts(e *Engine) *refCounts {
-	return &refCounts{
-		active: make([]int64, len(e.vcpus)),
-		busy:   make([]int64, len(e.vcpus)),
-		pcpu:   make([]int64, len(e.pcpus)),
-	}
-}
-
-// sample accumulates one tick of state occupancy (ticks before the warmup
-// point are discarded).
-func (r *refCounts) sample(e *Engine) {
-	if e.now < e.warmup {
+// sampleRef is per-tick occupancy sampling: it reads every VCPU, PCPU and
+// VM of e at the end of tick and adds one tick to the accumulator of ref
+// for the state each is in (ticks before the warmup point are discarded).
+// The engine credits occupancy on transitions instead; the reference's
+// accumulators are what its own must equal at every window boundary.
+func sampleRef(ref, e *Engine, tick int64) {
+	if tick < e.warmup {
 		return
 	}
 	for id := range e.vcpus {
 		switch e.vcpus[id].Status {
 		case core.Busy:
-			r.busy[id]++
-			r.active[id]++
+			ref.busyTicks[id]++
+			ref.activeTicks[id]++
 			if e.spinning(id) {
-				r.spin++
-			} else {
-				r.work++
+				ref.spinTicks++
 			}
 		case core.Ready:
-			r.active[id]++
+			ref.activeTicks[id]++
 		}
 	}
 	for p := range e.pcpus {
 		if e.pcpus[p].VCPU >= 0 {
-			r.pcpu[p]++
+			ref.pcpuTicks[p]++
 		}
 	}
 	for vi := range e.vms {
 		if e.vms[vi].blocked {
-			r.blocked++
+			ref.blockedTicks++
 		}
 	}
-	r.sampled++
-}
-
-func (r *refCounts) snapshot() counters {
-	c := counters(*r)
-	c.active = append([]int64(nil), r.active...)
-	c.busy = append([]int64(nil), r.busy...)
-	c.pcpu = append([]int64(nil), r.pcpu...)
-	return c
-}
-
-// driveRef runs RunInterval's tick loop on e, step for step, with the
-// reference sampler beside sample. At every window boundary it settles
-// the engine and requires its counters to equal the reference's. It
-// returns the reference counters at the start and at each boundary.
-func driveRef(t *testing.T, e *Engine, warmup, horizon, window int64) []counters {
-	t.Helper()
-	e.warmup = warmup
-	ref := newRefCounts(e)
-	snaps := []counters{ref.snapshot()}
-	endTick := func() {
-		e.sample()
-		ref.sample(e)
-		if e.sampled == 0 || e.sampled%window != 0 {
-			return
-		}
-		e.settle()
-		got, want := e.snapshot(), ref.snapshot()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("window=%d, tick %d: credited counters %+v, per-tick sampling %+v", window, e.now, got, want)
-		}
-		snaps = append(snaps, want)
-	}
-	if err := e.hypervisorStep(); err != nil {
-		t.Fatal(err)
-	}
-	e.jobFlow()
-	endTick()
-	e.now++
-	for ; e.now < horizon; e.now++ {
-		e.process()
-		e.jobFlow()
-		if err := e.hypervisorStep(); err != nil {
-			t.Fatal(err)
-		}
-		e.jobFlow()
-		endTick()
-	}
-	return snaps
 }
 
 // namedConfig is a system under test and its subtest name.
@@ -138,10 +76,11 @@ func occupancyConfigs() []namedConfig {
 // TestCreditedOccupancyMatchesPerTickSampling runs every scheduler on
 // barrier and spinlock systems, at several warmups, and requires the
 // occupancy credited on transitions to equal per-tick sampling at every
-// window boundary: inside the engine's own loop, through RunWindowed's
-// window metrics and through RunInterval's results. A window as long as
-// the measured span settles only at the end, so a transition that skips
-// its credit shows there.
+// window boundary: inside the engine's own tick loop, driven one tick at a
+// time with the reference sampling beside it, through RunWindowed's window
+// metrics and through RunInterval's results. A window as long as the
+// measured span settles only at the end, so a transition that skips its
+// credit shows there.
 func TestCreditedOccupancyMatchesPerTickSampling(t *testing.T) {
 	const span = 630
 	var blocked, spin int64
@@ -162,9 +101,37 @@ func TestCreditedOccupancyMatchesPerTickSampling(t *testing.T) {
 					}
 					horizon := warmup + span
 					for _, window := range []int64{span, 90, 7, 1} {
-						ref := newEngine()
-						snaps := driveRef(t, ref, warmup, horizon, window)
-						if got := int64(len(snaps) - 1); got != span/window {
+						// e runs its tick loop one tick at a time; ref holds
+						// the per-tick samples of the current window.
+						e, ref := newEngine(), newEngine()
+						var settled, sampled []map[string]float64
+						var interval map[string]float64
+						emit := func() { settled = append(settled, e.metrics(window, false)) }
+						for tick := int64(0); tick < horizon; tick++ {
+							if err := e.run(warmup, tick+1, window, emit); err != nil {
+								t.Fatal(err)
+							}
+							sampleRef(ref, e, tick)
+							if tick >= warmup && (tick+1-warmup)%window == 0 {
+								sampled = append(sampled, ref.metrics(window, false))
+								if window == span {
+									for vi := range e.vms {
+										ref.vms[vi].jobs, ref.vms[vi].unblocks = e.vms[vi].jobs, e.vms[vi].unblocks
+									}
+									interval = ref.metrics(span, true)
+									blocked += ref.blockedTicks
+									spin += ref.spinTicks
+								}
+								ref = newEngine()
+							}
+							if len(settled) != len(sampled) {
+								t.Fatalf("window=%d, tick %d: the engine settled %d windows, the reference sampled %d", window, tick, len(settled), len(sampled))
+							}
+							if k := len(settled) - 1; k >= 0 && !reflect.DeepEqual(settled[k], sampled[k]) {
+								t.Fatalf("window=%d, tick %d: credited occupancy %v, per-tick sampling %v", window, tick, settled[k], sampled[k])
+							}
+						}
+						if got := int64(len(sampled)); got != span/window {
 							t.Fatalf("window=%d: %d boundaries, want %d", window, got, span/window)
 						}
 
@@ -172,11 +139,11 @@ func TestCreditedOccupancyMatchesPerTickSampling(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if len(windows) != len(snaps)-1 {
-							t.Fatalf("window=%d: RunWindowed returned %d windows, want %d", window, len(windows), len(snaps)-1)
+						if len(windows) != len(sampled) {
+							t.Fatalf("window=%d: RunWindowed returned %d windows, want %d", window, len(windows), len(sampled))
 						}
 						for k, got := range windows {
-							if want := ref.windowMetrics(snaps[k], snaps[k+1]); !reflect.DeepEqual(got, want) {
+							if want := sampled[k]; !reflect.DeepEqual(got, want) {
 								t.Fatalf("window=%d, window %d: RunWindowed %v, per-tick sampling %v", window, k, got, want)
 							}
 						}
@@ -184,15 +151,12 @@ func TestCreditedOccupancyMatchesPerTickSampling(t *testing.T) {
 						if window != span {
 							continue
 						}
-						last := snaps[len(snaps)-1]
-						blocked += last.blocked
-						spin += last.spin
 						got, err := newEngine().RunInterval(warmup, horizon)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if want := ref.results(); !reflect.DeepEqual(got, want) {
-							t.Fatalf("RunInterval %v, per-tick sampling %v", got, want)
+						if !reflect.DeepEqual(got, interval) {
+							t.Fatalf("RunInterval %v, per-tick sampling %v", got, interval)
 						}
 					}
 				})

@@ -274,8 +274,8 @@ func (s *solver) resolveVanishing(mk marking, depth int) ([]weighted, error) {
 			continue
 		}
 		s.restore(mk)
-		for _, fn := range fire.inputFns {
-			fn()
+		for _, st := range fire.arcs {
+			st.p.Add(st.delta)
 		}
 		fire.cases[i].Output()
 		next := s.capture()
@@ -337,8 +337,8 @@ func (s *solver) expand(mk marking, timed []*Activity, timedIndex map[*Activity]
 				continue
 			}
 			s.restore(mk)
-			for _, fn := range a.inputFns {
-				fn()
+			for _, st := range a.arcs {
+				st.p.Add(st.delta)
 			}
 			a.cases[i].Output()
 			tangibles, err := s.resolveVanishing(s.capture(), 0)

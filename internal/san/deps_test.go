@@ -123,17 +123,20 @@ func bruteForceDeps(m *Model, st Structure, place string) (timed, inst, rates []
 	for _, p := range st.Places {
 		known[p.Name] = true
 	}
-	for _, a := range st.Activities {
+	for i, a := range st.Activities {
 		if a.Predicates == 0 {
 			continue
 		}
 		reads := false
-		for _, l := range a.Links {
-			if a.GatePredicates == 0 && !l.arc {
-				continue
+		if a.GatePredicates == 0 {
+			// Input arcs alone (the snapshot lists activities in
+			// definition order).
+			for _, arc := range m.activities[i].arcs {
+				reads = reads || arc.delta < 0 && arc.p.name == place && known[place]
 			}
-			if l.Kind == LinkInput && l.Place == place && known[l.Place] {
-				reads = true
+		} else {
+			for _, l := range a.Links {
+				reads = reads || l.Kind == LinkInput && l.Place == place && known[place]
 			}
 		}
 		if !reads {

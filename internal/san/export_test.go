@@ -7,10 +7,6 @@ import (
 	"vcpusim/internal/rng"
 )
 
-// InputFunc adds an input-gate function executed when the activity
-// completes, before the case's output gate.
-func (a *Activity) InputFunc(fn func()) *Activity { return a.addInputFunc(fn) }
-
 // TimedActivityFunc creates a timed activity whose delay is computed by fn,
 // which may depend on the current marking.
 func (s *Sub) TimedActivityFunc(name string, fn func(*rng.Source) float64) *Activity {

@@ -108,7 +108,8 @@ type Instance struct {
 	tracking bool
 
 	// preFire / postFire, when set, bracket every firing's gate execution
-	// (before the input functions, after the chosen case's output gate).
+	// (before the arcs' marking steps, after the chosen case's output
+	// gate).
 	// They exist for verification instrumentation — the structural
 	// conformance check snapshots the marking around each firing — and
 	// cost one nil test per firing when unset.
@@ -587,29 +588,31 @@ func (in *Instance) integralAt(i int, t float64) float64 {
 	return s.integral + s.val*(t-in.rateT)
 }
 
-// fire completes an activity: input-gate functions run first, then one case
-// is selected by weight and its output gate runs. Gate execution runs with
-// dirty tracking on; once a fatal error is recorded the remaining gate
+// fire completes an activity: its counted arcs' marking steps apply first,
+// in creation order, then one case is selected by weight and its output
+// gate runs. Once a fatal error is recorded the remaining steps and gate
 // stages are skipped, so a failed replication never mutates the marking
-// past the error point. Activities whose input functions are all counted
-// arcs take the compiled path for them: the same marking steps — same
-// order, same negative/capacity checks, same dirty touches — applied
-// directly from the firing plan, with no closure calls; their cases, if
-// any were added, then run as closures.
+// past the error point. The steps are applied directly, with the negative
+// and capacity checks and dirty touches of Place.Add, unless an arc leaves
+// the model (actPlan.foreign); the cases run as closures with dirty
+// tracking on.
 func (in *Instance) fire(ap *actPlan) {
 	a := ap.act
 	in.firings++
 	if in.preFire != nil {
 		in.preFire(a)
 	}
-	if !ap.fireCompiled {
+	if ap.foreign {
 		in.tracking = true
-		for _, fn := range a.inputFns {
-			fn()
+		for _, st := range a.arcs {
+			st.p.Add(st.delta)
 			if in.failed != nil {
-				in.tracking = false
-				return
+				break
 			}
+		}
+		in.tracking = false
+		if in.failed != nil {
+			return
 		}
 	} else if ft := ap.fireTouch; ft != nil {
 		// Fused-touch path (narrow arenas): one OR marks every place the
@@ -621,14 +624,14 @@ func (in *Instance) fire(ap *actPlan) {
 		for i, w := range ft {
 			ar[i] |= w
 		}
-		for _, st := range ap.fireArcs {
+		for _, st := range a.arcs {
 			in.applyArcStep(st)
 			if in.failed != nil {
 				return
 			}
 		}
 	} else {
-		for _, st := range ap.fireArcs {
+		for _, st := range a.arcs {
 			in.applyArcStep(st)
 			in.touchID(int(st.p.id))
 			if in.failed != nil {
@@ -683,22 +686,6 @@ func (in *Instance) applyArcStep(st arcStep) {
 		p.model.addErr(fmt.Errorf("san: place %s marked %d, above its declared capacity %d", p.name, n, p.capacity))
 	}
 	p.tokens = n
-}
-
-// enabledPlan evaluates an activity's enabling condition, through the
-// compiled arc predicates when the activity has no opaque gate predicate —
-// the same conjunction, in the same short-circuit order, without the
-// closure calls.
-func (in *Instance) enabledPlan(ap *actPlan) bool {
-	if ap.enabCompiled {
-		for _, ar := range ap.enabArcs {
-			if ar.p.tokens < ar.n {
-				return false
-			}
-		}
-		return true
-	}
-	return ap.act.enabled()
 }
 
 // sampleDelay draws an activity's completion delay, through compiled
@@ -783,7 +770,7 @@ func (in *Instance) stabilize() error {
 		if p := ap.enabP; p != nil {
 			enabled = p.tokens >= ap.enabN
 		} else {
-			enabled = in.enabledPlan(ap)
+			enabled = ap.act.enabled()
 		}
 		if !enabled {
 			i = cand.next(i + 1)
@@ -874,7 +861,7 @@ func (in *Instance) refresh() {
 		if p := ap.enabP; p != nil {
 			enabled = p.tokens >= ap.enabN
 		} else {
-			enabled = in.enabledPlan(ap)
+			enabled = ap.act.enabled()
 		}
 		if in.anyDisabled && in.disabledTimed.has(i) {
 			enabled = false

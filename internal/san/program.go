@@ -25,28 +25,9 @@ const (
 	delayNormZig // Normal{Mu: A, Sigma: B} via rng.NormZig
 )
 
-// arcPred is one InputArc's enabling term: the place must hold at least n
-// tokens. Lowered from the activity's arc-flagged links, it lets the
-// executor evaluate enabling directly from the marking, without calling
-// gate closures.
-type arcPred struct {
-	p *Place
-	n int
-}
-
-// arcStep is one counted arc's marking effect (consume for input arcs,
-// produce for output arcs), in input-function order. For activities whose
-// input functions are all counted arcs, the step list is the whole input
-// gate; the cases (if any were added) run after it.
-type arcStep struct {
-	p     *Place
-	delta int
-}
-
 // actPlan is the compiled execution plan of one activity: its identity, the
-// precomputed reward fan-out of a completion, and — when the activity's
-// predicates or input functions are counted arcs — closure-free enabling
-// and firing plans. Plans are immutable after Compile; all mutable
+// precomputed reward fan-out of a completion, and how its counted arcs
+// enable and fire it. Plans are immutable after Compile; all mutable
 // per-replication state lives on the Instance.
 type actPlan struct {
 	act *Activity
@@ -57,35 +38,29 @@ type actPlan struct {
 	// activity (completion-count rewards): dirtied on every firing.
 	rateIdx []int32
 
-	// enabArcs, when enabCompiled, is the activity's entire enabling
-	// predicate as data: enabled ⇔ every arc place holds its token count.
-	// Compiled only when the activity has no opaque Predicate, so the test
-	// is exactly the conjunction the closures would compute.
-	enabArcs     []arcPred
-	enabCompiled bool
-	// enabP/enabN cache the one-arc special case of enabArcs (by far the
-	// most common compiled predicate): when enabP is non-nil the enabling
-	// test is the single inline comparison enabP.tokens >= enabN, saving
-	// refresh a call and a slice walk per reconsideration.
+	// enabP/enabN, when enabP is non-nil, are the activity's one input arc
+	// and its token count, its whole enabling condition when it has no
+	// opaque predicate (by far the most common one): the enabling test is
+	// the single inline comparison enabP.tokens >= enabN, saving refresh a
+	// call and a slice walk per reconsideration. Other activities evaluate
+	// Activity.enabled.
 	enabP *Place
 	enabN int
 
-	// fireArcs, when fireCompiled, is the activity's input gate as data:
-	// the counted-arc marking steps in input-function order. Compiled when
-	// every input function is a counted arc, so applying the steps is
-	// exactly what the closures would do — including the negative-marking
-	// and capacity checks and the dirty-place touches. Unless caseFree,
-	// the activity's cases then run as closures with tracking on, as they
-	// would after the input closures; a caseFree activity has only the
-	// implicit empty case, so the steps are its entire firing.
-	fireArcs     []arcStep
-	fireCompiled bool
-	caseFree     bool
+	// foreign reports an arc to a place outside the compiled model. fire
+	// applies every arc of such an activity through Place.Add, which
+	// records errors on and touches for the place's own model; for all
+	// other activities it applies the arcs itself, with the same negative
+	// and capacity checks and this model's dirty touches. The cases, unless
+	// caseFree, then run as closures with tracking on; a caseFree activity
+	// has only the implicit empty case, so the arcs are its entire firing.
+	foreign  bool
+	caseFree bool
 	// case1, when the activity has exactly one case, is that case: fire
 	// runs its output gate without weighing it.
 	case1 *Case
 	// fireTouch, when non-nil, is the union of the dirty rows of every
-	// place in fireArcs plus the plan's rateIdx bits, pre-computed over the
+	// arc's place plus the plan's rateIdx bits, pre-computed over the
 	// arena's full stride: a compiled firing always touches the same
 	// places, so one OR of these words replaces the per-place touches and
 	// the rate-dirty loop. Populated only for narrow arenas (stride ≤ 4),
@@ -316,8 +291,8 @@ func WithContract(version int) CompileOption {
 
 // Compile validates model and compiles its immutable execution plan: the
 // activity firing orders, the per-activity reward fan-out, the
-// enabling-dependency graph with its per-place touch masks, closure-free
-// enabling and firing plans for counted-arc gates, and the quiet places no
+// enabling-dependency graph with its per-place touch masks, the arc plans
+// of the enabling test and the firing, and the quiet places no
 // activity or reward depends on. The model's marking is untouched;
 // Instance.Reset restores it before each replication.
 func Compile(model *Model, opts ...CompileOption) (*Program, error) {
@@ -401,35 +376,39 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 	p.wildInst = newBitset(len(p.instants))
 
 	addReaders := func(a *Activity, idx int, timed bool) {
-		if len(a.preds) == 0 && !timed {
-			// An instantaneous activity with no predicate is always
-			// enabled: keep it in the wildcard set so stabilization
-			// reaches the livelock cap exactly as a full scan would.
-			p.wildInst.set(idx)
-			return
-		}
-		if len(a.preds) == 0 {
-			// Always enabled: a timed activity only needs reconsideration
+		arcOnly := len(a.preds) == 0
+		if arcOnly && a.inputArcs() == 0 {
+			// Always enabled. An instantaneous one stays in the wildcard
+			// set so stabilization reaches the livelock cap exactly as a
+			// full scan would; a timed one only needs reconsideration
 			// after its own completion, which complete() marks directly.
+			if !timed {
+				p.wildInst.set(idx)
+			}
 			return
 		}
-		// Predicates that are all input arcs read exactly their arc places;
-		// other input links document what the cases read.
-		arcOnly := a.gatePreds == 0
 		indexed := false
-		for _, l := range a.links {
-			if l.Kind != LinkInput || arcOnly && !l.arc {
-				continue
-			}
-			pid, ok := places[l.Place]
-			if !ok {
-				continue // undocumented target: covered by wildcard below
-			}
+		index := func(pid int) {
 			indexed = true
 			if timed {
 				inc.timed[pid] = append(inc.timed[pid], int32(idx))
 			} else {
 				inc.inst[pid] = append(inc.inst[pid], int32(idx))
+			}
+		}
+		if arcOnly {
+			// Input arcs alone read exactly their places.
+			for _, st := range a.arcs {
+				if st.delta < 0 && st.p.model == m {
+					index(int(st.p.id))
+				}
+			}
+		} else {
+			// Opaque predicates read what the input links document.
+			for _, l := range a.links {
+				if pid, ok := places[l.Place]; ok && l.Kind == LinkInput {
+					index(pid)
+				}
 			}
 		}
 		if !indexed {
@@ -482,70 +461,25 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 	}
 	p.deps = inc
 
-	// Closure-free plans, reconstructed from the arc-flagged links (for
-	// those, the documented (place, count) IS the installed gate
-	// semantics, in creation order — the closures' execution order).
-	// Enabling compiles whenever every predicate is a counted input arc
-	// (gatePreds counts the opaque ones); the input gate compiles whenever
-	// every input function is a counted arc, ahead of any added cases. All
-	// plans share two exact-capacity pools, so compiling arcs costs two
-	// allocations however many activities have them.
-	var predPool []arcPred
-	var stepPool []arcStep
-	nPred, nStep := 0, 0
-	for _, a := range m.activities {
-		for _, l := range a.links {
-			if !l.arc {
-				continue
-			}
-			nStep++
-			if l.Kind == LinkInput {
-				nPred++
-			}
-		}
-	}
-	predPool = make([]arcPred, 0, nPred)
-	stepPool = make([]arcStep, 0, nStep)
+	// Arc plans: the activity's arcs are its input gate as data, in
+	// creation order. A lone input arc with no opaque predicate is the
+	// whole enabling test.
 	compilePlans := func(ap *actPlan) {
 		a := ap.act
 		if len(a.cases) == 1 {
 			ap.case1 = &a.cases[0]
 		}
-		predStart, stepStart := len(predPool), len(stepPool)
-		for _, l := range a.links {
-			if !l.arc {
-				continue
-			}
-			pid, found := places[l.Place]
-			if !found || pid >= p.extBase {
-				// Arc to a place outside this model: leave the closures in
-				// charge (they captured the actual place).
-				predPool = predPool[:predStart]
-				stepPool = stepPool[:stepStart]
-				return
-			}
-			pl := m.places[pid]
-			if l.Kind == LinkInput {
-				predPool = append(predPool, arcPred{p: pl, n: l.Tokens})
-				stepPool = append(stepPool, arcStep{p: pl, delta: -l.Tokens})
-			} else {
-				stepPool = append(stepPool, arcStep{p: pl, delta: l.Tokens})
+		ap.caseFree = a.gateCases == 0
+		inputs := 0
+		for _, st := range a.arcs {
+			ap.foreign = ap.foreign || st.p.model != m
+			if st.delta < 0 {
+				inputs++
+				ap.enabP, ap.enabN = st.p, -st.delta
 			}
 		}
-		preds := predPool[predStart:len(predPool):len(predPool)]
-		steps := stepPool[stepStart:len(stepPool):len(stepPool)]
-		if a.gatePreds == 0 && len(preds) == len(a.preds) {
-			ap.enabArcs = preds
-			ap.enabCompiled = true
-			if len(preds) == 1 {
-				ap.enabP = preds[0].p
-				ap.enabN = preds[0].n
-			}
-		}
-		if len(steps) == len(a.inputFns) {
-			ap.fireArcs = steps
-			ap.fireCompiled = true
-			ap.caseFree = a.gateCases == 0
+		if inputs != 1 || len(a.preds) != 0 {
+			ap.enabP, ap.enabN = nil, 0
 		}
 	}
 	for _, ap := range p.timed {
@@ -656,13 +590,13 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 		// The plans' fused rows fill the spare capacity reserved on rows.
 		fused := rows[len(rows):len(rows):cap(rows)]
 		fuseTouch := func(ap *actPlan) {
-			if !ap.fireCompiled {
+			if ap.foreign {
 				return
 			}
 			start := len(fused)
 			fused = fused[:start+stride]
 			ft := fused[start : start+stride : start+stride]
-			for _, st := range ap.fireArcs {
+			for _, st := range ap.act.arcs {
 				id := int(st.p.id)
 				row := rows[id*stride : (id+1)*stride]
 				for w, mask := range row {

@@ -60,33 +60,45 @@ func TestRunnerSingleUseAfterFailure(t *testing.T) {
 	}
 }
 
-// TestFireStopsAfterInputGateFailure seeds a defect in an input-gate
-// function and verifies the rest of the firing is skipped: the output gate
+// TestFireStopsAfterInputGateFailure seeds a defect in an input gate, an
+// output arc that overflows its place's declared capacity, and verifies
+// the rest of the firing is skipped: the later arcs and the output gate
 // must not run and the activity's impulse rewards must not accumulate once
-// the replication is doomed.
+// the replication is doomed. It runs on both firing paths: the arcs
+// applied by the executor, and through Place.Add when an arc leaves the
+// model.
 func TestFireStopsAfterInputGateFailure(t *testing.T) {
-	m := NewModel("bailinput")
-	s := m.Sub("s")
-	p := s.Place("p", 0)
-	outputRan := false
-	act := s.TimedActivity("act", rng.Deterministic{Value: 1})
-	act.InputFunc(func() { p.SetTokens(-1) }) // records the fatal error
-	act.AddCase(nil, func() { outputRan = true })
-	act.Link(LinkOutput, p.Name())
-	m.AddImpulseReward("count", act, nil)
+	for _, foreign := range []bool{false, true} {
+		m := NewModel("bailinput")
+		s := m.Sub("s")
+		p := s.Place("p", 1).SetCapacity(1)
+		after := s.Place("after", 0)
+		outputRan := false
+		act := s.TimedActivity("act", rng.Deterministic{Value: 1})
+		if foreign {
+			act.OutputArc(NewModel("other").Sub("o").Place("q", 0), 1)
+		}
+		act.OutputArc(p, 1) // records the fatal error
+		act.OutputArc(after, 1)
+		act.AddCase(nil, func() { outputRan = true })
+		m.AddImpulseReward("count", act, nil)
 
-	r, err := NewRunner(m, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(100); err == nil {
-		t.Fatal("defective input gate did not fail the run")
-	}
-	if outputRan {
-		t.Error("output gate ran after the input gate recorded a fatal error")
-	}
-	if r.impulses[0] != 0 {
-		t.Errorf("impulse accumulated %g after the failure, want 0", r.impulses[0])
+		r, err := NewRunner(m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(100); err == nil {
+			t.Fatalf("foreign=%v: defective input gate did not fail the run", foreign)
+		}
+		if after.Tokens() != 0 {
+			t.Errorf("foreign=%v: an arc after the failing one ran", foreign)
+		}
+		if outputRan {
+			t.Errorf("foreign=%v: output gate ran after the input gate recorded a fatal error", foreign)
+		}
+		if r.impulses[0] != 0 {
+			t.Errorf("foreign=%v: impulse accumulated %g after the failure, want 0", foreign, r.impulses[0])
+		}
 	}
 }
 

@@ -10,8 +10,8 @@
 //     the framework uses these for VCPU_slot and VCPU-scheduler state.
 //   - Activity: timed (randomly distributed delay) or instantaneous, with
 //     probabilistic cases.
-//   - Input gate: enabling predicate plus an input function executed on
-//     completion.
+//   - Input gate: enabling predicate plus a marking change on completion;
+//     counted arcs (InputArc, OutputArc) express the change as data.
 //   - Output gate: a function executed on completion that updates the
 //     marking.
 //   - Composition: submodels namespace their components; sharing a place
@@ -235,19 +235,21 @@ const (
 
 // Link is a documented activity↔place connection. Tokens is the number of
 // tokens the connection requires (input) or produces (output) when the link
-// was created by InputArc/OutputArc; 0 means the activity only reads or
-// writes the place through gate code (for example a zero-test predicate),
-// without a fixed token count.
+// was created by InputArc/OutputArc or LinkN; 0 means the activity only
+// reads or writes the place through gate code (for example a zero-test
+// predicate), without a fixed token count.
 type Link struct {
 	Kind   LinkKind
 	Place  string
 	Tokens int
-	// arc marks links created by InputArc/OutputArc: for these the
-	// documented (place, count) IS the installed gate semantics, so Compile
-	// may reconstruct the predicate and marking effect from the link alone.
-	// LinkN records the same shape as documentation only; the analyzer
-	// trusts it, the executor does not.
-	arc bool
+}
+
+// arcStep is one counted arc (InputArc, OutputArc): the arc's place and
+// its marking change on completion, -n for an input arc, which also
+// requires n tokens to enable the activity, and +n for an output arc.
+type arcStep struct {
+	p     *Place
+	delta int
 }
 
 // Activity is a SAN activity.
@@ -257,48 +259,33 @@ type Activity struct {
 	priority int // instantaneous ordering: lower fires first
 	delay    func(*rng.Source) float64
 	dist     rng.Distribution // set when built from a Distribution; nil for TimedActivityFunc
-	preds    []func() bool
-	inputFns []func()
-	cases    []Case
-	links    []Link
-	model    *Model
-	defined  int // definition order, tie-break within priority
-	// gatePreds / gateCases count the opaque predicates and cases added
-	// directly (Predicate, AddCase), as opposed to the ones the
-	// counted-arc conveniences create. Structural analysis uses them to
-	// tell activities whose semantics ARE their documented arcs from
-	// activities with behavior the documentation only approximates; the
-	// compiled executor uses gatePreds to decide when the arc records
-	// above are the whole enabling condition. Opaque input functions need
-	// no counter: they are the input functions without an arc link.
-	gatePreds, gateCases int
+	// arcs are the counted arcs in creation order: the input gate as data.
+	// preds are the opaque predicates (Predicate); the enabling condition
+	// is every input arc's token test and every predicate.
+	arcs  []arcStep
+	preds []func() bool
+	cases []Case
+	links []Link
+	model *Model
+	// defined is the definition order, tie-break within priority.
+	defined int
+	// gateCases counts the cases added through AddCase, as opposed to the
+	// implicit empty case Validate gives an activity without one.
+	gateCases int
 }
 
 // Name returns the activity's fully qualified name.
 func (a *Activity) Name() string { return a.name }
 
 // Predicate adds an enabling condition; the activity is enabled only when
-// every added predicate holds (input-gate predicates).
+// every added predicate holds (input-gate predicates). fn must only read
+// the marking: the executor decides when, and whether, to evaluate it.
 func (a *Activity) Predicate(fn func() bool) *Activity {
-	a.gatePreds++
-	return a.addPredicate(fn)
-}
-
-func (a *Activity) addPredicate(fn func() bool) *Activity {
 	if fn == nil {
 		a.model.addErr(fmt.Errorf("san: nil predicate on activity %s", a.name))
 		return a
 	}
 	a.preds = append(a.preds, fn)
-	return a
-}
-
-func (a *Activity) addInputFunc(fn func()) *Activity {
-	if fn == nil {
-		a.model.addErr(fmt.Errorf("san: nil input function on activity %s", a.name))
-		return a
-	}
-	a.inputFns = append(a.inputFns, fn)
 	return a
 }
 
@@ -344,28 +331,22 @@ func (a *Activity) LinkN(kind LinkKind, placeName string, n int) *Activity {
 		a.model.addErr(fmt.Errorf("san: non-positive link count %d on activity %s", n, a.name))
 		return a
 	}
-	return a.linkTokens(kind, placeName, n)
-}
-
-// linkTokens documents a connection with a fixed token count (LinkN).
-func (a *Activity) linkTokens(kind LinkKind, placeName string, n int) *Activity {
 	a.links = append(a.links, Link{Kind: kind, Place: placeName, Tokens: n})
-	return a
-}
-
-// arcLink records an InputArc/OutputArc connection: the same counted link,
-// flagged as carrying the gate semantics itself so Compile can lower the
-// arc into the closure-free enabling and firing plans.
-func (a *Activity) arcLink(kind LinkKind, placeName string, n int) *Activity {
-	a.links = append(a.links, Link{Kind: kind, Place: placeName, Tokens: n, arc: true})
 	return a
 }
 
 // Links returns the documented connections.
 func (a *Activity) Links() []Link { return append([]Link(nil), a.links...) }
 
-// enabled evaluates the conjunction of all predicates.
+// enabled evaluates the enabling condition: the input arcs' token tests,
+// then the opaque predicates. Predicates read the marking and change
+// nothing, so testing the arcs first decides the same conjunction.
 func (a *Activity) enabled() bool {
+	for _, st := range a.arcs {
+		if st.delta < 0 && st.p.tokens < -st.delta {
+			return false
+		}
+	}
 	for _, p := range a.preds {
 		if !p() {
 			return false
@@ -374,22 +355,37 @@ func (a *Activity) enabled() bool {
 	return true
 }
 
+// inputArcs returns the number of input arcs.
+func (a *Activity) inputArcs() int {
+	n := 0
+	for _, st := range a.arcs {
+		if st.delta < 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // InputArc is a convenience: requires n tokens in p and consumes them on
 // completion (classic Petri-net input arc expressed as an input gate). The
-// predicate and consumption it installs are fully described by the counted
-// link, so arcs do not count toward the activity's opaque-gate tally.
+// arc is recorded as data with its counted link, which describes it fully,
+// so arcs do not count toward the activity's opaque-gate tally.
 func (a *Activity) InputArc(p *Place, n int) *Activity {
-	a.addPredicate(func() bool { return p.Tokens() >= n })
-	a.addInputFunc(func() { p.Add(-n) })
-	return a.arcLink(LinkInput, p.Name(), n)
+	return a.arc(LinkInput, p, n, -n)
 }
 
 // OutputArc is a convenience: produces n tokens in p on completion. It must
 // be combined with AddCase or used on activities with a default case; the
 // production happens before case outputs.
 func (a *Activity) OutputArc(p *Place, n int) *Activity {
-	a.addInputFunc(func() { p.Add(n) })
-	return a.arcLink(LinkOutput, p.Name(), n)
+	return a.arc(LinkOutput, p, n, n)
+}
+
+// arc records a counted arc's marking step and its documenting link.
+func (a *Activity) arc(kind LinkKind, p *Place, n, delta int) *Activity {
+	a.arcs = append(a.arcs, arcStep{p: p, delta: delta})
+	a.links = append(a.links, Link{Kind: kind, Place: p.name, Tokens: n})
+	return a
 }
 
 // RateReward is a reward variable accumulated as the time integral of a

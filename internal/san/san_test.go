@@ -87,7 +87,6 @@ func TestNilGateErrors(t *testing.T) {
 	s := m.Sub("s")
 	a := s.InstantActivity("a")
 	a.Predicate(nil)
-	a.InputFunc(nil)
 	a.AddCase(nil, nil)
 	m.AddRateReward("r", nil)
 	m.AddImpulseReward("i", nil, nil)
@@ -442,10 +441,13 @@ func TestValidateGivesImplicitCase(t *testing.T) {
 	s := m.Sub("s")
 	p := s.Place("p", 0)
 	a := s.TimedActivity("t", rng.Deterministic{Value: 1})
-	a.InputFunc(func() { p.Add(1) }) // input function only, no case
+	a.OutputArc(p, 1) // arc only, no case
 	r, err := NewRunner(m, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(a.cases) != 1 || a.gateCases != 0 {
+		t.Fatalf("%d cases (%d added), want the one implicit case", len(a.cases), a.gateCases)
 	}
 	if _, err := r.Run(3.5); err != nil {
 		t.Fatal(err)

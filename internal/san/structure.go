@@ -44,17 +44,15 @@ type ActivityInfo struct {
 	Name     string
 	Kind     ActivityKind
 	Priority int
-	// Predicates is the number of enabling predicates attached (counted
-	// input arcs install one each; GatePredicates counts the rest).
+	// Predicates is the number of enabling predicates attached (each
+	// counted input arc is one; GatePredicates counts the rest).
 	Predicates int
-	// GatePredicates / GateFuncs / GateCases count the opaque gate
-	// components: predicates and cases added directly through Predicate
-	// and AddCase, and input functions not installed by a counted arc.
-	// An activity with all three zero is a pure-arc activity: its enabling
+	// GatePredicates / GateCases count the opaque gate components:
+	// predicates and cases added directly through Predicate and AddCase.
+	// An activity with both zero is a pure-arc activity: its enabling
 	// condition and marking effect are exactly its counted links, so
 	// structural analysis can execute it symbolically.
 	GatePredicates int
-	GateFuncs      int
 	GateCases      int
 	Cases          []CaseInfo
 	Links          []Link
@@ -113,16 +111,10 @@ func (m *Model) Structure() Structure {
 			Name:           a.name,
 			Kind:           a.kind,
 			Priority:       a.priority,
-			Predicates:     len(a.preds),
-			GatePredicates: a.gatePreds,
-			GateFuncs:      len(a.inputFns),
+			Predicates:     a.inputArcs() + len(a.preds),
+			GatePredicates: len(a.preds),
 			GateCases:      a.gateCases,
 			Links:          a.Links(),
-		}
-		for _, l := range a.links {
-			if l.arc {
-				info.GateFuncs-- // every arc installs one input function
-			}
 		}
 		for _, c := range a.cases {
 			info.Cases = append(info.Cases, CaseInfo{Weight: c.Weight()})

@@ -50,7 +50,7 @@ type actNode struct {
 	preds    int
 	arcPreds int
 
-	gatePreds, gateFns, gateCases int
+	gatePreds, gateCases int
 	// vague reports zero-count links or links to extended places: the
 	// activity reads or writes state the incidence matrix cannot see.
 	vague bool
@@ -61,7 +61,7 @@ type actNode struct {
 // pure reports that the activity's enabling condition and marking effect
 // are exactly its counted arcs, so reachability can fire it symbolically.
 func (a *actNode) pure() bool {
-	return a.gatePreds == 0 && a.gateFns == 0 && a.gateCases == 0 &&
+	return a.gatePreds == 0 && a.gateCases == 0 &&
 		!a.vague && a.preds == a.arcPreds
 }
 
@@ -111,7 +111,6 @@ func buildNet(st san.Structure, disabled []string) *net {
 			defined:   i,
 			preds:     a.Predicates,
 			gatePreds: a.GatePredicates,
-			gateFns:   a.GateFuncs,
 			gateCases: a.GateCases,
 			disabled:  n.disabled[a.Name],
 		}
