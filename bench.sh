@@ -53,7 +53,7 @@ case "${1:-}" in
 smoke)
     # One abbreviated pass so CI catches benchmarks that fail to build or
     # error out, without paying for stable numbers.
-    exec go test -run '^$' -bench "$BENCH|BenchmarkChurnHeapKernel|BenchmarkReplicationSetup|BenchmarkTQuantile|Schedule\$|BenchmarkExpZig|BenchmarkNormZig|BenchmarkExponentialSample|$ROOT|BenchmarkRunCells\$" \
+    exec go test -run '^$' -bench "$BENCH|BenchmarkChurnHeapKernel|BenchmarkChurnInHandler|BenchmarkReplicationSetup|BenchmarkTQuantile|Schedule\$|BenchmarkExpZig|BenchmarkNormZig|BenchmarkExponentialSample|$ROOT|BenchmarkRunCells\$" \
         -benchtime 1x -benchmem $PKGS ./internal/stats ./internal/sched ./internal/rng .
     ;;
 json)
@@ -90,7 +90,7 @@ json)
         # fixed count sized to take some milliseconds.
         go test -run '^$' -bench 'BenchmarkExpZig$|BenchmarkNormZig$|BenchmarkExponentialSample$' \
             -benchtime 1000000x -count=10 -benchmem ./internal/rng
-        go test -run '^$' -bench 'BenchmarkHeapChurn$|BenchmarkChurnHeapKernel$|BenchmarkCancel$|BenchmarkScheduleAndStep$' \
+        go test -run '^$' -bench 'BenchmarkHeapChurn$|BenchmarkChurnHeapKernel$|BenchmarkChurnInHandler$|BenchmarkCancel$|BenchmarkScheduleAndStep$' \
             -benchtime 200000x -count=10 -benchmem ./internal/des
         go test -run '^$' -bench 'BenchmarkRoundRobinSchedule$|BenchmarkStrictCoSchedule$|BenchmarkRelaxedCoSchedule$|BenchmarkBalanceSchedule$|BenchmarkCreditSchedule$' \
             -benchtime 200000x -count=10 -benchmem ./internal/sched

@@ -81,3 +81,35 @@ func BenchmarkChurnHeapKernel(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkChurnInHandler is BenchmarkChurnHeapKernel with the reschedule
+// moved into the handler, where the SAN executor makes it: each fired event
+// schedules its next activation while it still holds the heap's root, so
+// this row shows what firing in place saves.
+func BenchmarkChurnInHandler(b *testing.B) {
+	k := NewKernel()
+	r := rng.New(1)
+	const depth = 64
+	k.Reserve(depth)
+	for i := 0; i < depth; i++ {
+		var ev *Event
+		ev, err := k.NewEvent(0, "churn", func() {
+			if err := k.ScheduleEventAt(ev, k.Now()+r.ExpInv()); err != nil {
+				b.Fatal(err)
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := k.ScheduleEventAt(ev, r.ExpInv()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !k.Step() {
+			b.Fatal("queue dried up")
+		}
+	}
+}

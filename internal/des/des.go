@@ -4,6 +4,12 @@
 // contract runs on this one kernel; contracts differ only in their variate
 // streams.
 //
+// Step fires in place: the fired event stays at the heap's root while its
+// handler runs, and the handler's first schedule takes that slot and sifts
+// down once — Jones's "hold" operation, one heap walk where a pop and a
+// push take two. A SAN timed completion almost always schedules the next
+// activation from its own handler, so this is the common case.
+//
 // Determinism: events scheduled for the same time fire in priority order
 // (lower first) and, within a priority, in scheduling order. Given the same
 // seeds, a simulation therefore always produces the same trajectory.
@@ -37,10 +43,17 @@ func (e *Event) Pending() bool { return e.index >= 0 }
 // Kernel is a discrete-event simulation executor over a binary-heap event
 // list. The (time, priority, seq) order is total, so the pop sequence — and
 // with it the trajectory — depends only on what was scheduled, never on the
-// heap's layout. The zero value is not usable; construct with NewKernel.
+// heap's layout. While a handler runs, the event it belongs to still sits at
+// the root, no longer pending (stale); the handler's first schedule reuses
+// the slot, and Step removes the root afterwards only if nothing did. The
+// zero value is not usable; construct with NewKernel.
 type Kernel struct {
-	now       float64
-	queue     []*Event
+	now   float64
+	queue []*Event
+	// stale reports that queue[0] is the event being fired: not pending
+	// (index -1), waiting for the handler's first schedule to take its
+	// slot or for Step to remove it.
+	stale     bool
 	seq       uint64
 	fired     uint64
 	scheduled uint64
@@ -73,6 +86,7 @@ func (k *Kernel) Reset() {
 		k.queue[i] = nil
 	}
 	k.queue = k.queue[:0]
+	k.stale = false
 	k.now = 0
 	k.seq = 0
 	k.fired = 0
@@ -91,12 +105,25 @@ func (k *Kernel) Cancelled() uint64 { return k.cancelled }
 
 // NextTime returns the scheduled time of the earliest pending event without
 // firing it, or +Inf when the event list is empty, in O(1) from the heap's
-// root.
+// root or, while the root is stale, from its two children.
 func (k *Kernel) NextTime() float64 {
-	if len(k.queue) == 0 {
-		return math.Inf(1)
+	if k.stale || len(k.queue) == 0 {
+		return k.nextTimeSlow()
 	}
 	return k.queue[0].time
+}
+
+// nextTimeSlow is NextTime on an empty list or while the root is stale, when
+// the earliest pending event is one of the root's children.
+func (k *Kernel) nextTimeSlow() float64 {
+	q := k.queue
+	if !k.stale || len(q) < 2 {
+		return math.Inf(1)
+	}
+	if len(q) > 2 && eventLess(q[2], q[1]) {
+		return q[2].time
+	}
+	return q[1].time
 }
 
 // ErrPast is returned when scheduling before the current time.
@@ -137,7 +164,9 @@ func (k *Kernel) Reserve(n int) {
 // ScheduleEventAt enqueues a reusable event (from NewEvent) at absolute
 // time t. A fresh sequence number is drawn, so same-time ordering is
 // identical to scheduling a newly allocated event. It returns ErrPast if t
-// precedes the current time and an error if the event is still pending.
+// precedes the current time (or is NaN) and an error if the event is still
+// pending. Called from a handler whose event still holds the root, the
+// first schedule takes the root's slot instead of growing the heap.
 func (k *Kernel) ScheduleEventAt(ev *Event, t float64) error {
 	if ev == nil || ev.handler == nil {
 		return fmt.Errorf("des: schedule of nil or handlerless event")
@@ -145,13 +174,20 @@ func (k *Kernel) ScheduleEventAt(ev *Event, t float64) error {
 	if ev.index >= 0 {
 		return fmt.Errorf("des: event %q rescheduled while pending", ev.name)
 	}
-	if t < k.now {
+	// Written negated so that NaN, which compares false, is refused too.
+	if !(t >= k.now) {
 		return fmt.Errorf("%w: %g < now %g (%s)", ErrPast, t, k.now, ev.name)
 	}
 	k.seq++
 	k.scheduled++
 	ev.time = t
 	ev.seq = k.seq
+	if k.stale {
+		k.stale = false
+		k.queue[0] = ev
+		k.siftDown(0)
+		return nil
+	}
 	k.push(ev)
 	return nil
 }
@@ -175,9 +211,10 @@ func (k *Kernel) Cancel(ev *Event) {
 // drivers that interleave externally timed work (a cluster orchestrator's
 // dispatch or migration events) between this kernel's own events. The
 // clock may only move forward, and never past the next pending event —
-// stepping over a scheduled occurrence would fire it in the past.
+// stepping over a scheduled occurrence would fire it in the past. A NaN t
+// is refused and leaves the clock where it was.
 func (k *Kernel) AdvanceTo(t float64) error {
-	if t < k.now {
+	if !(t >= k.now) {
 		return fmt.Errorf("%w: advance to %g < now %g", ErrPast, t, k.now)
 	}
 	if next := k.NextTime(); t > next {
@@ -188,15 +225,27 @@ func (k *Kernel) AdvanceTo(t float64) error {
 }
 
 // Step fires the next event, advancing the clock to its time. It returns
-// false when no events remain.
+// false when no events remain. The event stays at the root, stale, while
+// its handler runs (see ScheduleEventAt); a handler that calls Step itself
+// removes it first.
 func (k *Kernel) Step() bool {
+	if k.stale {
+		k.stale = false
+		k.dropRoot()
+	}
 	if len(k.queue) == 0 {
 		return false
 	}
-	ev := k.pop()
+	ev := k.queue[0]
+	ev.index = -1
+	k.stale = true
 	k.now = ev.time
 	k.fired++
 	ev.handler()
+	if k.stale {
+		k.stale = false
+		k.dropRoot()
+	}
 	return true
 }
 
@@ -225,24 +274,29 @@ func (k *Kernel) push(ev *Event) {
 	k.siftUp(len(k.queue) - 1)
 }
 
-// pop removes and returns the earliest event, marking it not-pending.
-func (k *Kernel) pop() *Event {
+// dropRoot removes the stale root: the last leaf takes its slot and sifts
+// down.
+func (k *Kernel) dropRoot() {
 	q := k.queue
-	head := q[0]
-	head.index = -1
 	n := len(q) - 1
 	last := q[n]
 	q[n] = nil
 	k.queue = q[:n]
 	if n > 0 {
 		q[0] = last
-		last.index = 0
 		k.siftDown(0)
 	}
-	return head
 }
 
 // remove deletes the event at heap position i, marking it not-pending.
+//
+// Cancel calls it while a root may be stale, and relies on this invariant:
+// a stale root orders before every event in the heap. Staleness starts when
+// the root, the minimum, fires and ends at the first schedule, so while it
+// lasts every event in the heap was already pending when the root fired.
+// The sift-up below therefore stops under the root and never moves it, and
+// i is never 0, as the stale root is not pending. push never runs while the
+// root is stale: ScheduleEventAt fills the slot instead.
 func (k *Kernel) remove(i int) {
 	q := k.queue
 	q[i].index = -1

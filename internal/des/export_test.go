@@ -1,7 +1,5 @@
 package des
 
-import "fmt"
-
 // Test drivers: the SAN executive schedules reusable events and steps the
 // kernel itself (NextTime, Step), so these exist for the kernel's own
 // tests only.
@@ -9,17 +7,12 @@ import "fmt"
 // Schedule enqueues handler to run at absolute time t with the given
 // priority (lower fires first among same-time events). The returned Event
 // can be cancelled. It returns ErrPast if t precedes the current time.
+// It goes through ScheduleEventAt, so it too fills a stale root's slot.
 func (k *Kernel) Schedule(t float64, priority int, name string, handler Handler) (*Event, error) {
-	if t < k.now {
-		return nil, fmt.Errorf("%w: %g < now %g (%s)", ErrPast, t, k.now, name)
+	ev := &Event{priority: priority, handler: handler, name: name, index: -1}
+	if err := k.ScheduleEventAt(ev, t); err != nil {
+		return nil, err
 	}
-	if handler == nil {
-		return nil, fmt.Errorf("des: nil handler for event %q", name)
-	}
-	k.seq++
-	k.scheduled++
-	ev := &Event{time: t, priority: priority, seq: k.seq, handler: handler, name: name}
-	k.push(ev)
 	return ev, nil
 }
 
