@@ -53,7 +53,7 @@ case "${1:-}" in
 smoke)
     # One abbreviated pass so CI catches benchmarks that fail to build or
     # error out, without paying for stable numbers.
-    exec go test -run '^$' -bench "$BENCH|BenchmarkChurnHeapKernel|BenchmarkChurnInHandler|BenchmarkReplicationSetup|BenchmarkTQuantile|Schedule\$|BenchmarkExpZig|BenchmarkNormZig|BenchmarkExponentialSample|$ROOT|BenchmarkRunCells\$" \
+    exec go test -run '^$' -bench "$BENCH|BenchmarkChurnHeapKernel|BenchmarkChurnInHandler|BenchmarkReplicationSetup|BenchmarkTQuantile|Schedule\$|BenchmarkExponentialSample|$ROOT|BenchmarkRunCells\$" \
         -benchtime 1x -benchmem $PKGS ./internal/stats ./internal/sched ./internal/rng .
     ;;
 json)
@@ -75,7 +75,7 @@ json)
     # One 10,000-host replication takes seconds, so that row runs 5
     # iterations per repetition instead of 50; still median of 10.
     {
-        go test -run '^$' -bench 'BenchmarkRunnerFig8$|BenchmarkRunnerFig8V2$|BenchmarkRunnerTandem/stations=64|BenchmarkRunnerTandemV2/stations=64|BenchmarkClusterReplicate/hosts=10$|BenchmarkClusterReplicate/hosts=100$|BenchmarkClusterReplicate/hosts=1000$|BenchmarkClusterFixedHorizon/hosts=10$|BenchmarkClusterFixedHorizon/hosts=100$|BenchmarkClusterFixedHorizon/hosts=1000$' \
+        go test -run '^$' -bench 'BenchmarkRunnerFig8$|BenchmarkRunnerTandem/stations=64|BenchmarkClusterReplicate/hosts=10$|BenchmarkClusterReplicate/hosts=100$|BenchmarkClusterReplicate/hosts=1000$|BenchmarkClusterFixedHorizon/hosts=10$|BenchmarkClusterFixedHorizon/hosts=100$|BenchmarkClusterFixedHorizon/hosts=1000$' \
             -benchtime 50x -count=10 -benchmem ./internal/core ./internal/san ./internal/cluster
         go test -run '^$' -bench 'BenchmarkClusterFixedHorizon/hosts=10000$' \
             -benchtime 5x -count=10 -benchmem ./internal/cluster
@@ -88,7 +88,7 @@ json)
         # Layer rows, one layer per package. They cost 10-600 ns per
         # iteration, so 50 iterations would measure the timer: each runs a
         # fixed count sized to take some milliseconds.
-        go test -run '^$' -bench 'BenchmarkExpZig$|BenchmarkNormZig$|BenchmarkExponentialSample$' \
+        go test -run '^$' -bench 'BenchmarkExponentialSample$' \
             -benchtime 1000000x -count=10 -benchmem ./internal/rng
         go test -run '^$' -bench 'BenchmarkHeapChurn$|BenchmarkChurnHeapKernel$|BenchmarkChurnInHandler$|BenchmarkCancel$|BenchmarkScheduleAndStep$' \
             -benchtime 200000x -count=10 -benchmem ./internal/des

@@ -313,12 +313,16 @@ func runCompare(oldPath, newPath, oldLabel, newLabel string, tolerance float64, 
 	}
 
 	names := make([]string, 0, len(oldB))
+	var missing []string
 	for name := range oldB {
 		if _, ok := newB[name]; ok {
 			names = append(names, name)
+		} else {
+			missing = append(missing, name)
 		}
 	}
 	sort.Strings(names)
+	sort.Strings(missing)
 	if len(names) == 0 {
 		return fmt.Errorf("no common benchmarks between %s[%s] and %s[%s]", oldPath, oldL, newPath, newL)
 	}
@@ -355,9 +359,15 @@ func runCompare(oldPath, newPath, oldLabel, newLabel string, tolerance float64, 
 				name, unit, ov, nv, ratio, status)
 		}
 	}
+	// A baseline row the new record lacks is named, not gated: rows go
+	// when the code they measure is deleted.
+	for _, name := range missing {
+		fmt.Fprintf(out, "%-50s missing from %s[%s]  info\n", name, newPath, newL)
+	}
 	if regressions > 0 {
 		return fmt.Errorf("%d metric(s) regressed beyond %.0f%% vs %s[%s]", regressions, tolerance*100, oldPath, oldL)
 	}
-	fmt.Fprintf(out, "benchjson: %d benchmarks within %.0f%% of %s[%s]\n", len(names), tolerance*100, oldPath, oldL)
+	fmt.Fprintf(out, "benchjson: %d benchmarks within %.0f%% of %s[%s], %d baseline rows missing\n",
+		len(names), tolerance*100, oldPath, oldL, len(missing))
 	return nil
 }

@@ -251,6 +251,40 @@ func TestCompare(t *testing.T) {
 	}, "no common benchmarks")
 }
 
+// TestCompareNamesMissingRows checks that a baseline row absent from the
+// new record is named and counted, without failing the comparison.
+func TestCompareNamesMissingRows(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := filepath.Join(dir, "old.json")
+	newPath := filepath.Join(dir, "new.json")
+	row := entry{Runs: 3, Metrics: map[string]float64{"events/s": 1000000}}
+	writeDoc(t, oldPath, "pr5", map[string]entry{
+		"BenchmarkRunnerFig8": row,
+		"BenchmarkGone":       row,
+	})
+	writeDoc(t, newPath, "pr7", map[string]entry{"BenchmarkRunnerFig8": row})
+	var sb strings.Builder
+	if err := runCompare(oldPath, newPath, "", "", 0.15, &sb); err != nil {
+		t.Fatalf("missing row failed the comparison: %v\n%s", err, sb.String())
+	}
+	got := sb.String()
+	var named bool
+	for _, line := range strings.Split(got, "\n") {
+		if strings.HasPrefix(line, "BenchmarkGone ") && strings.Contains(line, "missing from") {
+			named = true
+		}
+		if strings.HasPrefix(line, "BenchmarkRunnerFig8 ") && strings.Contains(line, "missing") {
+			t.Errorf("shared row reported missing: %q", line)
+		}
+	}
+	if !named {
+		t.Errorf("missing row not named:\n%s", got)
+	}
+	if !strings.Contains(got, "1 benchmarks within 15% of "+oldPath+"[pr5], 1 baseline rows missing") {
+		t.Errorf("summary does not count the missing row:\n%s", got)
+	}
+}
+
 // TestCompareAgainstLegacyBaseline is the end-to-end gate shape used in
 // CI: a fresh new-format record against the legacy flat baseline, with
 // suffixed names on the old side only.

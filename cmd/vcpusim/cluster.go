@@ -49,8 +49,8 @@ func runCluster(args []string, out io.Writer) error {
 	if name == "" {
 		name = *topoPath
 	}
-	fmt.Fprintf(out, "cluster: %s — %d hosts, %d VCPUs provisioned, placement %s, contract v%d, horizon %g ticks\n\n",
-		name, topo.NumHosts(), topo.TotalVCPUs(), topo.Placement, topo.Contract, topo.Horizon)
+	fmt.Fprintf(out, "cluster: %s — %d hosts, %d VCPUs provisioned, placement %s, horizon %g ticks\n\n",
+		name, topo.NumHosts(), topo.TotalVCPUs(), topo.Placement, topo.Horizon)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -80,7 +80,6 @@ func run(args []string, out io.Writer) (err error) {
 		gantt      = fs.Bool("gantt", false, "with -single: print a text Gantt chart of PCPU occupancy")
 		showStats  = fs.Bool("stats", false, "with -single: print engine counters (events, firings, stabilization depth, events/s)")
 		faultsPath = fs.String("faults", "", "path to a JSON fault-injection plan (SAN engine only)")
-		contract   = fs.Int("contract", 0, "override the config's determinism contract version, which selects the variate stream: 1 (inversion/Box-Muller sampling) or 2 (ziggurat sampling); 0 keeps the config's choice")
 	)
 	var prof obs.Profiles
 	prof.Register(fs)
@@ -131,19 +130,13 @@ func run(args []string, out io.Writer) (err error) {
 			return err
 		}
 	}
-	if *contract != 0 {
-		cfg.Contract = *contract
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-	}
 	factory, err := exp.SchedulerFactory()
 	if err != nil {
 		return err
 	}
 
-	fmt.Fprintf(out, "system: %s\nscheduler: %s, engine: %s, contract: v%d, horizon: %d ticks\n\n",
-		cfg, exp.Scheduler.Name, exp.Engine, effectiveContract(cfg.Contract), exp.HorizonTicks)
+	fmt.Fprintf(out, "system: %s\nscheduler: %s, engine: %s, horizon: %d ticks\n\n",
+		cfg, exp.Scheduler.Name, exp.Engine, exp.HorizonTicks)
 
 	if *single {
 		return runSingle(out, cfg, factory, exp, *tracePath, *gantt, *showStats)
@@ -323,14 +316,6 @@ func runReplicated(out io.Writer, cfg core.SystemConfig, factory core.SchedulerF
 		fmt.Fprintf(out, "%-24s %v\n", n, sum.Metrics[n])
 	}
 	return nil
-}
-
-// effectiveContract resolves the 0-means-default convention for display.
-func effectiveContract(c int) int {
-	if c == 0 {
-		return san.DefaultContract
-	}
-	return c
 }
 
 func max64(a, b int64) int64 {

@@ -30,7 +30,6 @@ func runTrace(args []string, out io.Writer) error {
 		faultsPath = fs.String("faults", "", "path to a JSON fault-injection plan whose inject/recover instants join the trace")
 		seed       = fs.Uint64("seed", 0, "override the config's seed (0 keeps it)")
 		horizon    = fs.Int64("horizon", 0, "override the config's horizon (0 keeps it)")
-		contract   = fs.Int("contract", 0, "override the config's determinism contract version (0 keeps it)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -66,9 +65,6 @@ func runTrace(args []string, out io.Writer) error {
 			return err
 		}
 		cfg.Faults = plan
-	}
-	if *contract != 0 {
-		cfg.Contract = *contract
 	}
 	if err := cfg.Validate(); err != nil {
 		return err

@@ -12,7 +12,7 @@ import (
 func FuzzParseTopology(f *testing.F) {
 	f.Add(`{"hosts": [{"pcpus": 2, "slots": [{"vcpus": 1, "load": {"dist": "uniform", "low": 1, "high": 5}, "admitted": true}]}]}`)
 	f.Add(`[{"pcpus": 1, "count": 3, "slots": [{"vcpus": 2, "load": {"dist": "deterministic", "value": 4}}]}]`)
-	f.Add(`{"name": "dc", "placement": "least-loaded", "contract": 2, "horizon": 500, "warmup": 50,
+	f.Add(`{"name": "dc", "placement": "least-loaded", "contract": 1, "horizon": 500, "warmup": 50,
 		"hosts": [{"name": "rack", "count": 2, "pcpus": 4, "timeslice": 20,
 			"scheduler": {"name": "Credit", "weights": {"0": 2}},
 			"slots": [{"vcpus": 2, "load": {"dist": "exponential", "rate": 0.2}, "count": 2, "syncEveryN": 5}]}],
@@ -32,7 +32,7 @@ func FuzzParseTopology(f *testing.F) {
 		// yields a buildable system config and scheduler factory, and the
 		// aggregate counts stay positive.
 		for g, hg := range topo.Hosts {
-			if _, err := hg.systemConfig(topo.Contract); err != nil {
+			if _, err := hg.systemConfig(); err != nil {
 				t.Errorf("host group %d: validated topology does not expand: %v", g, err)
 			}
 			if _, err := hg.schedulerFactory(); err != nil {

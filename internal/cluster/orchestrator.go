@@ -266,7 +266,7 @@ func New(topo *Topology) (*Orchestrator, error) {
 	}
 	o := &Orchestrator{topo: topo, policy: policy}
 	for g, hg := range topo.Hosts {
-		cfg, err := hg.systemConfig(topo.Contract)
+		cfg, err := hg.systemConfig()
 		if err != nil {
 			return nil, fmt.Errorf("cluster: host group %d: %w", g, err)
 		}

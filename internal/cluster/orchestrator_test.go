@@ -280,6 +280,9 @@ func TestParseTopology(t *testing.T) {
 		"no slots":           `{"hosts": [{"pcpus": 1, "slots": []}]}`,
 		"bad placement":      `{"placement": "psychic", "hosts": [{"pcpus": 1, "slots": [{"vcpus": 1, "load": {"dist": "deterministic", "value": 1}}]}]}`,
 		"bad contract":       `{"contract": 9, "hosts": [{"pcpus": 1, "slots": [{"vcpus": 1, "load": {"dist": "deterministic", "value": 1}}]}]}`,
+		"removed contract":   `{"contract": 2, "hosts": [{"pcpus": 1, "slots": [{"vcpus": 1, "load": {"dist": "deterministic", "value": 1}}]}]}`,
+		"pcpus above limit":  `{"hosts": [{"pcpus": 65, "slots": [{"vcpus": 1, "load": {"dist": "deterministic", "value": 1}}]}]}`,
+		"huge pcpus":         `{"hosts": [{"pcpus": 100000000000000000, "slots": [{"vcpus": 1, "load": {"dist": "deterministic", "value": 1}}]}]}`,
 		"arrival too wide":   `{"hosts": [{"pcpus": 1, "slots": [{"vcpus": 1, "load": {"dist": "deterministic", "value": 1}}]}], "arrivals": [{"at": 1, "vcpus": 9}]}`,
 		"arrival past end":   `{"horizon": 100, "hosts": [{"pcpus": 1, "slots": [{"vcpus": 1, "load": {"dist": "deterministic", "value": 1}}]}], "arrivals": [{"at": 100, "vcpus": 1}]}`,
 		"bad thresholds":     `{"hosts": [{"pcpus": 1, "slots": [{"vcpus": 1, "load": {"dist": "deterministic", "value": 1}}]}], "migration": {"checkEvery": 10, "highUtil": 0.3, "lowUtil": 0.6, "transferDelay": 1}}`,

@@ -92,8 +92,8 @@ type Migration struct {
 type Topology struct {
 	// Name labels the topology in reports.
 	Name string `json:"name,omitempty"`
-	// Contract is the determinism contract every host compiles under
-	// (1 or 2); default 1.
+	// Contract is the determinism contract every host compiles under: 1,
+	// the only one (san.DefaultContract), or 0 for it.
 	Contract int `json:"contract,omitempty"`
 	// Horizon is the simulated length per replication in ticks; default
 	// 20000. Warmup truncates the measurement window's start.
@@ -212,8 +212,8 @@ func (t *Topology) Validate() error {
 	if err := t.validateFinite(); err != nil {
 		return err
 	}
-	if t.Contract != san.ContractV1 && t.Contract != san.ContractV2 {
-		return fmt.Errorf("cluster: contract must be %d or %d, got %d", san.ContractV1, san.ContractV2, t.Contract)
+	if t.Contract != san.DefaultContract {
+		return fmt.Errorf("cluster: contract must be %d (contract 2, ziggurat sampling, was removed), got %d", san.DefaultContract, t.Contract)
 	}
 	if t.Horizon <= 0 {
 		return fmt.Errorf("cluster: non-positive horizon %g", t.Horizon)
@@ -246,7 +246,7 @@ func (t *Topology) Validate() error {
 		if strings.ContainsAny(hg.Name, " \t\n/") {
 			return fmt.Errorf("cluster: host group %d: name %q contains separators", g, hg.Name)
 		}
-		cfg, err := hg.systemConfig(t.Contract)
+		cfg, err := hg.systemConfig()
 		if err != nil {
 			return fmt.Errorf("cluster: host group %d: %w", g, err)
 		}
@@ -351,12 +351,11 @@ func (t *Topology) TotalVCPUs() int {
 
 // systemConfig expands one host group member into a core configuration:
 // every slot replica becomes a composed VM sub-model, named slot<i>.
-func (hg HostGroup) systemConfig(contract int) (core.SystemConfig, error) {
+func (hg HostGroup) systemConfig() (core.SystemConfig, error) {
 	cfg := core.SystemConfig{
 		PCPUs:     hg.PCPUs,
 		Timeslice: hg.Timeslice,
 		Faults:    hg.Faults,
-		Contract:  contract,
 	}
 	i := 0
 	for s, slot := range hg.Slots {

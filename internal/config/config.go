@@ -152,11 +152,8 @@ type Experiment struct {
 	Replications Replications `json:"replications,omitempty"`
 	// Faults is an optional fault-injection campaign (SAN engine only).
 	Faults *faults.Plan `json:"faults,omitempty"`
-	// Contract is the determinism contract version (1 or 2), which
-	// selects the variate stream; default 1, inversion/Box-Muller
-	// sampling. 2 selects ziggurat sampling, whose trajectories are
-	// self-reproducible but diverge from v1's wherever exponential or
-	// normal clocks are drawn.
+	// Contract is the determinism contract version: 1, the only one
+	// (san.DefaultContract), or 0 for it. Any other version is an error.
 	Contract int `json:"contract,omitempty"`
 }
 
@@ -186,8 +183,8 @@ func Parse(r io.Reader) (*Experiment, error) {
 	if e.Contract == 0 {
 		e.Contract = san.DefaultContract
 	}
-	if e.Contract != san.ContractV1 && e.Contract != san.ContractV2 {
-		return nil, fmt.Errorf("config: contract must be %d or %d, got %d", san.ContractV1, san.ContractV2, e.Contract)
+	if e.Contract != san.DefaultContract {
+		return nil, fmt.Errorf("config: contract must be %d (contract 2, ziggurat sampling, was removed), got %d", san.DefaultContract, e.Contract)
 	}
 	if _, err := e.SystemConfig(); err != nil {
 		return nil, err
@@ -224,7 +221,7 @@ func (v VM) VMConfig() (core.VMConfig, error) {
 
 // SystemConfig builds the core configuration.
 func (e *Experiment) SystemConfig() (core.SystemConfig, error) {
-	cfg := core.SystemConfig{PCPUs: e.PCPUs, Timeslice: e.Timeslice, Faults: e.Faults, Contract: e.Contract}
+	cfg := core.SystemConfig{PCPUs: e.PCPUs, Timeslice: e.Timeslice, Faults: e.Faults}
 	for i, vm := range e.VMs {
 		vmCfg, err := vm.VMConfig()
 		if err != nil {

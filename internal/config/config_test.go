@@ -76,6 +76,9 @@ func TestParseErrors(t *testing.T) {
 		{"bad dist", `{"pcpus":1,"timeslice":10,"scheduler":{"name":"RRS"},"vms":[{"vcpus":1,"load":{"dist":"weird"}}]}`},
 		{"zero timeslice", `{"pcpus":1,"timeslice":0,"scheduler":{"name":"RRS"},"vms":[{"vcpus":1,"load":{"dist":"deterministic","value":3}}]}`},
 		{"faults on fast engine", `{"pcpus":1,"timeslice":10,"scheduler":{"name":"RRS"},"vms":[{"vcpus":1,"load":{"dist":"deterministic","value":3}}],"faults":[{"name":"c","kind":"pcpu_crash","pcpu":0,"at":100}]}`},
+		{"pcpus above the limit", `{"pcpus":65,"timeslice":10,"scheduler":{"name":"RRS"},"vms":[{"vcpus":1,"load":{"dist":"deterministic","value":3}}]}`},
+		{"huge pcpus", `{"pcpus":100000000000000000,"timeslice":10,"scheduler":{"name":"RRS"},"vms":[{"vcpus":1,"load":{"dist":"deterministic","value":3}}]}`},
+		{"removed contract", `{"pcpus":1,"timeslice":10,"contract":2,"scheduler":{"name":"RRS"},"vms":[{"vcpus":1,"load":{"dist":"deterministic","value":3}}]}`},
 		{"invalid fault plan", `{"pcpus":1,"timeslice":10,"engine":"san","scheduler":{"name":"RRS"},"vms":[{"vcpus":1,"load":{"dist":"deterministic","value":3}}],"faults":[{"name":"c","kind":"pcpu_crash","pcpu":9,"at":100}]}`},
 	}
 	for _, tc := range cases {

@@ -3,12 +3,15 @@ package config
 import (
 	"strings"
 	"testing"
+
+	"vcpusim/internal/fastsim"
 )
 
 // FuzzParseConfig asserts experiment parsing never panics and that every
 // accepted experiment yields a buildable system configuration and
-// scheduler factory — Parse's own postconditions, so a crash or violation
-// here is a real bug, not fuzz noise.
+// scheduler factory, and builds a fast engine without panicking —
+// Parse's own postconditions, so a crash or violation here is a real bug,
+// not fuzz noise.
 func FuzzParseConfig(f *testing.F) {
 	f.Add(validJSON)
 	f.Add(`{"pcpus": 1, "timeslice": 10, "scheduler": {"name": "RRS"},
@@ -25,17 +28,27 @@ func FuzzParseConfig(f *testing.F) {
 		       {"vcpus": 1, "load": {"dist": "lognormal", "mu": 1, "sigma": 0.5}}]}`)
 	f.Add(`{"pcpus": 0}`)
 	f.Add(`{"pcpus": 1e99, "timeslice": -1}`)
+	f.Add(`{"pcpus": 100000000000000000, "timeslice": 10, "scheduler": {"name": "RRS"},
+		"vms": [{"vcpus": 1, "load": {"dist": "deterministic", "value": 3}}]}`)
 	f.Add(`null`)
 	f.Fuzz(func(t *testing.T, data string) {
 		exp, err := Parse(strings.NewReader(data))
 		if err != nil {
 			return
 		}
-		if _, err := exp.SystemConfig(); err != nil {
-			t.Errorf("accepted experiment has unbuildable system config: %v", err)
+		cfg, err := exp.SystemConfig()
+		if err != nil {
+			t.Fatalf("accepted experiment has unbuildable system config: %v", err)
 		}
-		if _, err := exp.SchedulerFactory(); err != nil {
-			t.Errorf("accepted experiment has unbuildable scheduler: %v", err)
+		factory, err := exp.SchedulerFactory()
+		if err != nil {
+			t.Fatalf("accepted experiment has unbuildable scheduler: %v", err)
+		}
+		// Fault plans run only on the SAN engine; the fast engine still
+		// sizes every per-PCPU and per-VCPU array from the same counts.
+		cfg.Faults = nil
+		if _, err := fastsim.New(cfg, factory(), exp.Seed); err != nil {
+			t.Errorf("accepted experiment does not build on the fast engine: %v", err)
 		}
 		if exp.Faults != nil && exp.Engine != "san" {
 			t.Error("accepted a fault plan outside the SAN engine")

@@ -57,40 +57,6 @@ func BenchmarkRunnerFig8(b *testing.B) {
 	}
 }
 
-// BenchmarkRunnerFig8V2 is BenchmarkRunnerFig8 compiled under
-// determinism contract v2. The Figure 8 model's clocks are deterministic,
-// so the ziggurat never engages and both contracts run the identical
-// program: the pair shows the contract costs nothing where it does not
-// apply.
-func BenchmarkRunnerFig8V2(b *testing.B) {
-	cfg := benchFig8Config(2)
-	const horizon = 10000
-	b.ReportAllocs()
-	var events, firings uint64
-	for i := 0; i < b.N; i++ {
-		src := rng.New(uint64(i) + 1)
-		sys, err := core.BuildSystem(cfg, sched.NewRoundRobin(30), src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := san.NewRunner(sys.Model(), src.Uint64(), san.WithContract(san.ContractV2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := r.Run(horizon)
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += res.Events
-		firings += res.Firings
-	}
-	sec := b.Elapsed().Seconds()
-	if sec > 0 {
-		b.ReportMetric(float64(events)/sec, "events/s")
-		b.ReportMetric(float64(firings)/sec, "firings/s")
-	}
-}
-
 // BenchmarkRunnerSpinlock measures the executor on the spinlock
 // (lock-holder-preemption) topology, whose dispatch/unblock predicates read
 // every sibling VCPU slot — the worst case for enabling reconsideration.

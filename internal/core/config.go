@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"vcpusim/internal/faults"
-	"vcpusim/internal/san"
 	"vcpusim/internal/workload"
 )
 
@@ -17,6 +16,11 @@ const MaxVCPUSlots = 16
 // MaxVMVCPUSlots is the number of VCPU slots a VM's job-scheduler model
 // statically defines (eight in the paper's Figure 3).
 const MaxVMVCPUSlots = 8
+
+// MaxPCPUs bounds a host's PCPU count at four times its VCPU slots: a host
+// runs at most MaxVCPUSlots VCPUs, so further PCPUs only idle, and the
+// bound keeps the per-PCPU state a configuration allocates small.
+const MaxPCPUs = 64
 
 // VMConfig describes one virtual machine sub-model: its VCPU count and
 // workload characterization.
@@ -44,20 +48,20 @@ type SystemConfig struct {
 	// the fault hooks then cost nothing and the model is byte-identical
 	// to one built before the faults subsystem existed.
 	Faults *faults.Plan
-	// Contract is the determinism contract version the SAN program is
-	// compiled under (san.ContractV1 or san.ContractV2), which selects
-	// the variate stream; 0 selects san.DefaultContract, i.e. v1.
-	Contract int
 }
 
 // Validate checks the configuration against the framework's constraints:
-// at least one PCPU and one VM, every VM with at least one VCPU, and within
-// the static slot limits of the composed models. (The paper's §III.A states
-// a VM has at most as many VCPUs as physical cores, but its own Figure 8
-// evaluates a 2-VCPU VM on one PCPU, so that bound is not enforced.)
+// at least one and at most MaxPCPUs PCPUs, at least one VM, every VM with
+// at least one VCPU, and within the static slot limits of the composed
+// models. (The paper's §III.A states a VM has at most as many VCPUs as
+// physical cores, but its own Figure 8 evaluates a 2-VCPU VM on one PCPU,
+// so that bound is not enforced.)
 func (c SystemConfig) Validate() error {
 	if c.PCPUs < 1 {
 		return fmt.Errorf("core: need at least one PCPU, got %d", c.PCPUs)
+	}
+	if c.PCPUs > MaxPCPUs {
+		return fmt.Errorf("core: %d PCPUs, above the limit of %d", c.PCPUs, MaxPCPUs)
 	}
 	if c.Timeslice < 1 {
 		return fmt.Errorf("core: timeslice must be at least one tick, got %d", c.Timeslice)
@@ -85,12 +89,6 @@ func (c SystemConfig) Validate() error {
 		if err := c.Faults.Validate(c.PCPUs, total); err != nil {
 			return fmt.Errorf("core: fault plan: %w", err)
 		}
-	}
-	switch c.Contract {
-	case 0, san.ContractV1, san.ContractV2:
-	default:
-		return fmt.Errorf("core: unknown determinism contract version %d (have v%d and v%d)",
-			c.Contract, san.ContractV1, san.ContractV2)
 	}
 	return nil
 }

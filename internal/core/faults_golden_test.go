@@ -1,9 +1,6 @@
 package core_test
 
 import (
-	"encoding/json"
-	"math"
-	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
@@ -35,13 +32,7 @@ func goldenFaultPlan() *faults.Plan {
 
 // goldenFaultCases pins the fault campaign's reward values under two
 // schedulers (gang and non-gang re-seating differ after a crash).
-func goldenFaultCases() []struct {
-	name    string
-	cfg     core.SystemConfig
-	factory core.SchedulerFactory
-	seed    uint64
-	horizon float64
-} {
+func goldenFaultCases() []goldenCase {
 	fig8WL := workload.Spec{Load: rng.Uniform{Low: 1, High: 10}, SyncEveryN: 5}
 	cfg := core.SystemConfig{
 		PCPUs:     2,
@@ -53,78 +44,19 @@ func goldenFaultCases() []struct {
 		},
 		Faults: goldenFaultPlan(),
 	}
-	return []struct {
-		name    string
-		cfg     core.SystemConfig
-		factory core.SchedulerFactory
-		seed    uint64
-		horizon float64
-	}{
+	return []goldenCase{
 		{"fig8+faults/RRS/seed1", cfg, func() core.Scheduler { return sched.NewRoundRobin(30) }, 1, 5000},
 		{"fig8+faults/SCS/seed7", cfg, func() core.Scheduler { return sched.NewStrictCo(30) }, 7, 5000},
 	}
-}
-
-func goldenFaultsPath() string {
-	return filepath.Join("testdata", "golden_faults.json")
 }
 
 // TestGoldenFaultCampaign pins the fault-injected trajectory bit-for-bit,
 // exactly like TestGoldenDeterminism does for healthy runs: the campaign
 // is a pure function of the seed, so any drift here means the injection
 // machinery perturbed the executive. Re-record with -update only for an
-// intentional trajectory change, called out in the PR.
+// intentional trajectory change.
 func TestGoldenFaultCampaign(t *testing.T) {
-	if *updateGolden {
-		golden := make(map[string]map[string]string)
-		for _, gc := range goldenFaultCases() {
-			golden[gc.name] = runGoldenCase(t, gc.cfg, gc.factory, gc.horizon, gc.seed)
-		}
-		buf, err := json.MarshalIndent(golden, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenFaultsPath(), append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", goldenFaultsPath())
-		return
-	}
-
-	buf, err := os.ReadFile(goldenFaultsPath())
-	if err != nil {
-		t.Fatalf("missing golden fixture (run with -update to record): %v", err)
-	}
-	var golden map[string]map[string]string
-	if err := json.Unmarshal(buf, &golden); err != nil {
-		t.Fatalf("corrupt golden fixture: %v", err)
-	}
-	for _, gc := range goldenFaultCases() {
-		gc := gc
-		t.Run(gc.name, func(t *testing.T) {
-			want, ok := golden[gc.name]
-			if !ok {
-				t.Fatalf("golden fixture has no entry %q (re-record with -update)", gc.name)
-			}
-			got := runGoldenCase(t, gc.cfg, gc.factory, gc.horizon, gc.seed)
-			if len(got) != len(want) {
-				t.Errorf("metric count %d, want %d", len(got), len(want))
-			}
-			for name, wantHex := range want {
-				gotHex, ok := got[name]
-				if !ok {
-					t.Errorf("metric %s missing from run", name)
-					continue
-				}
-				if gotHex != wantHex {
-					gotV, _ := strconv.ParseFloat(gotHex, 64)
-					wantV, _ := strconv.ParseFloat(wantHex, 64)
-					t.Errorf("metric %s = %s (%g), want %s (%g): same-seed campaign diverged by %g",
-						name, gotHex, gotV, wantHex, wantV, math.Abs(gotV-wantV))
-				}
-			}
-		})
-	}
+	checkGolden(t, filepath.Join("testdata", "golden_faults.json"), goldenFaultCases())
 }
 
 // TestGoldenFaultCampaignSanity asserts the fixture pins an actually

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"vcpusim/internal/core"
-	"vcpusim/internal/san"
 )
 
 // TestStepPrimitiveEquivalence pins the step-primitive decomposition:
@@ -16,76 +15,72 @@ import (
 //
 // loop must reproduce RunIntervalContext bit for bit — same trajectory,
 // same reward bits — on the healthy Figure 8 cases AND the full fault
-// campaign, under both determinism contracts. This is the contract the
-// cluster orchestrator stands on: stepping a host event-by-event from
-// outside is indistinguishable from the monolithic run loop.
+// campaign. This is the contract the cluster orchestrator stands on:
+// stepping a host event-by-event from outside is indistinguishable from
+// the monolithic run loop.
 func TestStepPrimitiveEquivalence(t *testing.T) {
 	cases := append(goldenCases(), goldenFaultCases()...)
-	for _, contract := range []int{san.ContractV1, san.ContractV2} {
-		for _, gc := range cases {
-			gc := gc
-			name := "v" + strconv.Itoa(contract) + "/" + gc.name
-			t.Run(name, func(t *testing.T) {
-				cfg := gc.cfg
-				cfg.Contract = contract
+	for _, gc := range cases {
+		gc := gc
+		t.Run(gc.name, func(t *testing.T) {
+			cfg := gc.cfg
 
-				// Reference: the monolithic run loop.
-				wRef, err := core.NewWorker(cfg, gc.factory)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := wRef.RunIntervalContext(context.Background(), 0, gc.horizon, gc.seed)
-				if err != nil {
-					t.Fatal(err)
-				}
+			// Reference: the monolithic run loop.
+			wRef, err := core.NewWorker(cfg, gc.factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := wRef.RunIntervalContext(context.Background(), 0, gc.horizon, gc.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				// Candidate: the externally stepped loop.
-				wStep, err := core.NewWorker(cfg, gc.factory)
-				if err != nil {
-					t.Fatal(err)
+			// Candidate: the externally stepped loop.
+			wStep, err := core.NewWorker(cfg, gc.factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wStep.Arm(gc.seed); err != nil {
+				t.Fatal(err)
+			}
+			inst := wStep.Instance()
+			if err := inst.BeginRun(0, gc.horizon); err != nil {
+				t.Fatal(err)
+			}
+			steps := 0
+			for inst.HasPendingEvents() {
+				if next := inst.PeekNextEventTime(); next >= gc.horizon {
+					t.Fatalf("HasPendingEvents true with next event at %g >= horizon %g", next, gc.horizon)
 				}
-				if err := wStep.Arm(gc.seed); err != nil {
-					t.Fatal(err)
+				if err := inst.ProcessNextEvent(); err != nil {
+					t.Fatalf("step %d: %v", steps, err)
 				}
-				inst := wStep.Instance()
-				if err := inst.BeginRun(0, gc.horizon); err != nil {
-					t.Fatal(err)
-				}
-				steps := 0
-				for inst.HasPendingEvents() {
-					if next := inst.PeekNextEventTime(); next >= gc.horizon {
-						t.Fatalf("HasPendingEvents true with next event at %g >= horizon %g", next, gc.horizon)
-					}
-					if err := inst.ProcessNextEvent(); err != nil {
-						t.Fatalf("step %d: %v", steps, err)
-					}
-					steps++
-				}
-				got, err := wStep.Collect()
-				if err != nil {
-					t.Fatal(err)
-				}
+				steps++
+			}
+			got, err := wStep.Collect()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				if steps == 0 {
-					t.Fatal("external loop processed no events")
+			if steps == 0 {
+				t.Fatal("external loop processed no events")
+			}
+			if len(got) != len(want) {
+				t.Errorf("metric count %d, want %d", len(got), len(want))
+			}
+			for name, w := range want {
+				g, ok := got[name]
+				if !ok {
+					t.Errorf("metric %s missing from stepped run", name)
+					continue
 				}
-				if len(got) != len(want) {
-					t.Errorf("metric count %d, want %d", len(got), len(want))
+				wx := strconv.FormatFloat(w, 'x', -1, 64)
+				gx := strconv.FormatFloat(g, 'x', -1, 64)
+				if wx != gx {
+					t.Errorf("metric %s = %s, want %s (stepped loop diverged from RunIntervalContext)", name, gx, wx)
 				}
-				for name, w := range want {
-					g, ok := got[name]
-					if !ok {
-						t.Errorf("metric %s missing from stepped run", name)
-						continue
-					}
-					wx := strconv.FormatFloat(w, 'x', -1, 64)
-					gx := strconv.FormatFloat(g, 'x', -1, 64)
-					if wx != gx {
-						t.Errorf("metric %s = %s, want %s (stepped loop diverged from RunIntervalContext)", name, gx, wx)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

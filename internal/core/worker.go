@@ -46,7 +46,7 @@ func NewWorker(cfg SystemConfig, factory SchedulerFactory) (*Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := san.Compile(sys.Model(), san.WithContract(cfg.Contract))
+	prog, err := san.Compile(sys.Model())
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,6 @@
 // Package des implements the discrete-event simulation kernel underneath the
 // SAN engine: a binary-heap future-event list ordered by (time, priority,
-// sequence), a simulation clock, and event cancellation. Every determinism
-// contract runs on this one kernel; contracts differ only in their variate
-// streams.
+// sequence), a simulation clock, and event cancellation.
 //
 // Step fires in place: the fired event stays at the heap's root while its
 // handler runs, and the handler's first schedule takes that slot and sifts

@@ -33,6 +33,7 @@ import (
 	"vcpusim/internal/experiments"
 	"vcpusim/internal/obs"
 	"vcpusim/internal/report"
+	"vcpusim/internal/san"
 	"vcpusim/internal/sim"
 )
 
@@ -46,7 +47,6 @@ func Run(args []string, out io.Writer) (err error) {
 	var (
 		figure   = fs.String("figure", "all", "which experiment: 8, 9, 10, timeslice, skew, balance, lock, hybrid, engines, faults, cluster, or all")
 		engine   = fs.String("engine", "fast", `simulation engine: "fast" or "san"`)
-		contract = fs.Int("contract", 1, "determinism contract version for the SAN engine, which selects the variate stream: 1 (inversion/Box-Muller sampling) or 2 (ziggurat sampling)")
 		seed     = fs.Uint64("seed", 1, "experiment seed")
 		horizon  = fs.Int64("horizon", 20000, "simulated ticks per replication")
 		minRep   = fs.Int("min-reps", 10, "minimum replications per cell")
@@ -80,7 +80,6 @@ func Run(args []string, out io.Writer) (err error) {
 
 	p := experiments.Defaults()
 	p.Engine = experiments.Engine(*engine)
-	p.Contract = *contract
 	p.Seed = *seed
 	p.Horizon = *horizon
 	p.Sim = sim.Options{MinReps: *minRep, MaxReps: *maxRep}
@@ -218,11 +217,10 @@ func Run(args []string, out io.Writer) (err error) {
 			VCSRevision: obs.VCSRevision(),
 			Command:     append([]string{"experiments"}, args...),
 			Seed:        p.Seed,
-			Contract:    *contract,
+			Contract:    san.DefaultContract,
 			Params: map[string]any{
 				"figure":      *figure,
 				"engine":      *engine,
-				"contract":    *contract,
 				"horizon":     p.Horizon,
 				"min_reps":    p.Sim.MinReps,
 				"max_reps":    p.Sim.MaxReps,

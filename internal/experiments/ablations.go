@@ -229,7 +229,6 @@ func EngineComparison(ctx context.Context, p Params, seeds int) (*report.Table, 
 		seeds = 5
 	}
 	cfg := p.fig8Config(2)
-	cfg.Contract = p.Contract
 	rows := make([]string, 0, len(p.Algorithms))
 	rows = append(rows, p.Algorithms...)
 	cols := []string{"max |SAN - fast|", "metrics compared"}

@@ -43,10 +43,6 @@ var clusterRowMetrics = []struct {
 // all exercised.
 func (p Params) clusterTopology(hosts int, policy string) *cluster.Topology {
 	h := float64(p.Horizon)
-	contract := p.Contract
-	if contract == 0 {
-		contract = san.DefaultContract
-	}
 	load := config.Distribution{Dist: "uniform", Low: 1, High: 10}
 	busy := hosts / 2
 	if busy == 0 {
@@ -54,7 +50,7 @@ func (p Params) clusterTopology(hosts int, policy string) *cluster.Topology {
 	}
 	return &cluster.Topology{
 		Name:      fmt.Sprintf("%d hosts, %s", hosts, policy),
-		Contract:  contract,
+		Contract:  san.DefaultContract,
 		Horizon:   h,
 		Warmup:    float64(p.Warmup),
 		Placement: policy,

@@ -70,10 +70,6 @@ type Params struct {
 	// Parallelism is the width of the one worker pool that runs every
 	// (cell, replication) of a figure; results are identical at any width.
 	Sim sim.Options
-	// Contract is the determinism contract version every cell's SAN
-	// program is compiled under (san.ContractV1 or san.ContractV2); 0
-	// selects san.DefaultContract. The fast engine ignores it.
-	Contract int
 	// Sink, when non-nil, receives the experiment's telemetry span
 	// stream: cell.start / cell.end events (with per-cell engine-counter
 	// rollups, replication counts, and wall time) from the grid, plus the
@@ -392,9 +388,6 @@ func (p Params) runCells(ctx context.Context, cells []cell) ([]sim.Summary, erro
 // sink no counter or clock is read. Finish also runs a single-host cell's
 // probe.
 func (p Params) runCell(c cell) sim.Cell {
-	// Every cell funnels through here, so stamping the contract once covers
-	// the whole experiment grid (fig8Config/setConfig build cfg without it).
-	c.cfg.Contract = p.Contract
 	pc := sim.Cell{Name: c.name, Options: p.Sim}
 	pc.Options.Seed = p.Seed
 	var log *cellLog

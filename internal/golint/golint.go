@@ -20,10 +20,10 @@
 //     races and breaks the compile-once contract (san-immutable).
 //   - math.Log applied to a raw rng.Source draw outside internal/rng:
 //     inlined inverse-transform sampling (-log(1-U)/rate and friends)
-//     forks the sampling algorithm away from the versioned determinism
-//     contract — the primitives live in internal/rng (Source.ExpInv for
-//     contract v1, the ziggurat samplers for v2) so a contract bump
-//     changes every caller at once (raw-sampling).
+//     forks the sampling algorithm away from the determinism contract —
+//     the primitives live in internal/rng (Source.ExpInv, the
+//     Distribution types) so the variate stream has one definition
+//     (raw-sampling).
 //
 // One rule guards the code's size instead: exported API under internal/
 // that only its own package's tests reference (unused-export).

@@ -179,10 +179,10 @@ func programField(info *types.Info, e ast.Expr) (token.Pos, string, bool) {
 
 // checkRawSampling bans inline sampling: applying math.Log to an
 // expression that draws from an rng.Source re-implements
-// inverse-transform sampling at the call site, outside the versioned
-// determinism contract. The sanctioned primitives (Source.ExpInv, the
-// ziggurat samplers, the Distribution types) live in internal/rng, so a
-// contract version bump changes every consumer at once. The check is
+// inverse-transform sampling at the call site, outside the determinism
+// contract. The sanctioned primitives (Source.ExpInv, the Distribution
+// types) live in internal/rng, so the variate stream has one definition
+// and a change to it reaches every consumer at once. The check is
 // type-based: a call to math.Log (under whatever local name "math" is
 // imported) whose argument subtree contains a method call on an
 // rng.Source receiver. math.Log over plain data (statistics, analytic
@@ -207,7 +207,7 @@ func checkRawSampling(pass *pass) {
 				return true
 			}
 			if drawsFromSource(pass.info, call.Args) {
-				pass.reportf(call.Pos(), "transforms a raw rng.Source draw with math.Log; inverse-transform sampling belongs to the versioned primitives in vcpusim/internal/rng (Source.ExpInv, the ziggurat samplers)")
+				pass.reportf(call.Pos(), "transforms a raw rng.Source draw with math.Log; inverse-transform sampling belongs to the primitives in vcpusim/internal/rng (Source.ExpInv, the Distribution types)")
 			}
 			return true
 		})

@@ -32,7 +32,7 @@ type Manifest struct {
 	Command     []string `json:"command,omitempty"`
 	Seed        uint64   `json:"seed"`
 	// Contract is the determinism contract version the run's SAN programs
-	// were compiled under (san.ContractV1/V2); 0 on generation-1 manifests
+	// were compiled under (san.DefaultContract); 0 on generation-1 manifests
 	// written before the contract existed.
 	Contract int            `json:"contract,omitempty"`
 	Params   map[string]any `json:"params,omitempty"`

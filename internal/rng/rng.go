@@ -80,10 +80,11 @@ func (r *Source) Float64() float64 {
 }
 
 // ExpInv returns a unit-rate exponential variate by inversion. This is the
-// contract-v1 sampling primitive: 1-Float64() is in (0,1], so Log never sees
-// 0 and the result is always finite and non-negative. All log-based sampling
-// in the repository must route through this method (enforced by the
-// raw-sampling lint rule) so the v1 byte-freeze has a single definition.
+// determinism contract's exponential sampling primitive: 1-Float64() is in
+// (0,1], so Log never sees 0 and the result is always finite and
+// non-negative. All log-based sampling in the repository must route through
+// this method (enforced by the raw-sampling lint rule) so the byte-freeze of
+// the variate stream has a single definition.
 func (r *Source) ExpInv() float64 {
 	return -math.Log(1 - r.Float64())
 }

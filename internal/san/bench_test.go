@@ -62,36 +62,6 @@ func BenchmarkRunnerTandem(b *testing.B) {
 	}
 }
 
-// BenchmarkRunnerTandemV2 is BenchmarkRunnerTandem compiled under
-// determinism contract v2: the ziggurat exponential sampler replaces the
-// -log(1-U) inversion in every arc plan. Everything else — executor
-// bookkeeping and the binary-heap kernel — is shared with v1, so the delta
-// against BenchmarkRunnerTandem is the sampler alone.
-func BenchmarkRunnerTandemV2(b *testing.B) {
-	for _, n := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("stations=%d", n), func(b *testing.B) {
-			const horizon = 2000
-			b.ReportAllocs()
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				m := buildTandem(n)
-				r, err := NewRunner(m, uint64(i)+1, WithContract(ContractV2))
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := r.Run(horizon)
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += res.Events
-			}
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(float64(events)/sec, "events/s")
-			}
-		})
-	}
-}
-
 // BenchmarkRunnerMM1 measures the executor on the smallest interesting
 // model — an M/M/1 queue — where fixed per-event overhead (event
 // allocation, case selection, reward observation) dominates.

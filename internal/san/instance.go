@@ -689,9 +689,9 @@ func (in *Instance) applyArcStep(st arcStep) {
 }
 
 // sampleDelay draws an activity's completion delay, through compiled
-// arithmetic for the common stationary distributions (under contract v1,
-// identical formulas and RNG draws to Distribution.Sample; under v2, the
-// ziggurat samplers) and through the activity's delay function otherwise.
+// arithmetic for the common stationary distributions (identical formulas
+// and RNG draws to Distribution.Sample) and through the activity's delay
+// function otherwise.
 func (in *Instance) sampleDelay(ap *actPlan) float64 {
 	switch ap.delayKind {
 	case delayDet:
@@ -700,10 +700,6 @@ func (in *Instance) sampleDelay(ap *actPlan) float64 {
 		return in.src.ExpInv() / ap.delayA
 	case delayUniform:
 		return ap.delayA + (ap.delayB-ap.delayA)*in.src.Float64()
-	case delayExpZig:
-		return in.src.ExpZig() / ap.delayA
-	case delayNormZig:
-		return ap.delayA + ap.delayB*in.src.NormZig()
 	default:
 		return ap.act.delay(in.src)
 	}

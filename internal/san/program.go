@@ -19,10 +19,6 @@ const (
 	delayDet                  // Deterministic{Value: A}
 	delayExp                  // Exponential{Rate: A}
 	delayUniform              // Uniform{Low: A, High: B}
-	// Contract-v2 kinds: ziggurat samplers drawing a different — faster,
-	// but identically distributed — variate stream than the v1 formulas.
-	delayExpZig  // Exponential{Rate: A} via rng.ExpZig
-	delayNormZig // Normal{Mu: A, Sigma: B} via rng.NormZig
 )
 
 // actPlan is the compiled execution plan of one activity: its identity, the
@@ -163,11 +159,6 @@ type Program struct {
 	// lookup so programs that never disable anything pay nothing.
 	actOnce  sync.Once
 	actIndex map[string]actRef
-
-	// contract is the determinism contract version the program was
-	// compiled under (ContractV1 or ContractV2); it selects the delay
-	// sampling formulas above and nothing else.
-	contract int
 }
 
 // actRef locates an activity in a program's firing tables.
@@ -252,42 +243,13 @@ func (p *Program) QuietPlaces() []string {
 	return names
 }
 
-// Determinism contract versions. The contract names the exact byte-level
-// reproduction guarantee a compiled program honors, and selects only the
-// variate stream: which sampling formulas turn the RNG's draws into
-// exponential and normal delays. Every contract runs the same executor
-// bookkeeping on the same binary-heap kernel. Golden fixtures are recorded
-// per contract and never mixed.
-const (
-	// ContractV1 samples by inversion (rng.ExpInv) and Box-Muller. Every
-	// fixture recorded before the contract existed is a v1 fixture.
-	ContractV1 = 1
-	// ContractV2 samples exponential and normal delays with the ziggurat
-	// (rng.ExpZig, rng.NormZig): a different, faster variate stream from
-	// the same distributions. v2 is self-reproducible bit-for-bit across
-	// runs, parallelism levels, and pooled vs fresh instances, but its
-	// trajectories diverge from v1 wherever ziggurat draws engage.
-	ContractV2 = 2
-	// DefaultContract is what Compile uses when no WithContract option is
-	// given: v1, so all existing callers and fixtures are untouched.
-	DefaultContract = ContractV1
-)
-
-// compileConfig holds Compile's option state.
-type compileConfig struct {
-	contract int
-}
-
-// CompileOption customizes Compile.
-type CompileOption func(*compileConfig)
-
-// WithContract selects the determinism contract version the program is
-// compiled under (ContractV1 or ContractV2); 0 means DefaultContract.
-// Compile fails on any other version, so an unknown contract can never
-// silently fall back to a different trajectory.
-func WithContract(version int) CompileOption {
-	return func(c *compileConfig) { c.contract = version }
-}
+// DefaultContract is the determinism contract every program honors: the
+// exact byte-level reproduction guarantee of one variate stream, in which
+// exponential delays are sampled by inversion (rng.ExpInv) and normal
+// delays by Box-Muller. Every golden fixture is recorded under it; the
+// config and topology `contract` fields accept only this version (or 0
+// for it), and run manifests stamp it.
+const DefaultContract = 1
 
 // Compile validates model and compiles its immutable execution plan: the
 // activity firing orders, the per-activity reward fan-out, the
@@ -295,23 +257,12 @@ func WithContract(version int) CompileOption {
 // of the enabling test and the firing, and the quiet places no
 // activity or reward depends on. The model's marking is untouched;
 // Instance.Reset restores it before each replication.
-func Compile(model *Model, opts ...CompileOption) (*Program, error) {
+func Compile(model *Model) (*Program, error) {
 	if err := model.Validate(); err != nil {
 		return nil, fmt.Errorf("san: model %q invalid: %w", model.Name(), err)
 	}
-	var cfg compileConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.contract == 0 {
-		cfg.contract = DefaultContract
-	}
-	if cfg.contract != ContractV1 && cfg.contract != ContractV2 {
-		return nil, fmt.Errorf("san: unknown determinism contract version %d (have v%d and v%d)",
-			cfg.contract, ContractV1, ContractV2)
-	}
 	m := model
-	p := &Program{model: m, contract: cfg.contract}
+	p := &Program{model: m}
 
 	// Activity tables. Timed activities keep definition order (the draw
 	// order); instantaneous ones sort by (priority, definition). The plans
@@ -489,20 +440,9 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 		case rng.Deterministic:
 			ap.delayKind, ap.delayA = delayDet, d.Value
 		case rng.Exponential:
-			if cfg.contract == ContractV2 {
-				ap.delayKind, ap.delayA = delayExpZig, d.Rate
-			} else {
-				ap.delayKind, ap.delayA = delayExp, d.Rate
-			}
+			ap.delayKind, ap.delayA = delayExp, d.Rate
 		case rng.Uniform:
 			ap.delayKind, ap.delayA, ap.delayB = delayUniform, d.Low, d.High
-		case rng.Normal:
-			// Only lowered under v2: the v1 Box-Muller path stays on the
-			// delayFn fallback, exactly as it compiled before the
-			// contract existed.
-			if cfg.contract == ContractV2 {
-				ap.delayKind, ap.delayA, ap.delayB = delayNormZig, d.Mu, d.Sigma
-			}
 		}
 	}
 	for _, ap := range p.instants {

@@ -44,10 +44,9 @@ type Runner struct {
 }
 
 // NewRunner prepares a replication of model seeded with seed. It validates
-// and compiles the model (passing any compile options through — e.g.
-// WithContract) and resets its marking.
-func NewRunner(model *Model, seed uint64, opts ...CompileOption) (*Runner, error) {
-	prog, err := Compile(model, opts...)
+// and compiles the model and resets its marking.
+func NewRunner(model *Model, seed uint64) (*Runner, error) {
+	prog, err := Compile(model)
 	if err != nil {
 		return nil, err
 	}
