@@ -5,7 +5,7 @@
 // Usage:
 //
 //	vcpusim -config experiment.json
-//	vcpusim -config experiment.json -single -trace trace.jsonl -gantt
+//	vcpusim -config experiment.json -single -gantt
 //	vcpusim -config experiment.json -single -stats
 //	vcpusim -config experiment.json -single -faults plan.json
 //	vcpusim vet -config experiment.json
@@ -14,8 +14,9 @@
 //	vcpusim trace -config experiment.json -out trace.json -probe series.csv
 //	vcpusim cluster -topology topology.json
 //
-// With -single, exactly one replication runs (point estimates, optional
-// event trace, Gantt rendering, and -stats engine-counter dump);
+// With -single, exactly one replication runs (point estimates, an
+// optional text Gantt chart of PCPU occupancy, and -stats engine-counter
+// dump);
 // otherwise the configured confidence-interval controlled replications
 // run. The vet subcommand runs the static verifiers (model structure and
 // source determinism) instead of simulating (see internal/vet); the
@@ -44,9 +45,9 @@ import (
 	"vcpusim/internal/fastsim"
 	"vcpusim/internal/faults"
 	"vcpusim/internal/obs"
+	"vcpusim/internal/obs/timeline"
 	"vcpusim/internal/san"
 	"vcpusim/internal/sim"
-	"vcpusim/internal/trace"
 	"vcpusim/internal/vet"
 )
 
@@ -76,8 +77,7 @@ func run(args []string, out io.Writer) (err error) {
 	var (
 		configPath = fs.String("config", "", "path to the JSON experiment configuration (required)")
 		single     = fs.Bool("single", false, "run a single replication instead of CI-controlled replications")
-		tracePath  = fs.String("trace", "", "with -single: write the schedule-event trace as JSONL to this path")
-		gantt      = fs.Bool("gantt", false, "with -single: print a text Gantt chart of PCPU occupancy")
+		gantt      = fs.Bool("gantt", false, "with -single on the fast engine: print a text Gantt chart of PCPU occupancy (`vcpusim trace` exports the full timeline)")
 		showStats  = fs.Bool("stats", false, "with -single: print engine counters (events, firings, stabilization depth, events/s)")
 		faultsPath = fs.String("faults", "", "path to a JSON fault-injection plan (SAN engine only)")
 	)
@@ -139,7 +139,7 @@ func run(args []string, out io.Writer) (err error) {
 		cfg, exp.Scheduler.Name, exp.Engine, exp.HorizonTicks)
 
 	if *single {
-		return runSingle(out, cfg, factory, exp, *tracePath, *gantt, *showStats)
+		return runSingle(out, cfg, factory, exp, *gantt, *showStats)
 	}
 	return runReplicated(out, cfg, factory, exp)
 }
@@ -169,17 +169,18 @@ func runManifest(args []string, out io.Writer) error {
 	return nil
 }
 
-// runSingle executes one replication, optionally tracing.
-func runSingle(out io.Writer, cfg core.SystemConfig, factory core.SchedulerFactory, exp *config.Experiment, tracePath string, gantt, showStats bool) error {
+// runSingle executes one replication, optionally rendering its PCPU
+// occupancy as a Gantt chart.
+func runSingle(out io.Writer, cfg core.SystemConfig, factory core.SchedulerFactory, exp *config.Experiment, gantt, showStats bool) error {
 	var (
 		metrics map[string]float64
-		rec     *trace.Recorder
+		tr      *timeline.Tracker
 		err     error
 	)
 	switch {
 	case exp.Engine == "san":
-		if tracePath != "" || gantt {
-			return fmt.Errorf("tracing requires the fast engine")
+		if gantt {
+			return fmt.Errorf("-gantt requires the fast engine")
 		}
 		if showStats {
 			return runSingleSANStats(out, cfg, factory, exp)
@@ -190,9 +191,9 @@ func runSingle(out io.Writer, cfg core.SystemConfig, factory core.SchedulerFacto
 		if buildErr != nil {
 			return buildErr
 		}
-		if tracePath != "" || gantt {
-			rec = &trace.Recorder{}
-			eng.SetTracer(rec)
+		if gantt {
+			tr = timeline.New(eng)
+			eng.SetTickHook(func(now int64) { tr.Observe(float64(now)) })
 		}
 		metrics, err = eng.Run(exp.HorizonTicks)
 		if err == nil && showStats {
@@ -205,20 +206,10 @@ func runSingle(out io.Writer, cfg core.SystemConfig, factory core.SchedulerFacto
 
 	printMetrics(out, metrics)
 
-	if rec != nil && tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rec.WriteJSONL(f); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\ntrace: %d events written to %s\n", rec.Len(), tracePath)
-	}
-	if rec != nil && gantt {
-		fmt.Fprintf(out, "\nPCPU occupancy (1 char = %d ticks):\n%s", max64(1, exp.HorizonTicks/100),
-			rec.GanttN(cfg.PCPUs, exp.HorizonTicks, max64(1, exp.HorizonTicks/100), 100))
+	if tr != nil {
+		step := max(1, exp.HorizonTicks/100)
+		tr.Finish(float64(exp.HorizonTicks))
+		fmt.Fprintf(out, "\nPCPU occupancy (1 char = %d ticks):\n%s", step, tr.Gantt(exp.HorizonTicks, step, 100))
 	}
 	return nil
 }
@@ -316,11 +307,4 @@ func runReplicated(out io.Writer, cfg core.SystemConfig, factory core.SchedulerF
 		fmt.Fprintf(out, "%-24s %v\n", n, sum.Metrics[n])
 	}
 	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -87,7 +87,7 @@ func runTrace(args []string, out io.Writer) error {
 	// A flight recorder rides along so a model error or livelock dumps
 	// the final decisions and firings instead of a bare message.
 	w.SetFlightRecorder(obs.NewFlightRecorder(64))
-	tr := timeline.New(w)
+	tr := timeline.New(w.System())
 	w.SetFaultSink(tr)
 	var smp *probe.Sampler
 	if *probePath != "" {
@@ -101,9 +101,9 @@ func runTrace(args []string, out io.Writer) error {
 		}
 		// Compose: the probe samples the pre-fire left limit, the
 		// timeline diffs the post-fire state.
-		w.Instance().SetFireHooks(smp.Hook(), tr.Hook())
+		w.Instance().SetFireHooks(smp.Hook(), tr.Hook(w.Instance()))
 	} else {
-		tr.Install()
+		tr.Install(w.Instance())
 	}
 
 	h := float64(exp.HorizonTicks)

@@ -55,7 +55,7 @@ func main() {
 		fmt.Printf("  PCPU utilization:                          %5.1f%%\n", 100*metrics[vcpusim.PCPUUtilizationAvgMetric])
 		fmt.Printf("  time barrier-blocked:                      %5.1f%%\n", 100*metrics[vcpusim.BlockedFractionMetric])
 		fmt.Printf("  first 3000 ticks (0-1: app VCPUs, 2-4: mpi VCPUs, .: idle):\n")
-		fmt.Print(indent(rec.GanttN(cfg.PCPUs, 3000, 30, 100)))
+		fmt.Print(indent(rec.Gantt(3000, 30, 100)))
 		fmt.Println()
 	}
 }

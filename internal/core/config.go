@@ -110,6 +110,12 @@ func (c SystemConfig) VMName(i int) string {
 	return fmt.Sprintf("VM%d", i+1)
 }
 
+// VCPUName returns the display name of VM vm's VCPU sibling
+// ("VM1.VCPU2"), the name both engines give a VCPU's timeline track.
+func (c SystemConfig) VCPUName(vm, sibling int) string {
+	return fmt.Sprintf("%s.VCPU%d", c.VMName(vm), sibling+1)
+}
+
 // String summarizes the setup in the paper's style, e.g.
 // "2VCPU+1VCPU+1VCPU VMs, 4 PCPUs".
 func (c SystemConfig) String() string {

@@ -22,17 +22,9 @@ type InspectVCPU struct {
 	Sibling       int
 	Status        Status
 	RemainingLoad int64
-	Done          int64
 	SyncPoint     bool
 	PCPU          int // assigned PCPU, or -1
 	Stalled       bool
-}
-
-// InspectPCPU is a read-only snapshot of one PCPU's state.
-type InspectPCPU struct {
-	VCPU     int // hosted VCPU, or -1
-	Down     bool
-	Throttle float64 // 0 when not throttled
 }
 
 // NumVCPUs returns the system's total VCPU count (global index space).
@@ -44,7 +36,7 @@ func (s *System) NumPCPUs() int { return s.cfg.PCPUs }
 // VCPUName returns the display name of VCPU i ("VM1.VCPU2").
 func (s *System) VCPUName(i int) string {
 	vc := s.vcpus[i]
-	return fmt.Sprintf("%s.VCPU%d", s.cfg.VMName(vc.vm), vc.sibling+1)
+	return s.cfg.VCPUName(vc.vm, vc.sibling)
 }
 
 // InspectVCPU fills dst with VCPU i's current state. It reads through
@@ -58,7 +50,6 @@ func (s *System) InspectVCPU(i int, dst *InspectVCPU) {
 	dst.Sibling = vc.sibling
 	dst.Status = slot.Status
 	dst.RemainingLoad = slot.RemainingLoad
-	dst.Done = slot.Done
 	dst.SyncPoint = slot.SyncPoint
 	dst.PCPU = host.PCPU
 	dst.Stalled = s.flt != nil && s.flt.stalled[i]
@@ -66,7 +57,8 @@ func (s *System) InspectVCPU(i int, dst *InspectVCPU) {
 
 // InspectPCPU fills dst with PCPU i's current state (Peek only, no
 // allocation).
-func (s *System) InspectPCPU(i int, dst *InspectPCPU) {
+func (s *System) InspectPCPU(i int, dst *PCPUView) {
+	dst.ID = i
 	dst.VCPU = (*s.pcpus.Peek())[i]
 	dst.Down = false
 	dst.Throttle = 0

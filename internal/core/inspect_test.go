@@ -56,7 +56,7 @@ func TestInspectSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	var vc core.InspectVCPU
-	var pc core.InspectPCPU
+	var pc core.PCPUView
 	for i := 0; i < sys.NumVCPUs(); i++ {
 		sys.InspectVCPU(i, &vc)
 		if vc.PCPU >= 0 {

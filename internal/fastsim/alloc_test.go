@@ -63,3 +63,23 @@ func TestRunAllocsIndependentOfHorizon(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineFastAllocs pins the allocations of BenchmarkEngineFast's
+// replication (Figure 8 on two PCPUs, RRS, 10,000 ticks) at 38: with no
+// tick hook attached, observability costs the tick loop one nil test
+// and no allocation.
+func TestEngineFastAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	cfg := fig8Config(2)
+	factory := func() core.Scheduler { return sched.NewRoundRobin(30) }
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := RunReplication(cfg, factory, 10000, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 38 {
+		t.Errorf("%.1f allocations per replication, want 38", allocs)
+	}
+}

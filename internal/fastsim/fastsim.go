@@ -91,8 +91,10 @@ type Engine struct {
 	schedIns  int64
 	schedOuts int64
 
-	// Tracer, if any, observes schedule-in/out transitions.
-	tracer Tracer
+	// hook, if set, observes the engine's state once per tick; vmCfgs
+	// names the VCPUs it reads.
+	hook   func(now int64)
+	vmCfgs []core.VMConfig
 
 	// Per-tick scratch reused in place: the scheduler's Actions
 	// accumulator and process's per-VM spinlock-preemption mask.
@@ -129,18 +131,6 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Tracer observes scheduling transitions in the fast engine; see the trace
-// package for implementations.
-type Tracer interface {
-	// ScheduleIn is called when a VCPU is granted a PCPU at tick now.
-	ScheduleIn(now int64, vcpu, pcpu int)
-	// ScheduleOut is called when a VCPU relinquishes its PCPU at tick
-	// now; expired distinguishes timeslice expiry from preemption.
-	ScheduleOut(now int64, vcpu, pcpu int, expired bool)
-	// JobComplete is called when a VCPU finishes a workload.
-	JobComplete(now int64, vcpu int, sync bool)
-}
-
 // New builds a fast engine for one replication. The seed derives the
 // workload-generator streams exactly as core.BuildSystem does, so the same
 // (cfg, scheduler behaviour, seed) triple yields the same workload
@@ -162,10 +152,11 @@ func New(cfg core.SystemConfig, sched core.Scheduler, seed uint64) (*Engine, err
 	// experiment grid.
 	n := cfg.TotalVCPUs()
 	e := &Engine{
-		sched: sched,
-		vcpus: make([]core.VCPUView, 0, n),
-		vms:   make([]vmState, 0, len(cfg.VMs)),
-		pcpus: make([]core.PCPUView, cfg.PCPUs),
+		sched:  sched,
+		vcpus:  make([]core.VCPUView, 0, n),
+		vms:    make([]vmState, 0, len(cfg.VMs)),
+		pcpus:  make([]core.PCPUView, cfg.PCPUs),
+		vmCfgs: cfg.VMs,
 	}
 	ids := make([]int, n)
 	for i, vmCfg := range cfg.VMs {
@@ -194,8 +185,35 @@ func New(cfg core.SystemConfig, sched core.Scheduler, seed uint64) (*Engine, err
 	return e, nil
 }
 
-// SetTracer attaches a tracer; pass nil to detach.
-func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
+// SetTickHook attaches fn, called once per tick with the tick's number
+// after the tick's last job flow and before its sampling: the state it
+// reads through the Inspect methods is the state the tick is sampled in.
+// Pass nil to detach.
+func (e *Engine) SetTickHook(fn func(now int64)) { e.hook = fn }
+
+// NumVCPUs returns the engine's VCPU count (global index space).
+func (e *Engine) NumVCPUs() int { return len(e.vcpus) }
+
+// NumPCPUs returns the engine's PCPU count.
+func (e *Engine) NumPCPUs() int { return len(e.pcpus) }
+
+// VCPUName returns the display name of VCPU i, as core.System.VCPUName.
+func (e *Engine) VCPUName(i int) string {
+	return core.SystemConfig{VMs: e.vmCfgs}.VCPUName(e.vcpus[i].VM, e.vcpus[i].Sibling)
+}
+
+// InspectVCPU fills dst with VCPU i's current state, as
+// core.System.InspectVCPU does for the SAN engine.
+func (e *Engine) InspectVCPU(i int, dst *core.InspectVCPU) {
+	v := &e.vcpus[i]
+	*dst = core.InspectVCPU{
+		VM: v.VM, Sibling: v.Sibling, Status: v.Status, RemainingLoad: v.RemainingLoad,
+		SyncPoint: v.SyncPoint, PCPU: v.PCPU, Stalled: v.Stalled,
+	}
+}
+
+// InspectPCPU fills dst with PCPU i's current state.
+func (e *Engine) InspectPCPU(i int, dst *core.PCPUView) { *dst = e.pcpus[i] }
 
 // Run simulates horizon ticks and returns the reward values keyed exactly
 // like the SAN engine's metrics.
@@ -272,6 +290,9 @@ func (e *Engine) run(warmup, horizon, window int64, emit func()) error {
 			return err
 		}
 		e.jobFlow()
+		if e.hook != nil {
+			e.hook(e.now)
+		}
 		e.sample()
 		if e.now+1 == end {
 			e.settle(end)
@@ -306,16 +327,12 @@ func (e *Engine) process() {
 		v.RemainingLoad--
 		if v.RemainingLoad <= 0 {
 			v.RemainingLoad = 0
-			wasSync := v.SyncPoint
 			v.SyncPoint = false
 			e.creditVCPU(id, e.now)
 			v.Status = core.Ready
 			vm := &e.vms[v.VM]
 			vm.numReady++
 			vm.loaded--
-			if e.tracer != nil {
-				e.tracer.JobComplete(e.now, id, wasSync)
-			}
 		}
 	}
 }
@@ -446,7 +463,7 @@ func (e *Engine) hypervisorStep() error {
 			v.Runtime++
 			v.Timeslice--
 			if v.Timeslice <= 0 {
-				e.scheduleOut(id, true)
+				e.scheduleOut(id)
 			}
 		}
 	}
@@ -464,11 +481,10 @@ func (e *Engine) hypervisorStep() error {
 }
 
 // scheduleOut transitions a VCPU to INACTIVE, freeing its PCPU.
-func (e *Engine) scheduleOut(id int, expired bool) {
+func (e *Engine) scheduleOut(id int) {
 	v := &e.vcpus[id]
-	p := v.PCPU
 	e.creditVCPU(id, e.now)
-	e.pcpus[p].VCPU = -1
+	e.pcpus[v.PCPU].VCPU = -1
 	v.PCPU = -1
 	v.Timeslice = 0
 	if v.Status == core.Ready {
@@ -476,9 +492,6 @@ func (e *Engine) scheduleOut(id int, expired bool) {
 	}
 	v.Status = core.Inactive
 	e.schedOuts++
-	if e.tracer != nil {
-		e.tracer.ScheduleOut(e.now, id, p, expired)
-	}
 }
 
 // apply validates and applies the scheduling function's decisions:
@@ -492,7 +505,7 @@ func (e *Engine) apply(acts *core.Actions) error {
 		if e.vcpus[id].PCPU < 0 {
 			return fmt.Errorf("fastsim: scheduler %q preempted inactive VCPU %d", e.sched.Name(), id)
 		}
-		e.scheduleOut(id, false)
+		e.scheduleOut(id)
 	}
 	for _, a := range assigns {
 		switch {
@@ -520,9 +533,6 @@ func (e *Engine) apply(acts *core.Actions) error {
 			e.vms[v.VM].numReady++
 		}
 		e.schedIns++
-		if e.tracer != nil {
-			e.tracer.ScheduleIn(e.now, a.VCPU, a.PCPU)
-		}
 	}
 	return nil
 }

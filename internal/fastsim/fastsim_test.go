@@ -249,20 +249,12 @@ func TestBadSchedulerErrors(t *testing.T) {
 	}
 }
 
-// recorder asserts tracer callbacks fire coherently.
-type recorder struct {
-	ins, outs, jobs int
-	lastInTick      int64
-}
-
-func (r *recorder) ScheduleIn(now int64, vcpu, pcpu int) {
-	r.ins++
-	r.lastInTick = now
-}
-func (r *recorder) ScheduleOut(now int64, vcpu, pcpu int, expired bool) { r.outs++ }
-func (r *recorder) JobComplete(now int64, vcpu int, sync bool)          { r.jobs++ }
-
-func TestTracerCallbacks(t *testing.T) {
+// TestTickHook checks the tick hook fires once per tick, in order, and
+// that the PCPU track it reads is coherent: with one PCPU rotating
+// between two VCPUs every 10 ticks, every schedule-in but the final
+// holder's is matched by a schedule-out, and the track sees every grant
+// the engine counts.
+func TestTickHook(t *testing.T) {
 	cfg := core.SystemConfig{
 		PCPUs:     1,
 		Timeslice: 10,
@@ -272,19 +264,42 @@ func TestTracerCallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &recorder{}
-	eng.SetTracer(rec)
+	var (
+		ticks     int64
+		ins, outs int64
+		pc        core.PCPUView
+	)
+	occupant := -1
+	eng.SetTickHook(func(now int64) {
+		if now != ticks {
+			t.Fatalf("hook called at tick %d, want %d", now, ticks)
+		}
+		ticks++
+		eng.InspectPCPU(0, &pc)
+		if pc.VCPU != occupant {
+			if occupant >= 0 {
+				outs++
+			}
+			if pc.VCPU >= 0 {
+				ins++
+			}
+			occupant = pc.VCPU
+		}
+	})
 	if _, err := eng.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	if rec.ins == 0 || rec.outs == 0 || rec.jobs == 0 {
-		t.Fatalf("tracer saw ins=%d outs=%d jobs=%d", rec.ins, rec.outs, rec.jobs)
+	if ticks != 100 {
+		t.Fatalf("hook called %d times over 100 ticks", ticks)
 	}
-	// With one PCPU rotating between two VCPUs every 10 ticks over 100
-	// ticks: ~10 schedule-ins, each matched by a schedule-out except the
-	// final holder.
-	if diff := rec.ins - rec.outs; diff < 0 || diff > 1 {
-		t.Errorf("ins %d vs outs %d: unbalanced", rec.ins, rec.outs)
+	if ins == 0 || outs == 0 {
+		t.Fatalf("PCPU track saw ins=%d outs=%d", ins, outs)
+	}
+	if diff := ins - outs; diff < 0 || diff > 1 {
+		t.Errorf("ins %d vs outs %d: unbalanced", ins, outs)
+	}
+	if s := eng.Stats(); ins != s.ScheduleIns || outs != s.ScheduleOuts {
+		t.Errorf("PCPU track saw %d ins and %d outs, engine counted %d and %d", ins, outs, s.ScheduleIns, s.ScheduleOuts)
 	}
 }
 

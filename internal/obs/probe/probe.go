@@ -35,7 +35,7 @@ type Sampler struct {
 	buf    bytes.Buffer
 	points int
 	vc     core.InspectVCPU
-	pc     core.InspectPCPU
+	pc     core.PCPUView
 }
 
 // New builds a sampler over w's system with the given virtual-time

@@ -45,8 +45,8 @@ func newWorker(t *testing.T, cfg core.SystemConfig) *core.Worker {
 func runTraced(t *testing.T, cfg core.SystemConfig, horizon float64, seed uint64) ([]byte, map[string]float64) {
 	t.Helper()
 	w := newWorker(t, cfg)
-	tr := New(w)
-	tr.Install()
+	tr := New(w.System())
+	tr.Install(w.Instance())
 	w.SetFaultSink(tr)
 	m, err := w.Run(horizon, seed)
 	if err != nil {

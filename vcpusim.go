@@ -43,13 +43,13 @@ import (
 	"vcpusim/internal/experiments"
 	"vcpusim/internal/fastsim"
 	"vcpusim/internal/faults"
+	"vcpusim/internal/obs/timeline"
 	"vcpusim/internal/report"
 	"vcpusim/internal/rng"
 	"vcpusim/internal/san"
 	"vcpusim/internal/sched"
 	"vcpusim/internal/sim"
 	"vcpusim/internal/stats"
-	"vcpusim/internal/trace"
 	"vcpusim/internal/workload"
 )
 
@@ -126,8 +126,9 @@ type (
 	Interval = stats.Interval
 	// Table is a rendered experiment result.
 	Table = report.Table
-	// Recorder collects schedule-in/out traces (attach with RunTraced).
-	Recorder = trace.Recorder
+	// Recorder is one replication's scheduling timeline (see RunTraced):
+	// its Gantt method renders PCPU occupancy, WriteJSON a Chrome trace.
+	Recorder = timeline.Tracker
 	// ExperimentParams parameterizes the paper-figure regenerators.
 	ExperimentParams = experiments.Params
 )
@@ -203,20 +204,21 @@ func RunSAN(cfg SystemConfig, factory SchedulerFactory, horizon int64, seed uint
 	return core.RunReplication(cfg, factory, float64(horizon), seed)
 }
 
-// RunTraced simulates one replication on the fast engine with a trace
-// recorder attached, returning the metrics and the recorded schedule
-// events.
+// RunTraced simulates one replication on the fast engine with a
+// timeline recorder attached, returning the metrics and the finished
+// per-entity scheduling timeline.
 func RunTraced(cfg SystemConfig, factory SchedulerFactory, horizon int64, seed uint64) (map[string]float64, *Recorder, error) {
 	eng, err := fastsim.New(cfg, factory(), seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	rec := &trace.Recorder{}
-	eng.SetTracer(rec)
+	rec := timeline.New(eng)
+	eng.SetTickHook(func(now int64) { rec.Observe(float64(now)) })
 	metrics, err := eng.Run(horizon)
 	if err != nil {
 		return nil, nil, err
 	}
+	rec.Finish(float64(horizon))
 	return metrics, rec, nil
 }
 

@@ -85,10 +85,10 @@ func TestRunTraced(t *testing.T) {
 	if len(m) == 0 {
 		t.Fatal("no metrics")
 	}
-	if rec.Len() == 0 {
+	if rec.Events() == 0 {
 		t.Fatal("no trace events")
 	}
-	if g := rec.GanttN(2, 500, 10, 80); !strings.Contains(g, "PCPU0") || !strings.Contains(g, "PCPU1") {
+	if g := rec.Gantt(500, 10, 80); !strings.Contains(g, "PCPU0") || !strings.Contains(g, "PCPU1") {
 		t.Fatalf("gantt output: %q", g)
 	}
 }

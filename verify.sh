@@ -52,9 +52,9 @@ go test -race ./internal/...
 echo "== go test -race ./internal/cluster at GOMAXPROCS 4 (parallel window stepping, uncached)"
 GOMAXPROCS=4 go test -race -count=1 ./internal/cluster
 
-echo "== pooled-determinism gate (goldens + pooled/fresh equivalence, uncached)"
-go test -run 'Golden|PooledEquivalence' -count=1 ./internal/core ./internal/san ./internal/experiments \
-    ./internal/cluster ./cmd/vcpusim
+echo "== pooled-determinism gate (goldens + pooled/fresh equivalence + cross-engine timelines, uncached)"
+go test -run 'Golden|PooledEquivalence|TracksMatchAcrossEngines' -count=1 ./internal/core ./internal/san \
+    ./internal/experiments ./internal/cluster ./internal/obs/timeline ./cmd/vcpusim
 
 echo "== observability gate (manifest write + schema/counter validation)"
 obsdir=$(mktemp -d)
