@@ -4,9 +4,9 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"vcpusim/internal/core"
@@ -221,24 +221,39 @@ type Orchestrator struct {
 
 	// ctxCheck counts host events since the last cancellation check.
 	ctxCheck int
-	// steppers holds one stepper per window worker, reused across
-	// windows; claimed counts the hosts the window's workers have
-	// claimed, and running waits for a round's goroutines.
+	// steppers and stripes hold one stepper and one host stripe per
+	// window worker, reused across windows; width is the current
+	// window's worker count. crew[k-1] runs worker k on a helper
+	// goroutine; the first hired of them are running.
 	steppers []stepper
-	claimed  atomic.Int64
-	running  sync.WaitGroup
+	stripes  []stripe
+	width    int
+	crew     []*helper
+	hired    int
+	// Per-replication window counters: windows stepped, those stepped
+	// at width > 1, and hosts a worker claimed from another's stripe.
+	// steals follows goroutine timing, so it stays out of LastStats,
+	// whose counters repeat exactly at a fixed GOMAXPROCS.
+	windows, parallelWindows, steals int
 }
 
 // ctxCheckEvery is the number of host events between two checks of the
 // replication's context.
 const ctxCheckEvery = 8192
 
-// workerTicks is the least window work, in host-ticks (hosts × window
-// length), that pays for one window worker: a window of work W steps on
-// min(GOMAXPROCS, hosts, W/workerTicks) workers, so windows below twice
-// this stay on the caller's goroutine. Derived from the measured
-// crossover in EXPERIMENTS.md, "Parallel windows".
-const workerTicks = 250
+// pairTicks and workerTicks set the number of workers a window steps
+// on from its work W in host-ticks (hosts × window length): two from
+// pairTicks on, W/workerTicks once that is more, and at most one per
+// CPU and one per host. pairTicks is the least work from which two
+// workers won every measured cell of the crossover in EXPERIMENTS.md,
+// "Host-affine windows". That crossover ran on a 2-vCPU host, so a
+// third worker and more are unmeasured with the crew: each needs
+// workerTicks, the cost per worker measured with a goroutine started
+// per round ("Parallel windows").
+const (
+	pairTicks   = 16
+	workerTicks = 250
+)
 
 // Cluster-level metric names. Per-host metrics are hostMetric(h, base)
 // = "host<h>/<base>".
@@ -357,6 +372,8 @@ func (o *Orchestrator) LastStats() obs.Counters {
 	}
 	c.Dispatches = uint64(o.dispatches)
 	c.Migrations = uint64(o.migrations)
+	c.Windows = uint64(o.windows)
+	c.ParallelWindows = uint64(o.parallelWindows)
 	return c
 }
 
@@ -445,6 +462,8 @@ func (o *Orchestrator) run(ctx context.Context) error {
 	horizon := o.topo.Horizon
 	procs := runtime.GOMAXPROCS(0)
 	o.ctxCheck = 0
+	o.windows, o.parallelWindows, o.steals = 0, 0, 0
+	defer o.dismiss()
 	// Every host has processed all its events before reached; no host
 	// event precedes 0. Cluster events often share a time (all
 	// admissions from one check land at t + TransferDelay); a window
@@ -471,115 +490,194 @@ func (o *Orchestrator) run(ctx context.Context) error {
 }
 
 // windowWidth is the number of workers a window of the given length
-// steps on: one per workerTicks host-ticks of work, at most one per CPU
-// and one per host, and one while hosts send fault spans to the sink.
+// steps on: two from pairTicks host-ticks of work, one per workerTicks
+// beyond that, at most one per CPU and one per host, and one while
+// hosts send fault spans to the sink.
 func (o *Orchestrator) windowWidth(procs int, length float64) int {
 	if o.hostSpans {
 		return 1
 	}
 	w := min(procs, len(o.hosts))
-	if workers := float64(len(o.hosts)) * length / workerTicks; workers < float64(w) {
-		w = max(1, int(workers))
+	work := float64(len(o.hosts)) * length
+	if work < pairTicks {
+		return 1
+	}
+	if workers := work / workerTicks; workers < float64(w) {
+		w = max(min(w, 2), int(workers))
 	}
 	return w
 }
 
 // stepper is one window worker's state.
 type stepper struct {
-	host   int     // ID of the claimed host being stepped, -1 when none
-	end    float64 // the window bound, lowered to the worker's failure time
-	budget int     // host events this round may process
-	done   int     // host events this round processed
-	// failure is the worker's earliest failure, by (time, host ID), at
-	// virtual time failAt on host failHost.
-	failure  error
-	failAt   float64
+	host   int // ID of the claimed host being stepped, -1 when none
+	budget int // host events this round may process
+	done   int // host events this round processed
+	steals int // hosts this window claimed from other workers' stripes
+	// The worker steps each host's events that precede (end, failHost)
+	// by (virtual time, host ID): the window bound (end, -1) until the
+	// worker meets a failure, then its earliest failure, at virtual time
+	// end on host failHost.
+	end      float64
 	failHost int
+	failure  error
 }
 
-// step runs hosts through their events before the worker's bound, each
-// claimed from claimed as the previous one finishes, until no host is
-// left or the worker has processed its budget. Claims rise, so a worker
-// meets its hosts in ID order: a host stops at its first failure, and
-// the worker's later hosts need only run their events before that time
-// to find an earlier failure, so the last failure recorded is the
-// worker's earliest.
-func (s *stepper) step(hosts []*hostShard, claimed *atomic.Int64) {
-	id, done, budget, end := s.host, 0, s.budget, s.end
+// stripe is one worker's share of a window's hosts, the IDs [front,
+// back) packed into one word, front in the high half: the owner claims
+// from the front and other workers steal from the back, each with one
+// compare-and-swap. The padding keeps each stripe on its own cache line.
+type stripe struct {
+	span atomic.Uint64
+	_    [56]byte
+}
+
+func (s *stripe) set(front, back int) { s.span.Store(uint64(front)<<32 | uint64(back)) }
+
+// empty reports whether every host of the stripe has been claimed.
+func (s *stripe) empty() bool {
+	v := s.span.Load()
+	return v>>32 >= v&math.MaxUint32
+}
+
+// take claims the stripe's front host, or its back host when steal is
+// set, and returns its ID, or -1 when the stripe is empty.
+func (s *stripe) take(steal bool) int {
+	for {
+		v := s.span.Load()
+		front, back := v>>32, v&math.MaxUint32
+		if front >= back {
+			return -1
+		}
+		next, id := v+1<<32, front
+		if steal {
+			next, id = v-1, back-1
+		}
+		if s.span.CompareAndSwap(v, next) {
+			return int(id)
+		}
+	}
+}
+
+// claim returns the next host for worker w: the front of its own
+// stripe, else the back of the first other stripe, after w, with hosts
+// left; -1 when every stripe is empty.
+func (o *Orchestrator) claim(w int) int {
+	stripes := o.stripes[:o.width]
+	if id := stripes[w].take(false); id >= 0 {
+		return id
+	}
+	for k := 1; k < len(stripes); k++ {
+		if id := stripes[(w+k)%len(stripes)].take(true); id >= 0 {
+			o.steppers[w].steals++
+			return id
+		}
+	}
+	return -1
+}
+
+// step runs worker w's hosts through their events before its bound,
+// each claimed as the previous one finishes, until no host is left or
+// the worker has processed its budget. A host stops at its first
+// failure. Claims do not come in ID order once a worker steals, so the
+// bound is lexicographic: after a failure at (t, f), a later host whose
+// ID is below f still runs its events at exactly t. Every host event
+// the worker skips therefore comes after its earliest failure in
+// (time, host ID) order, and the last failure recorded is that
+// earliest one.
+func (o *Orchestrator) step(w int) {
+	s := &o.steppers[w]
+	id, done, budget := s.host, 0, s.budget
 	for done < budget {
 		if id < 0 {
-			if id = int(claimed.Add(1)) - 1; id >= len(hosts) {
-				id = -1
+			if id = o.claim(w); id < 0 {
 				break
 			}
 		}
-		h := hosts[id]
+		h := o.hosts[id]
 		in := h.inst
+		bound := s.end
+		if id < s.failHost {
+			bound = math.Nextafter(bound, math.Inf(1))
+		}
 		for done < budget {
 			t := in.PeekNextEventTime()
-			if t >= end {
+			if t >= bound {
 				id = -1
 				break
 			}
 			if err := in.ProcessNextEvent(); err != nil {
 				s.failure = fmt.Errorf("cluster: host %s: %w", h.name, err)
-				s.failAt, s.failHost = t, h.id
-				end = t
+				s.end, s.failHost = t, id
 				id = -1
 				break
 			}
 			done++
 		}
 	}
-	s.host, s.done, s.end = id, done, end
+	s.host, s.done = id, done
 }
 
 // advance runs every host through its events strictly before end, on
-// width workers that claim hosts one at a time, in ID order: the
-// calling goroutine is worker 0, and one goroutine per round runs each
-// other worker with budget, so width 1 starts none. Each round splits the
-// host events left before the next cancellation check across the live
-// workers, and only this goroutine polls ctx, after every ctxCheckEvery
-// host events summed over all hosts — the cadence of a serial loop. The
-// error reported is the failure with the smallest (virtual time, host
-// ID) over all workers, the failure a global (time, host ID) event order
-// would reach first.
+// width workers: the calling goroutine is worker 0 and helper k of the
+// replication's crew is worker k, so width 1 starts none. The hosts
+// are cut into width contiguous ID stripes, stripe w worker w's, so a
+// host is stepped by the same worker, on the same goroutine, from one
+// window to the next; a worker whose stripe is empty steals from the
+// back of the others. Each round splits the host events left before
+// the next cancellation check across the live workers, and only this
+// goroutine polls ctx, after every ctxCheckEvery host events summed
+// over all hosts — the cadence of a serial loop. The error reported is
+// the failure with the smallest (virtual time, host ID) over all
+// workers, the failure a global (time, host ID) event order would
+// reach first.
 //
 // No host enters a window failed (every failure ends the replication),
 // and end never exceeds the horizon, so the window bound alone decides
 // which events are pending.
 func (o *Orchestrator) advance(ctx context.Context, end float64, width int) error {
-	if len(o.steppers) < width {
-		o.steppers = make([]stepper, width)
+	o.windows++
+	o.reserve(width)
+	if width > 1 {
+		o.parallelWindows++
+		o.hire(width - 1)
 	}
+	o.width = width
 	ws := o.steppers[:width]
+	n := len(o.hosts)
 	for w := range ws {
-		ws[w] = stepper{host: -1, end: end}
+		ws[w] = stepper{host: -1, end: end, failHost: -1}
+		o.stripes[w].set(w*n/width, (w+1)*n/width)
 	}
-	o.claimed.Store(0)
 	for {
-		// Live workers, moved to the front: every worker while hosts
-		// are left to claim, then those still holding a claimed host.
-		open := o.claimed.Load() < int64(len(o.hosts))
+		// Live workers: every worker while hosts are left to claim,
+		// then those still holding a claimed host.
+		open := false
+		for w := range ws {
+			open = open || !o.stripes[w].empty()
+		}
 		live := 0
 		for w := range ws {
 			if open || ws[w].host >= 0 {
-				ws[w], ws[live] = ws[live], ws[w]
 				live++
 			}
 		}
 		if live == 0 {
 			break
 		}
-		left := ctxCheckEvery - o.ctxCheck
-		for w := range ws[:live] {
-			ws[w].budget = left / live
-			if w < left%live {
-				ws[w].budget++
+		left, k := ctxCheckEvery-o.ctxCheck, 0
+		for w := range ws {
+			ws[w].budget, ws[w].done = 0, 0
+			if open || ws[w].host >= 0 {
+				ws[w].budget = left / live
+				if k < left%live {
+					ws[w].budget++
+				}
+				k++
 			}
 		}
-		o.round(ws[:live])
-		for w := range ws[:live] {
+		o.round(ws)
+		for w := range ws {
 			o.ctxCheck += ws[w].done
 		}
 		if o.ctxCheck == ctxCheckEvery {
@@ -592,8 +690,9 @@ func (o *Orchestrator) advance(ctx context.Context, end float64, width int) erro
 	var first *stepper
 	for w := range ws {
 		s := &ws[w]
-		if s.failure != nil && (first == nil || s.failAt < first.failAt ||
-			s.failAt == first.failAt && s.failHost < first.failHost) {
+		o.steals += s.steals
+		if s.failure != nil && (first == nil || s.end < first.end ||
+			s.end == first.end && s.failHost < first.failHost) {
 			first = s
 		}
 	}
@@ -603,23 +702,178 @@ func (o *Orchestrator) advance(ctx context.Context, end float64, width int) erro
 	return first.failure
 }
 
-// round runs every worker with budget once: ws[0] on the calling
-// goroutine, each other on a goroutine of its own.
+// round runs every worker with budget once: worker 0 on the calling
+// goroutine, each other on its helper. A helper that has not taken its
+// round by the time worker 0 is done gets it taken back, and the
+// calling goroutine runs that worker itself instead of waiting for the
+// helper to be scheduled.
 func (o *Orchestrator) round(ws []stepper) {
-	for w := 1; w < len(ws); w++ {
-		s := &ws[w]
-		if s.budget == 0 {
-			s.done = 0
+	for k := 1; k < len(ws); k++ {
+		if ws[k].budget > 0 {
+			o.crew[k-1].offer()
+		}
+	}
+	if ws[0].budget > 0 {
+		o.step(0)
+	}
+	for k := 1; k < len(ws); k++ {
+		if ws[k].budget > 0 {
+			if c := o.crew[k-1]; c.revoke() {
+				o.step(k)
+			} else {
+				c.wait()
+			}
+		}
+	}
+}
+
+// spinChecks is how many times a goroutine waiting for a crew signal
+// checks it before parking: a helper waiting for its next round, or
+// the caller waiting for a helper to finish one. Every yieldEvery
+// checks the waiter yields its CPU to any other runnable goroutine, so
+// a spinning helper does not hold back a replication pool that already
+// keeps every CPU busy. Both are derived from the measured gaps between
+// rounds in EXPERIMENTS.md, "Host-affine windows".
+const (
+	spinChecks = 1 << 17
+	yieldEvery = 1 << 10
+)
+
+// signal carries a rising counter from one goroutine to one waiter,
+// which spins for spinChecks checks and then parks on wake. A post
+// sends a wake-up only to a parked waiter.
+type signal struct {
+	n      atomic.Uint32
+	parked atomic.Bool
+	wake   chan struct{}
+}
+
+func (s *signal) post(n uint32) {
+	s.n.Store(n)
+	if s.parked.Swap(false) {
+		s.wake <- struct{}{}
+	}
+}
+
+// await returns the counter once it differs from old. Either the
+// waiter's check after setting parked sees the new value, or post sees
+// parked and sends: whichever side clears parked, the waiter receives a
+// wake-up exactly when post sends one. A wake-up that finds the counter
+// still at old is stale, the tail of a post the waiter had already seen
+// by its value, and the waiter parks again.
+func (s *signal) await(old uint32) uint32 {
+	for i := 1; i <= spinChecks; i++ {
+		if n := s.n.Load(); n != old {
+			return n
+		}
+		if i%yieldEvery == 0 {
+			runtime.Gosched()
+		}
+	}
+	for {
+		s.parked.Store(true)
+		if n := s.n.Load(); n != old && s.parked.Swap(false) {
+			return n
+		}
+		<-s.wake
+		if n := s.n.Load(); n != old {
+			return n
+		}
+	}
+}
+
+// helper is the caller's handle on one crew goroutine. The caller
+// offers round r by posting 2r on begin, and whichever of the helper
+// and the caller first moves it to 2r+1 runs the round; the helper
+// posts 2r+1 on finish when it has run one. quit, set before the last
+// offer, tells the helper to exit; its send on gone is the last thing
+// it does. The padding keeps two helpers' signals off one cache line.
+type helper struct {
+	begin, finish signal
+	offered       uint32 // the caller's last offer on begin
+	finished      uint32 // the last value the caller read on finish
+	quit          bool
+	gone          chan struct{}
+	run           func() // the helper's loop, built once so hiring allocates no closure
+	_             [64]byte
+}
+
+func (c *helper) offer() {
+	c.offered += 2
+	c.begin.post(c.offered)
+}
+
+// revoke takes the last offered round back, unless the helper has
+// taken it already.
+func (c *helper) revoke() bool { return c.begin.n.CompareAndSwap(c.offered, c.offered+1) }
+
+// wait returns once the helper has run the round it took.
+func (c *helper) wait() { c.finished = c.finish.await(c.finished) }
+
+// reserve makes room for windows of up to width workers. Helpers keep
+// their own *helper, so the crew grows without moving a running one.
+func (o *Orchestrator) reserve(width int) {
+	if len(o.steppers) < width {
+		o.steppers = make([]stepper, width)
+		o.stripes = make([]stripe, width)
+	}
+	for len(o.crew) < width-1 {
+		c := &helper{
+			begin:  signal{wake: make(chan struct{}, 1)},
+			finish: signal{wake: make(chan struct{}, 1)},
+			gone:   make(chan struct{}, 1),
+		}
+		k := len(o.crew) + 1
+		c.run = func() { o.help(k, c) }
+		o.crew = append(o.crew, c)
+	}
+}
+
+// hire makes sure helpers 1..n, reserved already, are running. Each
+// helper is started at most once per replication and runs until
+// dismiss.
+func (o *Orchestrator) hire(n int) {
+	for ; o.hired < n; o.hired++ {
+		c := o.crew[o.hired]
+		c.begin.n.Store(0)
+		c.finish.n.Store(0)
+		c.offered, c.finished, c.quit = 0, 0, false
+		go c.run()
+	}
+}
+
+// help is helper k's loop: step worker k, and so stripe k, in every
+// round it takes from c, until told to quit. It reads no field of o
+// outside a round, so the caller may grow the crew while it runs.
+func (o *Orchestrator) help(k int, c *helper) {
+	var seen uint32
+	for {
+		seen = c.begin.await(seen)
+		if seen%2 == 1 || !c.begin.n.CompareAndSwap(seen, seen+1) {
+			// The caller took the round back and ran it.
+			seen |= 1
 			continue
 		}
-		o.running.Add(1)
-		go func() {
-			defer o.running.Done()
-			s.step(o.hosts, &o.claimed)
-		}()
+		seen++
+		if c.quit {
+			c.gone <- struct{}{}
+			return
+		}
+		o.step(k)
+		c.finish.post(seen)
 	}
-	ws[0].step(o.hosts, &o.claimed)
-	o.running.Wait()
+}
+
+// dismiss stops every running helper and waits until each has left
+// its loop: after gone, the helper touches neither its signals nor any
+// field of o, so hire may reset them and start the next one.
+func (o *Orchestrator) dismiss() {
+	for ; o.hired > 0; o.hired-- {
+		c := o.crew[o.hired-1]
+		c.quit = true
+		c.offer()
+		<-c.gone
+	}
 }
 
 // handle executes one cluster event and then retries the placement

@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"vcpusim/internal/config"
 	"vcpusim/internal/faults"
@@ -252,5 +254,247 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 				t.Errorf("error %q does not name the non-finite value", err)
 			}
 		})
+	}
+}
+
+// TestFailureChoiceUnderStealing fails a-0 (ID 15, the back of stripe
+// 0) and b-0 (ID 16, the front of stripe 1) at the same virtual time,
+// t=20, in a 32-host fleet whose first window, [0, 2000), steps at
+// width 2. Worker 1 claims b-0 first and meets its failure; its other
+// hosts then run only to t=20, about 200 host events in all, while
+// worker 0 steps its hosts to t=2000, over a thousand events each.
+// Every round gives each worker up to 4096 host events and ends only
+// when both have used them, so worker 1 steals a-0 in the first round,
+// before worker 0 can get past its third host, however the goroutines
+// are scheduled. a-0 precedes b-0 in (time, host ID) order, so worker 1
+// must still run a-0's events at exactly t=20: a strict "before t"
+// bound on every later host misses a-0's failure and reports b-0's.
+func TestFailureChoiceUnderStealing(t *testing.T) {
+	topo := &Topology{
+		Horizon: 3000,
+		Hosts: []HostGroup{
+			failingGroup("p", 15, 0), failingGroup("a", 1, 20),
+			failingGroup("b", 1, 20), failingGroup("q", 15, 0),
+		},
+		Arrivals: []Arrival{{At: 2000, VCPUs: 1}},
+	}
+	topo.applyDefaults()
+	atProcs(2, func() {
+		o, err := New(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := o.windowWidth(2, 2000); w != 2 {
+			t.Fatalf("the failing window steps at width %d, want 2", w)
+		}
+		for seed := uint64(1); seed <= 5; seed++ {
+			_, err := o.Replicate(context.Background(), seed)
+			if err == nil {
+				t.Fatalf("seed %d: replication with failing hosts succeeded", seed)
+			}
+			if !strings.HasPrefix(err.Error(), "cluster: host a-0: ") {
+				t.Fatalf("seed %d: error %q, want the failure of host a-0", seed, err)
+			}
+			if o.steals == 0 {
+				t.Fatalf("seed %d: no worker stole a host; the case no longer exercises stealing", seed)
+			}
+		}
+	})
+}
+
+// goroutinesSpan records the goroutine count at every span, each
+// emitted on the replication's calling goroutine between two windows.
+type goroutinesSpan struct{ counts []int }
+
+func (r *goroutinesSpan) Emit(obs.Event) { r.counts = append(r.counts, runtime.NumGoroutine()) }
+
+// settle waits until the goroutine count falls back to base: a helper
+// has made its last move before Replicate returns, but the runtime
+// counts its goroutine until it has returned.
+func settle(t *testing.T, base int, what string) {
+	t.Helper()
+	for wait := 0; runtime.NumGoroutine() > base; wait++ {
+		if wait == 5000 {
+			t.Fatalf("%s: %d goroutines, %d before the replication", what, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// quietGoroutines returns the goroutine count once it has held for ten
+// milliseconds, so helpers an earlier test dismissed, which the runtime
+// counts until they have returned, are out of the baseline.
+func quietGoroutines() int {
+	n := runtime.NumGoroutine()
+	for held := 0; held < 10; held++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, held = m, -1
+		}
+	}
+	return n
+}
+
+// TestCrewLeavesNoGoroutines replicates a fleet that completes, one
+// that fails and one cancelled mid-window at GOMAXPROCS 1, 2 and 4.
+// While a replication runs, its crew of GOMAXPROCS − 1 helpers lives
+// across windows (none at GOMAXPROCS 1); after Replicate returns, the
+// goroutine count is back at its baseline, whatever the outcome.
+func TestCrewLeavesNoGoroutines(t *testing.T) {
+	failing := &Topology{
+		Horizon:  100,
+		Hosts:    []HostGroup{failingGroup("p", 31, 0), failingGroup("a", 1, 60)},
+		Arrivals: []Arrival{{At: 10, VCPUs: 1}, {At: 50, VCPUs: 1}},
+	}
+	failing.applyDefaults()
+	for _, procs := range []int{1, 2, 4} {
+		atProcs(procs, func() {
+			base := quietGoroutines()
+			o, err := New(parallelTopology(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &goroutinesSpan{}
+			o.SetSink(rec)
+			if _, err := o.Replicate(context.Background(), 1); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range rec.counts {
+				if n != base+procs-1 {
+					t.Fatalf("GOMAXPROCS %d: %d goroutines between windows, want %d + %d helpers", procs, n, base, procs-1)
+				}
+			}
+			settle(t, base, fmt.Sprintf("GOMAXPROCS %d, completed", procs))
+
+			ctx := &flipCtx{Context: context.Background(), at: 3}
+			if _, err := o.Replicate(ctx, 2); !errors.Is(err, context.Canceled) {
+				t.Fatalf("GOMAXPROCS %d: Replicate = %v, want a cancellation error", procs, err)
+			}
+			settle(t, base, fmt.Sprintf("GOMAXPROCS %d, cancelled", procs))
+
+			f, err := New(failing)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Replicate(context.Background(), 1); err == nil {
+				t.Fatalf("GOMAXPROCS %d: replication with a failing host succeeded", procs)
+			}
+			settle(t, base, fmt.Sprintf("GOMAXPROCS %d, failed", procs))
+		})
+	}
+}
+
+// TestWindowCounters pins LastStats' window counters on
+// parallelTopology, neither of which reaches the metric map: the same
+// number of windows at every GOMAXPROCS, every one of them parallel
+// above 1 and none at 1. It also checks the internal steal count: none
+// without a second worker, some with one, since the idle hosts (the
+// upper half of the IDs) have far fewer events than the busy ones and
+// their workers run out first.
+func TestWindowCounters(t *testing.T) {
+	topo := parallelTopology(t)
+	var windows uint64
+	for _, procs := range []int{1, 2, 4} {
+		atProcs(procs, func() {
+			o, err := New(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := o.Replicate(context.Background(), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := o.LastStats()
+			if st.Windows == 0 {
+				t.Fatalf("GOMAXPROCS %d: no windows counted", procs)
+			}
+			if procs == 1 {
+				windows = st.Windows
+				if st.ParallelWindows != 0 || o.steals != 0 {
+					t.Errorf("GOMAXPROCS 1: %d parallel windows, %d steals; width 1 has no second worker", st.ParallelWindows, o.steals)
+				}
+			} else {
+				if st.Windows != windows {
+					t.Errorf("GOMAXPROCS %d: %d windows, %d at GOMAXPROCS 1", procs, st.Windows, windows)
+				}
+				if st.ParallelWindows != st.Windows {
+					t.Errorf("GOMAXPROCS %d: %d of %d windows parallel, want all", procs, st.ParallelWindows, st.Windows)
+				}
+				if o.steals == 0 {
+					t.Errorf("GOMAXPROCS %d: no steals", procs)
+				}
+			}
+			for name := range m {
+				if strings.Contains(name, "window") || strings.Contains(name, "steal") {
+					t.Errorf("metric %q: window counters stay out of the metric map", name)
+				}
+			}
+		})
+	}
+}
+
+// TestCrewGrowsWithinReplication runs a 4-host fleet at GOMAXPROCS 4
+// whose first window, [0, 4), steps at width 2 and whose later ones
+// step at width 4, on an orchestrator built at GOMAXPROCS 1: the crew
+// and the workers' state grow from one helper to three while the first
+// helper is running. The replication must finish with the serial
+// loop's metrics.
+func TestCrewGrowsWithinReplication(t *testing.T) {
+	topo := &Topology{
+		Horizon:  600,
+		Hosts:    []HostGroup{failingGroup("h", 4, 0)},
+		Arrivals: []Arrival{{At: 4, VCPUs: 1}, {At: 300, VCPUs: 1}},
+	}
+	topo.applyDefaults()
+	fleets := map[int]string{}
+	for _, procs := range []int{1, 4} {
+		var o *Orchestrator
+		atProcs(1, func() {
+			var err error
+			if o, err = New(topo); err != nil {
+				t.Fatal(err)
+			}
+		})
+		atProcs(procs, func() {
+			if procs == 4 {
+				if w, v := o.windowWidth(procs, 4), o.windowWidth(procs, 296); w != 2 || v != 4 {
+					t.Fatalf("windows step at widths %d and %d, want 2 and then 4", w, v)
+				}
+			}
+			m, err := o.Replicate(context.Background(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleets[procs] = fmt.Sprint(hexMap(m))
+		})
+	}
+	if fleets[4] != fleets[1] {
+		t.Errorf("GOMAXPROCS 4: fleet metrics\n%s\nwant\n%s", fleets[4], fleets[1])
+	}
+}
+
+// TestSignalIgnoresStaleWake parks a waiter, then replays the tail of a
+// post whose counter the waiter has already seen, as a helper of an
+// earlier replication could: parked cleared and a wake-up sent, the
+// counter unchanged. await must park again and return only the next
+// value posted.
+func TestSignalIgnoresStaleWake(t *testing.T) {
+	s := &signal{wake: make(chan struct{}, 1)}
+	got := make(chan uint32, 1)
+	go func() { got <- s.await(0) }()
+	for !s.parked.Load() {
+		runtime.Gosched()
+	}
+	if s.parked.Swap(false) {
+		s.wake <- struct{}{}
+	}
+	select {
+	case n := <-got:
+		t.Fatalf("await returned %d on a stale wake-up", n)
+	case <-time.After(20 * time.Millisecond):
+	}
+	s.post(1)
+	if n := <-got; n != 1 {
+		t.Fatalf("await returned %d, want 1", n)
 	}
 }

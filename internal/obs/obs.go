@@ -161,6 +161,12 @@ type Counters struct {
 	// single-host runs.
 	Dispatches uint64 `json:"dispatches,omitempty"`
 	Migrations uint64 `json:"migrations,omitempty"`
+	// Windows / ParallelWindows count the cluster orchestrator's windows
+	// stepped and those stepped on more than one worker; zero on
+	// single-host runs. ParallelWindows follows GOMAXPROCS as well as
+	// the seed.
+	Windows         uint64 `json:"windows,omitempty"`
+	ParallelWindows uint64 `json:"parallel_windows,omitempty"`
 	// WallNS is measured wall time; EventsPerSec is Events over WallNS.
 	WallNS       int64   `json:"wall_ns,omitempty"`
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`
@@ -184,6 +190,7 @@ type Accumulator struct {
 	stabIters, maxStab    atomic.Uint64
 	faultInj, faultRec    atomic.Uint64
 	dispatches, migrates  atomic.Uint64
+	windows, parWindows   atomic.Uint64
 	wallNS                atomic.Int64
 }
 
@@ -202,6 +209,8 @@ func (a *Accumulator) Add(c Counters) {
 	a.faultRec.Add(c.FaultRecovers)
 	a.dispatches.Add(c.Dispatches)
 	a.migrates.Add(c.Migrations)
+	a.windows.Add(c.Windows)
+	a.parWindows.Add(c.ParallelWindows)
 	for {
 		cur := a.maxStab.Load()
 		if c.MaxStabilizeDepth <= cur || a.maxStab.CompareAndSwap(cur, c.MaxStabilizeDepth) {
@@ -230,6 +239,8 @@ func (a *Accumulator) Counters() Counters {
 		FaultRecovers:     a.faultRec.Load(),
 		Dispatches:        a.dispatches.Load(),
 		Migrations:        a.migrates.Load(),
+		Windows:           a.windows.Load(),
+		ParallelWindows:   a.parWindows.Load(),
 		WallNS:            a.wallNS.Load(),
 	}
 }

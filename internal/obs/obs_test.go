@@ -263,6 +263,34 @@ func TestAccumulatorConcurrent(t *testing.T) {
 	}
 }
 
+// TestClusterWindowCounters sums the cluster's window counters across
+// replications and writes them through the manifest schema, which
+// rejects a counter it does not list.
+func TestClusterWindowCounters(t *testing.T) {
+	var a Accumulator
+	a.Add(Counters{Events: 10, Firings: 4, Windows: 40, ParallelWindows: 30})
+	a.Add(Counters{Events: 10, Firings: 4, Windows: 41, ParallelWindows: 31})
+	c := a.Counters()
+	if c.Windows != 81 || c.ParallelWindows != 61 {
+		t.Fatalf("windows %d, parallel windows %d; want 81, 61", c.Windows, c.ParallelWindows)
+	}
+	m := validManifest()
+	c.WallNS = 5
+	c.FillRate()
+	m.Cells[0].Counters = c
+	path, err := WriteManifest(t.TempDir(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := got.Cells[0].Counters; g.Windows != 81 || g.ParallelWindows != 61 {
+		t.Fatalf("round trip lost the window counters: %+v", g)
+	}
+}
+
 func TestFillRate(t *testing.T) {
 	c := Counters{Events: 2_000_000, WallNS: 1_000_000_000}
 	c.FillRate()
