@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -18,13 +19,40 @@ func scanLoad(h *hostShard) HostLoad {
 	return l
 }
 
-// checkFleetView fails unless every host's maintained entry equals a
-// fresh scan of its slots.
+// checkFleetView fails unless every host's maintained entry, the count
+// of hosts per MaxFree and the draining list equal a fresh scan of the
+// slots.
 func checkFleetView(t *testing.T, o *Orchestrator, when string) {
 	t.Helper()
+	free := make([]int, len(o.freeHosts))
+	var draining []slotRef
 	for _, h := range o.hosts {
-		if got, want := o.loads[h.id], scanLoad(h); got != want {
+		want := scanLoad(h)
+		if got := o.loads[h.id]; got != want {
 			t.Fatalf("%s: host %s fleet view %+v, scan gives %+v", when, h.name, got, want)
+		}
+		free[want.MaxFree]++
+		for i, s := range h.slots {
+			if s.phase == slotDraining {
+				draining = append(draining, slotRef{host: h.id, slot: i})
+			}
+		}
+	}
+	if !slices.Equal(o.freeHosts, free) {
+		t.Fatalf("%s: hosts per MaxFree %v, scan gives %v", when, o.freeHosts, free)
+	}
+	if !slices.Equal(o.draining, draining) {
+		t.Fatalf("%s: draining list %v, scan gives %v", when, o.draining, draining)
+	}
+}
+
+// checkAssigned fails unless every host's stored assigned-PCPU count
+// equals its system's.
+func checkAssigned(t *testing.T, o *Orchestrator, when string) {
+	t.Helper()
+	for _, h := range o.hosts {
+		if got, want := o.assigned[h.id], h.sys.AssignedPCPUs(); got != want {
+			t.Fatalf("%s: host %s stored %d assigned PCPUs, its system has %d", when, h.name, got, want)
 		}
 	}
 }
@@ -33,6 +61,9 @@ func checkFleetView(t *testing.T, o *Orchestrator, when string) {
 // one cluster event at a time, under every policy and over two
 // replications on one orchestrator, and checks after arming and after
 // every event that the maintained fleet view equals a scan of the slots.
+// Before and after every migration check, each host's stored
+// assigned-PCPU count must equal its system's, the hosts the check
+// evicts from included.
 func TestFleetViewMatchesScan(t *testing.T) {
 	ctx := context.Background()
 	for _, policy := range PlacementPolicies() {
@@ -40,7 +71,9 @@ func TestFleetViewMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer o.dismiss()
 		checkFleetView(t, o, policy+" new")
+		evicted := 0
 		for _, seed := range []uint64{1, 9} {
 			if err := o.arm(seed); err != nil {
 				t.Fatal(err)
@@ -52,11 +85,23 @@ func TestFleetViewMatchesScan(t *testing.T) {
 					t.Fatal(err)
 				}
 				ev := o.events.pop()
+				draining := slices.Clone(o.draining)
+				if ev.kind == evCheck {
+					checkAssigned(t, o, policy+" check")
+				}
 				if err := o.handle(ev); err != nil {
 					t.Fatal(err)
 				}
 				handled++
 				checkFleetView(t, o, policy)
+				if ev.kind == evCheck {
+					checkAssigned(t, o, policy+" after check")
+					for _, d := range draining {
+						if o.hosts[d.host].slots[d.slot].phase == slotParked {
+							evicted++
+						}
+					}
+				}
 			}
 			if handled == 0 {
 				t.Fatalf("%s seed %d: no cluster events handled", policy, seed)
@@ -64,6 +109,9 @@ func TestFleetViewMatchesScan(t *testing.T) {
 			if _, err := o.collect(); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if evicted == 0 {
+			t.Fatalf("%s: no check evicted a drained VM; the fleet no longer exercises phase 1", policy)
 		}
 	}
 }
@@ -86,6 +134,7 @@ func TestFleetScansAllocateNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer o.dismiss()
 	if err := o.arm(1); err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +151,7 @@ func TestFleetScansAllocateNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		o.events = o.events[:events]
+		o.draining = o.draining[:0]
 		for _, h := range o.hosts {
 			for i := range h.slots {
 				switch h.slots[i].phase {
@@ -156,6 +206,7 @@ func TestAdmitErrorEndsReplication(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer o.dismiss()
 		if err := o.arm(3); err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sync/atomic"
+	"time"
 
 	"vcpusim/internal/core"
 	"vcpusim/internal/obs"
@@ -60,6 +61,16 @@ type hostShard struct {
 	// host whose slots are all admitted from t=0 never touches the
 	// disable surface and replays the single-host executive exactly.
 	genEnabled []bool
+}
+
+// slotRef names one VM slot of one host.
+type slotRef struct{ host, slot int }
+
+func byHostThenSlot(a, b slotRef) int {
+	if c := cmp.Compare(a.host, b.host); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.slot, b.slot)
 }
 
 // fits returns the best free slot for a VM of the given width (narrowest
@@ -198,6 +209,20 @@ type Orchestrator struct {
 	// so no scan rebuilds it.
 	loads []HostLoad
 
+	// freeHosts[w] counts the hosts whose MaxFree is w, so a placement
+	// no host fits is answered without a walk.
+	freeHosts []int
+	// draining lists the draining slots in (host, slot) order, the order
+	// a check completes their drains in. Only a check starts or ends a
+	// drain, so the check keeps the list, and arm empties it.
+	draining []slotRef
+	// checkAt is the time of the pending migration check, -1 when none.
+	// assigned[h] is host h's AssignedPCPUs as that check reads it: stored
+	// by the worker that steps the host to the check's time, and read
+	// again after the check evicts one of the host's slots.
+	checkAt  float64
+	assigned []int
+
 	// Reused per-check buffers: the overloaded hosts in ID order and the
 	// migration-target candidates ranked by byUtilThenID.
 	over []int
@@ -221,20 +246,43 @@ type Orchestrator struct {
 
 	// ctxCheck counts host events since the last cancellation check.
 	ctxCheck int
-	// steppers and stripes hold one stepper and one host stripe per
-	// window worker, reused across windows; width is the current
-	// window's worker count. crew[k-1] runs worker k on a helper
+	// task is the current round's work. steppers and stripes hold one
+	// worker state and one host stripe per worker, reused across rounds;
+	// width is the current round's worker count and widths[t] that of
+	// the latest round of task t. crew[k-1] runs worker k on a helper
 	// goroutine; the first hired of them are running.
+	task     task
 	steppers []stepper
 	stripes  []stripe
 	width    int
+	widths   [numTasks]int
 	crew     []*helper
 	hired    int
+	// groups holds each host group's compiled configuration while New's
+	// build round runs; seed is the seed the arm round reseeds from.
+	groups []groupBuild
+	seed   uint64
 	// Per-replication window counters: windows stepped, those stepped
 	// at width > 1, and hosts a worker claimed from another's stripe.
 	// steals follows goroutine timing, so it stays out of LastStats,
 	// whose counters repeat exactly at a fixed GOMAXPROCS.
 	windows, parallelWindows, steals int
+
+	// clock, when set, times run: serial sums the caller's time in run
+	// outside advance over every replication, mark is the last reading.
+	// Left nil, a replication reads no clock.
+	clock        func() time.Duration
+	mark, serial time.Duration
+}
+
+// groupBuild is what building one host of a group needs: the group's
+// system configuration, scheduler factory and host name prefix, and the
+// ID of its first host.
+type groupBuild struct {
+	cfg     core.SystemConfig
+	factory core.SchedulerFactory
+	name    string
+	first   int
 }
 
 // ctxCheckEvery is the number of host events between two checks of the
@@ -269,8 +317,9 @@ const (
 	AdmittedVCPUMetric = "cluster/admitted_vcpus"
 )
 
-// New compiles every host of the topology into its own shard. The
-// returned orchestrator runs any number of replications via Replicate.
+// New compiles every host of the topology into its own shard, spread
+// over the crew like a window of one tick per host. The returned
+// orchestrator runs any number of replications via Replicate.
 func New(topo *Topology) (*Orchestrator, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
@@ -280,6 +329,7 @@ func New(topo *Topology) (*Orchestrator, error) {
 		return nil, err
 	}
 	o := &Orchestrator{topo: topo, policy: policy}
+	n := 0
 	for g, hg := range topo.Hosts {
 		cfg, err := hg.systemConfig()
 		if err != nil {
@@ -293,43 +343,74 @@ func New(topo *Topology) (*Orchestrator, error) {
 		if groupName == "" {
 			groupName = "host"
 		}
-		for k := 0; k < hg.Count; k++ {
-			w, err := core.NewWorker(cfg, factory)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: host %s-%d: %w", groupName, k, err)
-			}
-			h := &hostShard{
-				id:     len(o.hosts),
-				name:   fmt.Sprintf("%s-%d", groupName, k),
-				worker: w,
-				sys:    w.System(),
-				inst:   w.Instance(),
-			}
-			vm := 0
-			for _, slot := range hg.Slots {
-				for c := 0; c < slot.Count; c++ {
-					h.slots = append(h.slots, slotState{
-						vcpus:    h.sys.VMVCPUs(vm),
-						startsUp: slot.Admitted,
-					})
-					vm++
-				}
-			}
-			h.genName = make([]string, len(h.slots))
-			h.genEnabled = make([]bool, len(h.slots))
-			for i := range h.slots {
-				h.genName[i] = h.sys.GenerateActivityName(i)
-				h.genEnabled[i] = true // activities start enabled
-			}
-			o.hosts = append(o.hosts, h)
-			// Every slot starts parked.
-			o.loads = append(o.loads, HostLoad{ID: h.id, PCPUs: h.sys.NumPCPUs(), MaxFree: h.widestParked()})
+		o.groups = append(o.groups, groupBuild{cfg: cfg, factory: factory, name: groupName, first: n})
+		n += hg.Count
+	}
+	o.hosts = make([]*hostShard, n)
+	o.loads = make([]HostLoad, n)
+	o.assigned = make([]int, n)
+	defer o.dismiss()
+	if err := o.sweep(taskBuild); err != nil {
+		return nil, err
+	}
+	o.groups = nil
+	widest, slots := 0, 0
+	for _, h := range o.hosts {
+		for _, s := range h.slots {
+			widest = max(widest, s.vcpus)
+		}
+		slots += len(h.slots)
+	}
+	o.freeHosts = make([]int, widest+1)
+	for _, l := range o.loads {
+		o.freeHosts[l.MaxFree]++
+	}
+	o.draining = make([]slotRef, 0, slots)
+	o.over = make([]int, 0, n)
+	o.rank = make([]rankedHost, 0, n)
+	o.lastHost = make([]map[string]float64, n)
+	return o, nil
+}
+
+// buildHost compiles host id, the build round's work on one host. Every
+// slot starts parked.
+func (o *Orchestrator) buildHost(id int) error {
+	g, found := slices.BinarySearchFunc(o.groups, id, func(gb groupBuild, id int) int { return cmp.Compare(gb.first, id) })
+	if !found {
+		g--
+	}
+	gb := &o.groups[g]
+	k := id - gb.first
+	w, err := core.NewWorker(gb.cfg, gb.factory)
+	if err != nil {
+		return fmt.Errorf("cluster: host %s-%d: %w", gb.name, k, err)
+	}
+	h := &hostShard{
+		id:     id,
+		name:   fmt.Sprintf("%s-%d", gb.name, k),
+		worker: w,
+		sys:    w.System(),
+		inst:   w.Instance(),
+	}
+	vm := 0
+	for _, slot := range o.topo.Hosts[g].Slots {
+		for c := 0; c < slot.Count; c++ {
+			h.slots = append(h.slots, slotState{
+				vcpus:    h.sys.VMVCPUs(vm),
+				startsUp: slot.Admitted,
+			})
+			vm++
 		}
 	}
-	o.over = make([]int, 0, len(o.hosts))
-	o.rank = make([]rankedHost, 0, len(o.hosts))
-	o.lastHost = make([]map[string]float64, len(o.hosts))
-	return o, nil
+	h.genName = make([]string, len(h.slots))
+	h.genEnabled = make([]bool, len(h.slots))
+	for i := range h.slots {
+		h.genName[i] = h.sys.GenerateActivityName(i)
+		h.genEnabled[i] = true // activities start enabled
+	}
+	o.hosts[id] = h
+	o.loads[id] = HostLoad{ID: id, PCPUs: h.sys.NumPCPUs(), MaxFree: h.widestParked()}
+	return nil
 }
 
 // SetSink installs a telemetry sink receiving cluster.dispatch and
@@ -377,38 +458,52 @@ func (o *Orchestrator) LastStats() obs.Counters {
 	return c
 }
 
-// arm prepares one replication: every host is reseeded and reset, gets
-// its slot admission re-established (parked flags and generator enables
-// persist across resets, so only transitions are flipped) and begins its
-// run; then the cluster event queue is seeded.
+// arm prepares one replication. The arm round reseeds and resets every
+// host, re-establishes its slot admission (parked flags and generator
+// enables persist across resets, so only transitions are flipped) and
+// begins its run; then the caller resets the fleet view in host-ID order
+// and seeds the cluster event queue.
 func (o *Orchestrator) arm(seed uint64) error {
+	o.seed = seed
+	if err := o.sweep(taskArm); err != nil {
+		return err
+	}
+	o.draining = o.draining[:0]
 	for _, h := range o.hosts {
-		if err := h.worker.Arm(hostSeed(seed, h.id)); err != nil {
-			return fmt.Errorf("cluster: host %s: %w", h.name, err)
-		}
 		for i := range h.slots {
-			admitted := h.slots[i].startsUp
-			if admitted {
+			if h.slots[i].startsUp {
 				o.setPhase(h, i, slotAdmitted)
 			} else {
 				o.setPhase(h, i, slotParked)
 			}
 			h.slots[i].drainStart = 0
-			if err := h.sys.SetVMParked(i, !admitted); err != nil {
-				return err
-			}
-			if h.genEnabled[i] != admitted {
-				if err := h.inst.SetActivityEnabled(h.genName[i], admitted); err != nil {
-					return fmt.Errorf("cluster: host %s: %w", h.name, err)
-				}
-				h.genEnabled[i] = admitted
-			}
-		}
-		if err := h.inst.BeginRun(o.topo.Warmup, o.topo.Horizon); err != nil {
-			return fmt.Errorf("cluster: host %s: %w", h.name, err)
 		}
 	}
 	o.seedEvents()
+	return nil
+}
+
+// armHost is the arm round's work on host id.
+func (o *Orchestrator) armHost(id int) error {
+	h := o.hosts[id]
+	if err := h.worker.Arm(hostSeed(o.seed, id)); err != nil {
+		return fmt.Errorf("cluster: host %s: %w", h.name, err)
+	}
+	for i := range h.slots {
+		admitted := h.slots[i].startsUp
+		if err := h.sys.SetVMParked(i, !admitted); err != nil {
+			return err
+		}
+		if h.genEnabled[i] != admitted {
+			if err := h.inst.SetActivityEnabled(h.genName[i], admitted); err != nil {
+				return fmt.Errorf("cluster: host %s: %w", h.name, err)
+			}
+			h.genEnabled[i] = admitted
+		}
+	}
+	if err := h.inst.BeginRun(o.topo.Warmup, o.topo.Horizon); err != nil {
+		return fmt.Errorf("cluster: host %s: %w", h.name, err)
+	}
 	return nil
 }
 
@@ -423,8 +518,20 @@ func (o *Orchestrator) seedEvents() {
 	for _, a := range o.topo.Arrivals {
 		o.push(clusterEvent{time: a.At, kind: evArrival, count: a.Count, vcpus: a.VCPUs})
 	}
-	if m := o.topo.Migration; m != nil && m.CheckEvery < o.topo.Horizon {
-		o.push(clusterEvent{time: m.CheckEvery, kind: evCheck})
+	o.checkAt = -1
+	if m := o.topo.Migration; m != nil {
+		o.pushCheck(m.CheckEvery)
+	}
+}
+
+// pushCheck schedules the next migration check at t, unless t is past
+// the horizon.
+func (o *Orchestrator) pushCheck(t float64) {
+	if t < o.topo.Horizon {
+		o.checkAt = t
+		o.push(clusterEvent{time: t, kind: evCheck})
+	} else {
+		o.checkAt = -1
 	}
 }
 
@@ -446,7 +553,12 @@ func (o *Orchestrator) push(ev clusterEvent) {
 // then handles that event. The strict bound keeps the order's tie rule:
 // a cluster event at t observes every host before it processes its own
 // events at t.
+//
+// One crew serves the whole replication: the arm round, every window and
+// the collect round. Helpers start when a round first needs them and are
+// dismissed before Replicate returns, whatever the outcome.
 func (o *Orchestrator) Replicate(ctx context.Context, seed uint64) (map[string]float64, error) {
+	defer o.dismiss()
 	if err := o.arm(seed); err != nil {
 		return nil, err
 	}
@@ -463,7 +575,8 @@ func (o *Orchestrator) run(ctx context.Context) error {
 	procs := runtime.GOMAXPROCS(0)
 	o.ctxCheck = 0
 	o.windows, o.parallelWindows, o.steals = 0, 0, 0
-	defer o.dismiss()
+	o.lap(false)
+	defer o.lap(true)
 	// Every host has processed all its events before reached; no host
 	// event precedes 0. Cluster events often share a time (all
 	// admissions from one check land at t + TransferDelay); a window
@@ -475,7 +588,10 @@ func (o *Orchestrator) run(ctx context.Context) error {
 			end = o.events[0].time
 		}
 		if end > reached {
-			if err := o.advance(ctx, end, o.windowWidth(procs, end-reached)); err != nil {
+			o.lap(true)
+			err := o.advance(ctx, end, o.windowWidth(procs, end-reached))
+			o.lap(false)
+			if err != nil {
 				return err
 			}
 			reached = end
@@ -487,6 +603,19 @@ func (o *Orchestrator) run(ctx context.Context) error {
 			return err
 		}
 	}
+}
+
+// lap reads the clock, when run is timed, and adds the time since the
+// last reading to serial when the lap was the caller's own work.
+func (o *Orchestrator) lap(serial bool) {
+	if o.clock == nil {
+		return
+	}
+	now := o.clock()
+	if serial {
+		o.serial += now - o.mark
+	}
+	o.mark = now
 }
 
 // windowWidth is the number of workers a window of the given length
@@ -508,16 +637,32 @@ func (o *Orchestrator) windowWidth(procs int, length float64) int {
 	return w
 }
 
-// stepper is one window worker's state.
+// task is the work a crew round does on each host a worker claims.
+type task uint8
+
+const (
+	taskStep    task = iota // step the host's events before the window bound
+	taskBuild               // compile the host (New)
+	taskArm                 // reseed and reset the host and begin its run
+	taskCollect             // end the host's run and keep its metric map
+	numTasks
+)
+
+// stepper is one round worker's state.
 type stepper struct {
 	host   int // ID of the claimed host being stepped, -1 when none
 	budget int // host events this round may process
 	done   int // host events this round processed
 	steals int // hosts this window claimed from other workers' stripes
+	// sample is set in the window that ends at the pending migration
+	// check: each host's assigned PCPUs are stored as it reaches the
+	// bound.
+	sample bool
 	// The worker steps each host's events that precede (end, failHost)
 	// by (virtual time, host ID): the window bound (end, -1) until the
 	// worker meets a failure, then its earliest failure, at virtual time
-	// end on host failHost.
+	// end on host failHost. A build, arm or collect round leaves end at
+	// 0 and records its lowest failing host.
 	end      float64
 	failHost int
 	failure  error
@@ -603,6 +748,9 @@ func (o *Orchestrator) step(w int) {
 		for done < budget {
 			t := in.PeekNextEventTime()
 			if t >= bound {
+				if s.sample {
+					o.assigned[id] = h.sys.AssignedPCPUs()
+				}
 				id = -1
 				break
 			}
@@ -621,9 +769,9 @@ func (o *Orchestrator) step(w int) {
 // advance runs every host through its events strictly before end, on
 // width workers: the calling goroutine is worker 0 and helper k of the
 // replication's crew is worker k, so width 1 starts none. The hosts
-// are cut into width contiguous ID stripes, stripe w worker w's, so a
-// host is stepped by the same worker, on the same goroutine, from one
-// window to the next; a worker whose stripe is empty steals from the
+// are cut into width contiguous ID stripes (deal), so a host is stepped
+// by the same worker, on the same goroutine, from one window to the
+// next; a worker whose stripe is empty steals from the
 // back of the others. Each round splits the host events left before
 // the next cancellation check across the live workers, and only this
 // goroutine polls ctx, after every ctxCheckEvery host events summed
@@ -632,22 +780,21 @@ func (o *Orchestrator) step(w int) {
 // workers, the failure a global (time, host ID) event order would
 // reach first.
 //
+// In the window that ends at the pending migration check, each host's
+// worker stores the host's assigned PCPUs as it reaches end, so the
+// check reads no host it does not evict.
+//
 // No host enters a window failed (every failure ends the replication),
 // and end never exceeds the horizon, so the window bound alone decides
 // which events are pending.
 func (o *Orchestrator) advance(ctx context.Context, end float64, width int) error {
 	o.windows++
-	o.reserve(width)
 	if width > 1 {
 		o.parallelWindows++
-		o.hire(width - 1)
 	}
-	o.width = width
-	ws := o.steppers[:width]
-	n := len(o.hosts)
+	ws := o.deal(taskStep, width, end)
 	for w := range ws {
-		ws[w] = stepper{host: -1, end: end, failHost: -1}
-		o.stripes[w].set(w*n/width, (w+1)*n/width)
+		ws[w].sample = end == o.checkAt
 	}
 	for {
 		// Live workers: every worker while hosts are left to claim,
@@ -687,10 +834,37 @@ func (o *Orchestrator) advance(ctx context.Context, end float64, width int) erro
 			}
 		}
 	}
+	for w := range ws {
+		o.steals += ws[w].steals
+	}
+	return firstFailure(ws)
+}
+
+// deal readies a round of task t over every host on width workers: it
+// grows the workers' state and the crew as needed, makes sure helpers
+// 1..width-1 are running, and cuts the hosts into width contiguous ID
+// stripes, stripe w worker w's, so a host meets the same worker in every
+// round of a replication.
+func (o *Orchestrator) deal(t task, width int, end float64) []stepper {
+	o.reserve(width)
+	o.hire(width - 1)
+	o.task, o.width, o.widths[t] = t, width, width
+	ws := o.steppers[:width]
+	n := len(o.hosts)
+	for w := range ws {
+		ws[w] = stepper{host: -1, end: end, failHost: -1}
+		o.stripes[w].set(w*n/width, (w+1)*n/width)
+	}
+	return ws
+}
+
+// firstFailure returns the failure with the smallest (virtual time, host
+// ID) over the round's workers, or nil: the failure a global (time, host
+// ID) order reaches first.
+func firstFailure(ws []stepper) error {
 	var first *stepper
 	for w := range ws {
 		s := &ws[w]
-		o.steals += s.steals
 		if s.failure != nil && (first == nil || s.end < first.end ||
 			s.end == first.end && s.failHost < first.failHost) {
 			first = s
@@ -700,6 +874,47 @@ func (o *Orchestrator) advance(ctx context.Context, end float64, width int) erro
 		return nil
 	}
 	return first.failure
+}
+
+// sweep runs task t, which is not stepping, once on every host, in one
+// round whose width counts a host's share as one host-tick of a window,
+// and returns the error of the lowest failing host ID.
+func (o *Orchestrator) sweep(t task) error {
+	ws := o.deal(t, o.windowWidth(runtime.GOMAXPROCS(0), 1), 0)
+	for w := range ws {
+		ws[w].budget = 1 // every worker takes part
+	}
+	o.round(ws)
+	return firstFailure(ws)
+}
+
+// work runs worker w's share of the current round. Outside stepping,
+// the worker claims hosts until none is left; after a failure it skips
+// the hosts above the failing ID, whose errors could not be the
+// lowest.
+func (o *Orchestrator) work(w int) {
+	if o.task == taskStep {
+		o.step(w)
+		return
+	}
+	s := &o.steppers[w]
+	for id := o.claim(w); id >= 0; id = o.claim(w) {
+		if s.failure != nil && id > s.failHost {
+			continue
+		}
+		var err error
+		switch o.task {
+		case taskBuild:
+			err = o.buildHost(id)
+		case taskArm:
+			err = o.armHost(id)
+		case taskCollect:
+			err = o.collectHost(id)
+		}
+		if err != nil {
+			s.failure, s.failHost = err, id
+		}
+	}
 }
 
 // round runs every worker with budget once: worker 0 on the calling
@@ -714,12 +929,12 @@ func (o *Orchestrator) round(ws []stepper) {
 		}
 	}
 	if ws[0].budget > 0 {
-		o.step(0)
+		o.work(0)
 	}
 	for k := 1; k < len(ws); k++ {
 		if ws[k].budget > 0 {
 			if c := o.crew[k-1]; c.revoke() {
-				o.step(k)
+				o.work(k)
 			} else {
 				c.wait()
 			}
@@ -830,8 +1045,8 @@ func (o *Orchestrator) reserve(width int) {
 }
 
 // hire makes sure helpers 1..n, reserved already, are running. Each
-// helper is started at most once per replication and runs until
-// dismiss.
+// helper is started at most once per replication (or per New) and runs
+// until dismiss.
 func (o *Orchestrator) hire(n int) {
 	for ; o.hired < n; o.hired++ {
 		c := o.crew[o.hired]
@@ -842,7 +1057,7 @@ func (o *Orchestrator) hire(n int) {
 	}
 }
 
-// help is helper k's loop: step worker k, and so stripe k, in every
+// help is helper k's loop: run worker k, and so stripe k, in every
 // round it takes from c, until told to quit. It reads no field of o
 // outside a round, so the caller may grow the crew while it runs.
 func (o *Orchestrator) help(k int, c *helper) {
@@ -859,7 +1074,7 @@ func (o *Orchestrator) help(k int, c *helper) {
 			c.gone <- struct{}{}
 			return
 		}
-		o.step(k)
+		o.work(k)
 		c.finish.post(seen)
 	}
 }
@@ -923,11 +1138,11 @@ func (o *Orchestrator) handle(ev clusterEvent) error {
 	return nil
 }
 
-// setPhase moves a slot to phase p and keeps the host's entry in the
-// fleet view current: AdmittedVCPUs sums the widths of its non-parked
-// slots and MaxFree is its widest parked slot. Every slot phase change
-// goes through here, so the view always equals what a scan of the slots
-// would compute.
+// setPhase moves a slot to phase p and keeps the fleet view current:
+// the host's AdmittedVCPUs sums the widths of its non-parked slots,
+// MaxFree is its widest parked slot and freeHosts counts the hosts per
+// MaxFree. Every slot phase change goes through here, so the view
+// always equals what a scan of the slots would compute.
 func (o *Orchestrator) setPhase(h *hostShard, slot int, p slotPhase) {
 	s := &h.slots[slot]
 	was := s.phase
@@ -936,21 +1151,41 @@ func (o *Orchestrator) setPhase(h *hostShard, slot int, p slotPhase) {
 		return
 	}
 	l := &o.loads[h.id]
+	free := l.MaxFree
 	if p == slotParked {
 		l.AdmittedVCPUs -= s.vcpus
-		l.MaxFree = max(l.MaxFree, s.vcpus)
-		return
+		free = max(free, s.vcpus)
+	} else {
+		l.AdmittedVCPUs += s.vcpus
+		if s.vcpus == free {
+			free = h.widestParked()
+		}
 	}
-	l.AdmittedVCPUs += s.vcpus
-	if s.vcpus == l.MaxFree {
-		l.MaxFree = h.widestParked()
+	o.freeHosts[l.MaxFree]--
+	o.freeHosts[free]++
+	l.MaxFree = free
+}
+
+// fitsSomewhere reports whether some host has a parked slot at least
+// vcpus wide.
+func (o *Orchestrator) fitsSomewhere(vcpus int) bool {
+	for w := vcpus; w < len(o.freeHosts); w++ {
+		if o.freeHosts[w] > 0 {
+			return true
+		}
 	}
+	return false
 }
 
 // place routes one VM through the placement policy; false means no host
-// fits and the VM must queue. An admission error is a model error and
-// ends the replication, as it does for a migration's admission.
+// fits and the VM must queue. When no host fits, every policy returns -1
+// and changes nothing, so the policy is not asked. An admission error is
+// a model error and ends the replication, as it does for a migration's
+// admission.
 func (o *Orchestrator) place(vcpus int, now, arrived float64) (bool, error) {
+	if !o.fitsSomewhere(vcpus) {
+		return false, nil
+	}
 	hid := o.policy.Place(vcpus, o.loads)
 	if hid < 0 {
 		return false, nil
@@ -1000,42 +1235,49 @@ func (o *Orchestrator) admit(h *hostShard, slot int) error {
 // check.
 func (o *Orchestrator) migrationCheck(t float64) error {
 	m := o.topo.Migration
-	// Phase 1: complete drains whose VM has run dry. Eviction mutates the
-	// marking, so it runs inside Exec at a stable marking.
-	for _, h := range o.hosts {
-		for i := range h.slots {
-			s := &h.slots[i]
-			if s.phase != slotDraining || !h.sys.VMDrained(i) {
-				continue
-			}
-			slot := i
-			err := h.inst.Exec(t, func() {
-				h.sys.EvictVM(slot)
-				h.sys.SetVMParked(slot, true)
-			})
-			if err != nil {
-				return fmt.Errorf("cluster: host %s: evicting slot %d: %w", h.name, slot, err)
-			}
-			o.setPhase(h, slot, slotParked)
-			o.push(clusterEvent{
-				time: t + m.TransferDelay, kind: evAdmit,
-				host: s.tgtHost, slot: s.tgtSlot, srcHost: h.id, drainStart: s.drainStart,
-			})
+	// Phase 1: complete drains whose VM has run dry, in (host, slot)
+	// order, keeping the others in the draining list. Eviction mutates
+	// the marking, so it runs inside Exec at a stable marking, and the
+	// host's assignment is read again after it.
+	draining := o.draining[:0]
+	for _, d := range o.draining {
+		h, slot := o.hosts[d.host], d.slot
+		if !h.sys.VMDrained(slot) {
+			draining = append(draining, d)
+			continue
 		}
+		err := h.inst.Exec(t, func() {
+			h.sys.EvictVM(slot)
+			h.sys.SetVMParked(slot, true)
+		})
+		if err != nil {
+			return fmt.Errorf("cluster: host %s: evicting slot %d: %w", h.name, slot, err)
+		}
+		o.assigned[h.id] = h.sys.AssignedPCPUs()
+		o.setPhase(h, slot, slotParked)
+		s := &h.slots[slot]
+		o.push(clusterEvent{
+			time: t + m.TransferDelay, kind: evAdmit,
+			host: s.tgtHost, slot: s.tgtSlot, srcHost: h.id, drainStart: s.drainStart,
+		})
 	}
+	o.draining = draining
 	// Starting drains only disables generators and reserves slots,
-	// neither of which touches a marking, so each host's utilization is
-	// read once here and holds for the rest of the check. Sources are the hosts
-	// above the high threshold, in ID order; targets are the hosts below
-	// the low one, ranked lowest utilization first, lowest ID on ties. No
-	// host is both, since lowUtil < highUtil.
+	// neither of which touches a marking, so each host's utilization
+	// holds for the rest of the check: the assignment its worker stored
+	// on reaching t (cluster events before the check at t admit VMs,
+	// which touches no marking either), or the one read after its
+	// eviction. Sources are the hosts above the high threshold, in ID
+	// order; targets are the hosts below the low one, ranked lowest
+	// utilization first, lowest ID on ties. No host is both, since
+	// lowUtil < highUtil.
 	o.over, o.rank = o.over[:0], o.rank[:0]
-	for _, h := range o.hosts {
-		util := float64(h.sys.AssignedPCPUs()) / float64(h.sys.NumPCPUs())
+	for id, n := range o.assigned {
+		util := float64(n) / float64(o.loads[id].PCPUs)
 		if util > m.HighUtil {
-			o.over = append(o.over, h.id)
+			o.over = append(o.over, id)
 		} else if util < m.LowUtil {
-			o.rank = append(o.rank, rankedHost{util: util, id: h.id})
+			o.rank = append(o.rank, rankedHost{util: util, id: id})
 		}
 	}
 	slices.SortFunc(o.rank, byUtilThenID)
@@ -1073,6 +1315,7 @@ func (o *Orchestrator) migrationCheck(t float64) error {
 			src.genEnabled[slot] = false
 		}
 		o.setPhase(src, slot, slotDraining)
+		o.draining = append(o.draining, slotRef{host: src.id, slot: slot})
 		src.slots[slot].drainStart = t
 		src.slots[slot].tgtHost = tgt.id
 		src.slots[slot].tgtSlot = tgtSlot
@@ -1082,28 +1325,26 @@ func (o *Orchestrator) migrationCheck(t float64) error {
 			ranked = ranked[1:]
 		}
 	}
-	if next := t + m.CheckEvery; next < o.topo.Horizon {
-		o.push(clusterEvent{time: next, kind: evCheck})
-	}
+	slices.SortFunc(o.draining, byHostThenSlot)
+	o.pushCheck(t + m.CheckEvery)
 	return nil
 }
 
-// collect ends every host's run and aggregates the fleet metric map.
+// collect ends every host's run in the collect round, then sums the
+// fleet metric map in host-ID order.
 func (o *Orchestrator) collect() (map[string]float64, error) {
+	if err := o.sweep(taskCollect); err != nil {
+		return nil, err
+	}
 	n := float64(len(o.hosts))
 	out := make(map[string]float64, 16)
 	var avail, vutil, putil float64
 	admitted := 0
-	for _, h := range o.hosts {
-		m, err := h.worker.Collect()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: host %s: %w", h.name, err)
-		}
-		o.lastHost[h.id] = m
+	for id, m := range o.lastHost {
 		avail += m[core.AvailabilityAvgMetric]
 		vutil += m[core.VCPUUtilizationAvgMetric]
 		putil += m[core.PCPUUtilizationAvgMetric]
-		admitted += o.loads[h.id].AdmittedVCPUs
+		admitted += o.loads[id].AdmittedVCPUs
 	}
 	out[FleetAvailMetric] = avail / n
 	out[FleetVUtilMetric] = vutil / n
@@ -1119,6 +1360,17 @@ func (o *Orchestrator) collect() (map[string]float64, error) {
 	out[QueuedAtEndMetric] = float64(len(o.queue))
 	out[AdmittedVCPUMetric] = float64(admitted)
 	return out, nil
+}
+
+// collectHost is the collect round's work on host id.
+func (o *Orchestrator) collectHost(id int) error {
+	h := o.hosts[id]
+	m, err := h.worker.Collect()
+	if err != nil {
+		return fmt.Errorf("cluster: host %s: %w", h.name, err)
+	}
+	o.lastHost[id] = m
+	return nil
 }
 
 // ReplicatorFactory adapts the topology to the sim package's pooled

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -100,6 +103,13 @@ func testFleetAtEveryWidth(t *testing.T) {
 			m, err := o.Replicate(context.Background(), 3)
 			if err != nil {
 				t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+			}
+			// The build, arm and collect rounds share the crew with the
+			// windows, so the race detector sees them run in parallel too.
+			for tk, name := range map[task]string{taskBuild: "build", taskArm: "arm", taskCollect: "collect"} {
+				if w := o.widths[tk]; (procs > 1) != (w > 1) {
+					t.Fatalf("GOMAXPROCS %d: the %s round ran at width %d", procs, name, w)
+				}
 			}
 			run := parallelRun{fleet: fmt.Sprint(hexMap(m)), spans: rec.lines, events: o.LastStats().Events}
 			for h := range o.hosts {
@@ -335,11 +345,12 @@ func quietGoroutines() int {
 	return n
 }
 
-// TestCrewLeavesNoGoroutines replicates a fleet that completes, one
-// that fails and one cancelled mid-window at GOMAXPROCS 1, 2 and 4.
-// While a replication runs, its crew of GOMAXPROCS − 1 helpers lives
-// across windows (none at GOMAXPROCS 1); after Replicate returns, the
-// goroutine count is back at its baseline, whatever the outcome.
+// TestCrewLeavesNoGoroutines builds a fleet, then replicates it to
+// completion and cancelled mid-window, and replicates one that fails,
+// at GOMAXPROCS 1, 2 and 4. While a replication runs, its crew of
+// GOMAXPROCS − 1 helpers lives across windows (none at GOMAXPROCS 1);
+// after New and Replicate return, the goroutine count is back at its
+// baseline, whatever the outcome.
 func TestCrewLeavesNoGoroutines(t *testing.T) {
 	failing := &Topology{
 		Horizon:  100,
@@ -354,6 +365,7 @@ func TestCrewLeavesNoGoroutines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			settle(t, base, fmt.Sprintf("GOMAXPROCS %d, built", procs))
 			rec := &goroutinesSpan{}
 			o.SetSink(rec)
 			if _, err := o.Replicate(context.Background(), 1); err != nil {
@@ -380,6 +392,100 @@ func TestCrewLeavesNoGoroutines(t *testing.T) {
 				t.Fatalf("GOMAXPROCS %d: replication with a failing host succeeded", procs)
 			}
 			settle(t, base, fmt.Sprintf("GOMAXPROCS %d, failed", procs))
+		})
+	}
+}
+
+// TestCrewFailuresLeaveNoGoroutines fails the arm round and then the
+// collect round on two hosts of the 40-host policies fleet, duob-2 (ID
+// 22) and quadb-8 (ID 38), both in the second stripe of those rounds'
+// two workers, where either worker can meet them, and cancels one
+// replication, at GOMAXPROCS 2 and 4. Each failure must report duob-2,
+// the lowest failing host ID, and after each case no helper is left
+// running. The orchestrator's next replication must still reproduce the
+// policies golden: a pooled orchestrator stays reusable after any
+// outcome.
+func TestCrewFailuresLeaveNoGoroutines(t *testing.T) {
+	buf, err := os.ReadFile(policiesGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]policyRun
+	if err := json.Unmarshal(buf, &golden); err != nil {
+		t.Fatal(err)
+	}
+	want := golden["least-loaded/seed1"]
+	bad := []int{22, 38}
+	ctx := context.Background()
+	for _, procs := range []int{2, 4} {
+		atProcs(procs, func() {
+			base := quietGoroutines()
+			o, err := New(policiesTopology(t, "least-loaded"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			settle(t, base, fmt.Sprintf("GOMAXPROCS %d, built", procs))
+			if w := o.windowWidth(procs, 1); w != 2 {
+				t.Fatalf("GOMAXPROCS %d: arm and collect run at width %d, want 2", procs, w)
+			}
+			failed := func(what string, err error) {
+				t.Helper()
+				if prefix := "cluster: host " + o.hosts[bad[0]].name + ": "; err == nil || !strings.HasPrefix(err.Error(), prefix) {
+					t.Fatalf("GOMAXPROCS %d, %s: error %v, want one starting %q", procs, what, err, prefix)
+				}
+				settle(t, base, fmt.Sprintf("GOMAXPROCS %d, %s", procs, what))
+			}
+
+			// Arm: a parked slot's generator, flagged enabled so arming
+			// disables it, has a name the instance does not know.
+			names := map[int]string{}
+			for _, id := range bad {
+				h := o.hosts[id]
+				i := slices.IndexFunc(h.slots, func(s slotState) bool { return !s.startsUp })
+				names[id] = h.genName[i]
+				h.genName[i], h.genEnabled[i] = "no-such-generator", true
+			}
+			_, err = o.Replicate(ctx, 1)
+			failed("arm", err)
+			for id, name := range names {
+				h := o.hosts[id]
+				h.genName[slices.Index(h.genName, "no-such-generator")] = name
+			}
+
+			// Collect: Replicate's steps, with both hosts' instances failed
+			// between the run and the collect round.
+			err = func() error {
+				defer o.dismiss()
+				if err := o.arm(1); err != nil {
+					return err
+				}
+				if err := o.run(ctx); err != nil {
+					return err
+				}
+				for _, id := range bad {
+					if o.hosts[id].inst.Exec(-1, func() {}) == nil {
+						t.Fatal("Exec before the host's clock succeeded")
+					}
+				}
+				_, err := o.collect()
+				return err
+			}()
+			failed("collect", err)
+
+			if _, err := o.Replicate(&flipCtx{Context: ctx, at: 1}, 2); !errors.Is(err, context.Canceled) {
+				t.Fatalf("GOMAXPROCS %d: Replicate = %v, want a cancellation error", procs, err)
+			}
+			settle(t, base, fmt.Sprintf("GOMAXPROCS %d, cancelled", procs))
+
+			rec := &spanRecorder{}
+			o.SetSink(rec)
+			m, err := o.Replicate(ctx, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := (policyRun{Fleet: hexMap(m), Spans: rec.lines}); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("GOMAXPROCS %d: after the failures, seed 1 gives\n%v\nwant the golden\n%v", procs, got, want)
+			}
 		})
 	}
 }

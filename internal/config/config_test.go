@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"vcpusim/internal/rng"
 	"vcpusim/internal/workload"
 )
 
@@ -120,6 +121,7 @@ func TestDistributionBuild(t *testing.T) {
 		{Dist: "uniform", Low: 1, High: 2},
 		{Dist: "exponential", Rate: 0.5},
 		{Dist: "erlang", K: 2, Rate: 0.5},
+		{Dist: "erlang", K: rng.MaxErlangK, Rate: 0.5},
 		{Dist: "normal", Mu: 5, Sigma: 1},
 		{Dist: "lognormal", Mu: 1, Sigma: 0.5},
 		{Dist: "geometric", P: 0.3},
@@ -135,6 +137,8 @@ func TestDistributionBuild(t *testing.T) {
 		{Dist: "uniform", Low: 2, High: 2},
 		{Dist: "exponential", Rate: 0},
 		{Dist: "erlang", K: 0, Rate: 1},
+		{Dist: "erlang", K: rng.MaxErlangK + 1, Rate: 1},
+		{Dist: "erlang", K: 1 << 62, Rate: 1}, // a draw would sum 2^62 exponentials
 		{Dist: "normal", Sigma: -1},
 		{Dist: "lognormal", Sigma: -1},
 		{Dist: "geometric", P: 0},

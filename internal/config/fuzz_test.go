@@ -30,6 +30,10 @@ func FuzzParseConfig(f *testing.F) {
 	f.Add(`{"pcpus": 1e99, "timeslice": -1}`)
 	f.Add(`{"pcpus": 100000000000000000, "timeslice": 10, "scheduler": {"name": "RRS"},
 		"vms": [{"vcpus": 1, "load": {"dist": "deterministic", "value": 3}}]}`)
+	f.Add(`{"pcpus": 1, "timeslice": 10, "scheduler": {"name": "RRS"},
+		"vms": [{"vcpus": 1, "load": {"dist": "erlang", "rate": 1, "k": 4611686018427387904}}]}`)
+	f.Add(`{"pcpus": 1, "timeslice": 10, "scheduler": {"name": "RRS"},
+		"vms": [{"vcpus": 1, "load": {"dist": "erlang", "rate": 1, "k": 1025}}]}`)
 	f.Add(`null`)
 	f.Fuzz(func(t *testing.T, data string) {
 		exp, err := Parse(strings.NewReader(data))

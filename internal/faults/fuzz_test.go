@@ -18,6 +18,9 @@ func FuzzParsePlan(f *testing.F) {
 		"duration": {"dist": "uniform", "low": 0, "high": 1e-300}, "count": 2}]}`)
 	f.Add(`{"faults": [{"name": "c", "kind": "sched_misdecision", "at": 1e308}]}`)
 	f.Add(`{"faults": [{"name": "-", "kind": "vcpu_stall", "vcpu": 0, "at": 0.5}]}`)
+	f.Add(`{"faults": [{"name": "d", "kind": "pcpu_crash", "pcpu": 0, "count": 2,
+		"every": {"dist": "erlang", "rate": 1, "k": 4611686018427387904},
+		"duration": {"dist": "erlang", "rate": 1, "k": 1025}}]}`)
 	f.Add(`{"faults": null}`)
 	f.Add(`[]`)
 	f.Fuzz(func(t *testing.T, data string) {

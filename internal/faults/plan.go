@@ -60,7 +60,7 @@ type Dist struct {
 	High float64 `json:"high,omitempty"`
 	// Rate parameterizes "exponential" and "erlang".
 	Rate float64 `json:"rate,omitempty"`
-	// K is the shape of "erlang".
+	// K is the shape of "erlang", 1 to rng.MaxErlangK.
 	K int `json:"k,omitempty"`
 }
 
@@ -83,8 +83,8 @@ func (d Dist) Build() (rng.Distribution, error) {
 		}
 		return rng.Exponential{Rate: d.Rate}, nil
 	case "erlang":
-		if d.Rate <= 0 || d.K < 1 {
-			return nil, fmt.Errorf("faults: erlang needs a positive rate and k >= 1, got rate=%g k=%d", d.Rate, d.K)
+		if d.Rate <= 0 || d.K < 1 || d.K > rng.MaxErlangK {
+			return nil, fmt.Errorf("faults: erlang needs a positive rate and 1 <= k <= %d, got rate=%g k=%d", rng.MaxErlangK, d.Rate, d.K)
 		}
 		return rng.Erlang{K: d.K, Rate: d.Rate}, nil
 	default:

@@ -3,6 +3,8 @@ package faults
 import (
 	"strings"
 	"testing"
+
+	"vcpusim/internal/rng"
 )
 
 const validPlanJSON = `{
@@ -148,6 +150,8 @@ func TestDistBuildErrors(t *testing.T) {
 		{Dist: "uniform", Low: 5, High: 5},
 		{Dist: "exponential", Rate: 0},
 		{Dist: "erlang", Rate: 1, K: 0},
+		{Dist: "erlang", Rate: 1, K: rng.MaxErlangK + 1},
+		{Dist: "erlang", Rate: 1, K: 1 << 62}, // a draw would sum 2^62 exponentials
 		{Dist: "normal"},
 		{Dist: ""},
 	}
@@ -162,6 +166,7 @@ func TestDistBuildErrors(t *testing.T) {
 		{Dist: "uniform", Low: 0, High: 1},
 		{Dist: "exponential", Rate: 2},
 		{Dist: "erlang", Rate: 1, K: 3},
+		{Dist: "erlang", Rate: 1, K: rng.MaxErlangK},
 	}
 	for _, d := range good {
 		if _, err := d.Build(); err != nil {

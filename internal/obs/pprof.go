@@ -13,8 +13,9 @@ import (
 // heap profile, and execution trace. Register the flags on a FlagSet,
 // then bracket the work with Start and the returned stop function.
 //
-// The execution-trace flag is named -exectrace (not -trace) because
-// cmd/vcpusim already uses -trace for simulation schedule traces.
+// The execution-trace flag is named -exectrace (not -trace) so it reads
+// as the Go runtime's execution trace, apart from the simulation's own
+// schedule traces (`vcpusim trace`).
 type Profiles struct {
 	CPUFile  string
 	MemFile  string

@@ -159,6 +159,12 @@ type Erlang struct {
 	Rate float64
 }
 
+// MaxErlangK is the largest Erlang shape the experiment and fault-plan
+// builders accept. A draw sums K exponentials, so the cap bounds one
+// draw's cost; a larger shape (coefficient of variation below 1/32) is
+// close enough to deterministic to be written as one.
+const MaxErlangK = 1024
+
 // Sample draws an Erlang variate as a sum of exponentials.
 func (e Erlang) Sample(src *Source) float64 {
 	sum := 0.0
