@@ -86,7 +86,8 @@ func BenchmarkClusterReplicate(b *testing.B) {
 // splits a replication into its costs: stepping, reported per host
 // event; the fixed per-replication arm plus collect over every host;
 // and the caller's serial work inside run outside the windows (cluster
-// events: placement, migration checks, admissions), per host event.
+// events: placement, migration checks, admissions), per host event. It
+// also reports the windows a replication steps in.
 // BenchmarkClusterReplicate shrinks its horizon as the fleet grows, so
 // its events/s mixes the two; it stays unchanged because recorded
 // baselines gate it.
@@ -99,7 +100,7 @@ func BenchmarkClusterFixedHorizon(b *testing.B) {
 			}
 			o.clock = obs.Clock
 			ctx := context.Background()
-			var events uint64
+			var events, windows uint64
 			var step, fixed time.Duration
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -120,9 +121,12 @@ func BenchmarkClusterFixedHorizon(b *testing.B) {
 				t3 := obs.Clock()
 				step += t2 - t1
 				fixed += t1 - t0 + t3 - t2
-				events += o.LastStats().Events
+				st := o.LastStats()
+				events += st.Events
+				windows += st.Windows
 			}
 			b.StopTimer()
+			b.ReportMetric(float64(windows)/float64(b.N), "windows/rep")
 			if events > 0 {
 				b.ReportMetric(float64(step.Nanoseconds())/float64(events), "ns/event")
 				b.ReportMetric(float64(o.serial.Nanoseconds())/float64(events), "serial-ns/event")

@@ -157,7 +157,7 @@ func TestFleetScansAllocateNothing(t *testing.T) {
 				switch h.slots[i].phase {
 				case slotDraining:
 					drains++
-					if err := h.inst.SetActivityEnabled(h.genName[i], true); err != nil {
+					if err := h.inst.SetEnabled(h.gen[i], true); err != nil {
 						t.Fatal(err)
 					}
 					h.genEnabled[i] = true
@@ -193,10 +193,12 @@ func TestFleetScansAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestAdmitErrorEndsReplication breaks one generator-activity name after
-// arming and checks that both admission paths, an arrival's placement and
-// a migration's re-admission, end the replication with the same wrapped
-// model error instead of queueing the VM.
+// TestAdmitErrorEndsReplication swaps each parked slot's generator
+// activity, after arming, for one resolved in the next host's program,
+// which the slot's instance rejects, and checks that both admission
+// paths, an arrival's placement and a migration's re-admission, end the
+// replication with the same wrapped model error instead of queueing the
+// VM.
 func TestAdmitErrorEndsReplication(t *testing.T) {
 	for name, topo := range map[string]*Topology{
 		"placement": multiHostTopology(t, 3),
@@ -213,12 +215,12 @@ func TestAdmitErrorEndsReplication(t *testing.T) {
 		for _, h := range o.hosts {
 			for i := range h.slots {
 				if !h.genEnabled[i] {
-					h.genName[i] = "no-such-generator"
+					h.gen[i] = o.hosts[(h.id+1)%len(o.hosts)].gen[0]
 				}
 			}
 		}
 		err = o.run(context.Background())
-		if err == nil || !strings.Contains(err.Error(), "admitting slot") || !strings.Contains(err.Error(), "no-such-generator") {
+		if err == nil || !strings.Contains(err.Error(), "admitting slot") || !strings.Contains(err.Error(), "is not in the program") {
 			t.Errorf("%s: run = %v, want the admission's model error", name, err)
 		}
 	}

@@ -53,14 +53,52 @@ type hostShard struct {
 	sys    *core.System
 	inst   *san.Instance
 	slots  []slotState
-	// genName[i] is slot i's workload-generator activity name, resolved
-	// once so admission and drain flips build no strings.
-	genName []string
-	// genEnabled mirrors the instance's persisted SetActivityEnabled
-	// state per slot, so replication setup only flips transitions — a
-	// host whose slots are all admitted from t=0 never touches the
-	// disable surface and replays the single-host executive exactly.
+	// gen[i] is slot i's workload-generator activity, resolved once so
+	// admission and drain flips look up no name.
+	gen []san.ActivityRef
+	// genEnabled mirrors the instance's persisted enable state per slot,
+	// so replication setup only flips transitions — a host whose slots
+	// are all admitted from t=0 never touches the disable surface and
+	// replays the single-host executive exactly.
 	genEnabled []bool
+	// pending holds the admissions the caller made while the host ran
+	// behind it, in (time, rank) order, from pending[applied] on not yet
+	// applied. The worker that steps the host applies each one before
+	// the host's first event at or after its time.
+	pending []admission
+	applied int
+}
+
+// admission is a deferred admission of one slot: the time of the cluster
+// event that made it and its rank among host work at that time,
+// admissionRank plus its ordinal in the replication, so it ranks ahead
+// of every host event at its time and after the admissions made before
+// it.
+type admission struct {
+	time float64
+	rank int
+	slot int
+}
+
+// admissionRank is the rank of a replication's first deferred admission.
+// A host event ranks by its host ID, so every admission ranks below it.
+const admissionRank = math.MinInt
+
+// admit makes slot resident on the host's side: unpark it in the
+// scheduler's view and re-enable its workload generator. Both are
+// non-marking state, so admission needs no model event — the VM starts
+// at the host's next scheduler tick.
+func (h *hostShard) admit(slot int) error {
+	if err := h.sys.SetVMParked(slot, false); err != nil {
+		return fmt.Errorf("cluster: host %s: admitting slot %d: %w", h.name, slot, err)
+	}
+	if !h.genEnabled[slot] {
+		if err := h.inst.SetEnabled(h.gen[slot], true); err != nil {
+			return fmt.Errorf("cluster: host %s: admitting slot %d: %w", h.name, slot, err)
+		}
+		h.genEnabled[slot] = true
+	}
+	return nil
 }
 
 // slotRef names one VM slot of one host.
@@ -222,6 +260,11 @@ type Orchestrator struct {
 	// again after the check evicts one of the host's slots.
 	checkAt  float64
 	assigned []int
+	// reached is the time every host has been stepped to: each has
+	// processed all its events before it and none at or after it.
+	// admissions counts the replication's deferred admissions.
+	reached    float64
+	admissions int
 
 	// Reused per-check buffers: the overloaded hosts in ID order and the
 	// migration-target candidates ranked by byUtilThenID.
@@ -402,10 +445,12 @@ func (o *Orchestrator) buildHost(id int) error {
 			vm++
 		}
 	}
-	h.genName = make([]string, len(h.slots))
+	h.gen = make([]san.ActivityRef, len(h.slots))
 	h.genEnabled = make([]bool, len(h.slots))
 	for i := range h.slots {
-		h.genName[i] = h.sys.GenerateActivityName(i)
+		if h.gen[i], err = h.inst.Program().Activity(h.sys.GenerateActivityName(i)); err != nil {
+			return fmt.Errorf("cluster: host %s: %w", h.name, err)
+		}
 		h.genEnabled[i] = true // activities start enabled
 	}
 	o.hosts[id] = h
@@ -489,13 +534,15 @@ func (o *Orchestrator) armHost(id int) error {
 	if err := h.worker.Arm(hostSeed(o.seed, id)); err != nil {
 		return fmt.Errorf("cluster: host %s: %w", h.name, err)
 	}
+	// A cancelled or failed replication can leave admissions unapplied.
+	h.pending, h.applied = h.pending[:0], 0
 	for i := range h.slots {
 		admitted := h.slots[i].startsUp
 		if err := h.sys.SetVMParked(i, !admitted); err != nil {
 			return err
 		}
 		if h.genEnabled[i] != admitted {
-			if err := h.inst.SetActivityEnabled(h.genName[i], admitted); err != nil {
+			if err := h.inst.SetEnabled(h.gen[i], admitted); err != nil {
 				return fmt.Errorf("cluster: host %s: %w", h.name, err)
 			}
 			h.genEnabled[i] = admitted
@@ -515,6 +562,7 @@ func (o *Orchestrator) seedEvents() {
 	o.dispatches, o.migrations = 0, 0
 	o.downtime, o.placeWaitSum = 0, 0
 	o.placed = 0
+	o.reached, o.admissions = 0, 0
 	for _, a := range o.topo.Arrivals {
 		o.push(clusterEvent{time: a.At, kind: evArrival, count: a.Count, vcpus: a.VCPUs})
 	}
@@ -546,13 +594,19 @@ func (o *Orchestrator) push(ev clusterEvent) {
 // at any parallelism and any GOMAXPROCS.
 //
 // Hosts interact only through cluster events (arrivals, migration checks,
-// admissions), and no host event creates one. Between two consecutive
-// cluster-event times every host is therefore independent, so the loop
-// steps every host through its own events strictly before the next
-// cluster event (on several goroutines when the window is big enough),
-// then handles that event. The strict bound keeps the order's tie rule:
-// a cluster event at t observes every host before it processes its own
-// events at t.
+// admissions), and no host event creates one. Of the three, only a check
+// reads host state. An arrival or an admission reads only the
+// orchestrator's side (the fleet view, the slot phases, the queue), and
+// its one host-side effect, admitting a slot, changes no marking. So
+// every host is independent from one check to the next: the loop steps
+// every host through its own events strictly before the next check, or
+// to the horizon, in one window (on several goroutines when the window
+// is big enough), then handles the check. The strict bound keeps the
+// order's tie rule: a check at t observes every host before it processes
+// its own events at t. The arrivals and admissions ahead of the check
+// are handled before its window, and each admission reaches its host
+// where the tie rule puts it: after the host's events before its time,
+// before those at or after it.
 //
 // One crew serves the whole replication: the arm round, every window and
 // the collect round. Helpers start when a round first needs them and are
@@ -569,7 +623,19 @@ func (o *Orchestrator) Replicate(ctx context.Context, seed uint64) (map[string]f
 }
 
 // run is the replication's event loop over the armed hosts and the
-// seeded cluster event queue.
+// seeded cluster event queue, in (time, seq) order. The arrivals and
+// admissions ahead of the next check are handled as soon as they are
+// popped, on the caller: placement, the fleet view and the queue are
+// all the caller's. Each admission they make is applied on the caller
+// when the hosts sit at its time, and otherwise goes to its host's
+// pending list for the window that steps the host through that time.
+// Then one window steps every host to the check, or to the horizon, and
+// the check runs.
+//
+// While a sink is set, every cluster event ends a window instead, so the
+// spans reach the sink as a serial loop emits them: interleaved with the
+// hosts' fault spans, and only up to the failure of a failed
+// replication.
 func (o *Orchestrator) run(ctx context.Context) error {
 	horizon := o.topo.Horizon
 	procs := runtime.GOMAXPROCS(0)
@@ -577,24 +643,26 @@ func (o *Orchestrator) run(ctx context.Context) error {
 	o.windows, o.parallelWindows, o.steals = 0, 0, 0
 	o.lap(false)
 	defer o.lap(true)
-	// Every host has processed all its events before reached; no host
-	// event precedes 0. Cluster events often share a time (all
-	// admissions from one check land at t + TransferDelay); a window
-	// that would not pass reached is empty.
-	reached := 0.0
 	for {
+		for o.sink == nil && len(o.events) > 0 && o.events[0].kind != evCheck && o.events[0].time < horizon {
+			if err := o.handle(o.events.pop()); err != nil {
+				return err
+			}
+		}
 		end := horizon
 		if len(o.events) > 0 && o.events[0].time < end {
 			end = o.events[0].time
 		}
-		if end > reached {
+		// Cluster events often share a time (all admissions from one
+		// check land at t + TransferDelay); a window that would not pass
+		// the hosts' time is empty.
+		if end > o.reached {
 			o.lap(true)
-			err := o.advance(ctx, end, o.windowWidth(procs, end-reached))
+			err := o.advance(ctx, end, o.windowWidth(procs, end-o.reached))
 			o.lap(false)
 			if err != nil {
 				return err
 			}
-			reached = end
 		}
 		if end >= horizon {
 			return nil
@@ -658,13 +726,15 @@ type stepper struct {
 	// check: each host's assigned PCPUs are stored as it reaches the
 	// bound.
 	sample bool
-	// The worker steps each host's events that precede (end, failHost)
-	// by (virtual time, host ID): the window bound (end, -1) until the
-	// worker meets a failure, then its earliest failure, at virtual time
-	// end on host failHost. A build, arm or collect round leaves end at
-	// 0 and records its lowest failing host.
+	// The worker steps each host's work that precedes (end, failRank)
+	// by (virtual time, rank), where a host event ranks by its host ID
+	// and a deferred admission by its admission rank, below every host
+	// ID: the window bound (end, -1) until the worker meets a failure,
+	// then its earliest failure, at virtual time end with rank failRank.
+	// A build, arm or collect round leaves end at 0 and records its
+	// lowest failing host ID as failRank.
 	end      float64
-	failHost int
+	failRank int
 	failure  error
 }
 
@@ -723,13 +793,15 @@ func (o *Orchestrator) claim(w int) int {
 
 // step runs worker w's hosts through their events before its bound,
 // each claimed as the previous one finishes, until no host is left or
-// the worker has processed its budget. A host stops at its first
-// failure. Claims do not come in ID order once a worker steals, so the
-// bound is lexicographic: after a failure at (t, f), a later host whose
-// ID is below f still runs its events at exactly t. Every host event
-// the worker skips therefore comes after its earliest failure in
-// (time, host ID) order, and the last failure recorded is that
-// earliest one.
+// the worker has processed its budget. Ahead of each event, and on
+// reaching the bound, the host's pending admissions stamped at or
+// before that time are applied. A host stops at its first failure.
+// Claims do not come in ID order once a worker steals, so the bound is
+// lexicographic: after a failure at (t, f), a later host whose ID is
+// below f still runs its events at exactly t, and every host still
+// applies its admissions at t that rank below f. Everything the worker
+// skips therefore comes after its earliest failure in (time, rank)
+// order, and the last failure recorded is that earliest one.
 func (o *Orchestrator) step(w int) {
 	s := &o.steppers[w]
 	id, done, budget := s.host, 0, s.budget
@@ -742,21 +814,26 @@ func (o *Orchestrator) step(w int) {
 		h := o.hosts[id]
 		in := h.inst
 		bound := s.end
-		if id < s.failHost {
+		if id < s.failRank {
 			bound = math.Nextafter(bound, math.Inf(1))
 		}
 		for done < budget {
 			t := in.PeekNextEventTime()
+			if h.applied < len(h.pending) && !s.admitDue(h, t) {
+				id = -1
+				break
+			}
 			if t >= bound {
 				if s.sample {
 					o.assigned[id] = h.sys.AssignedPCPUs()
 				}
+				h.pending, h.applied = h.pending[:0], 0
 				id = -1
 				break
 			}
 			if err := in.ProcessNextEvent(); err != nil {
 				s.failure = fmt.Errorf("cluster: host %s: %w", h.name, err)
-				s.end, s.failHost = t, id
+				s.end, s.failRank = t, id
 				id = -1
 				break
 			}
@@ -764,6 +841,23 @@ func (o *Orchestrator) step(w int) {
 		}
 	}
 	s.host, s.done = id, done
+}
+
+// admitDue applies host h's pending admissions stamped at or before t,
+// the time of its next event, that precede the worker's bound. It
+// reports false when one fails, which then becomes the worker's bound.
+func (s *stepper) admitDue(h *hostShard, t float64) bool {
+	for ; h.applied < len(h.pending); h.applied++ {
+		a := &h.pending[h.applied]
+		if a.time > t || a.time > s.end || a.time == s.end && a.rank >= s.failRank {
+			return true
+		}
+		if err := h.admit(a.slot); err != nil {
+			s.failure, s.end, s.failRank = err, a.time, a.rank
+			return false
+		}
+	}
+	return true
 }
 
 // advance runs every host through its events strictly before end, on
@@ -775,10 +869,12 @@ func (o *Orchestrator) step(w int) {
 // back of the others. Each round splits the host events left before
 // the next cancellation check across the live workers, and only this
 // goroutine polls ctx, after every ctxCheckEvery host events summed
-// over all hosts — the cadence of a serial loop. The error reported is
-// the failure with the smallest (virtual time, host ID) over all
-// workers, the failure a global (time, host ID) event order would
-// reach first.
+// over all hosts — the cadence of a serial loop. Each host applies its
+// pending admissions on the way (step). The error reported is the
+// failure with the smallest (virtual time, rank) over all workers: the
+// failure the serial loop would reach first, where an admission at t
+// comes before every host event at t, in the order the admissions were
+// made, and host events at t come in host-ID order.
 //
 // In the window that ends at the pending migration check, each host's
 // worker stores the host's assigned PCPUs as it reaches end, so the
@@ -786,7 +882,8 @@ func (o *Orchestrator) step(w int) {
 //
 // No host enters a window failed (every failure ends the replication),
 // and end never exceeds the horizon, so the window bound alone decides
-// which events are pending.
+// which events are pending. A window that completes leaves every host
+// at end, with no admission pending.
 func (o *Orchestrator) advance(ctx context.Context, end float64, width int) error {
 	o.windows++
 	if width > 1 {
@@ -837,7 +934,11 @@ func (o *Orchestrator) advance(ctx context.Context, end float64, width int) erro
 	for w := range ws {
 		o.steals += ws[w].steals
 	}
-	return firstFailure(ws)
+	if err := firstFailure(ws); err != nil {
+		return err
+	}
+	o.reached = end
+	return nil
 }
 
 // deal readies a round of task t over every host on width workers: it
@@ -852,21 +953,21 @@ func (o *Orchestrator) deal(t task, width int, end float64) []stepper {
 	ws := o.steppers[:width]
 	n := len(o.hosts)
 	for w := range ws {
-		ws[w] = stepper{host: -1, end: end, failHost: -1}
+		ws[w] = stepper{host: -1, end: end, failRank: -1}
 		o.stripes[w].set(w*n/width, (w+1)*n/width)
 	}
 	return ws
 }
 
-// firstFailure returns the failure with the smallest (virtual time, host
-// ID) over the round's workers, or nil: the failure a global (time, host
-// ID) order reaches first.
+// firstFailure returns the failure with the smallest (virtual time,
+// rank) over the round's workers, or nil: the failure the serial order
+// reaches first.
 func firstFailure(ws []stepper) error {
 	var first *stepper
 	for w := range ws {
 		s := &ws[w]
 		if s.failure != nil && (first == nil || s.end < first.end ||
-			s.end == first.end && s.failHost < first.failHost) {
+			s.end == first.end && s.failRank < first.failRank) {
 			first = s
 		}
 	}
@@ -899,7 +1000,7 @@ func (o *Orchestrator) work(w int) {
 	}
 	s := &o.steppers[w]
 	for id := o.claim(w); id >= 0; id = o.claim(w) {
-		if s.failure != nil && id > s.failHost {
+		if s.failure != nil && id > s.failRank {
 			continue
 		}
 		var err error
@@ -912,7 +1013,7 @@ func (o *Orchestrator) work(w int) {
 			err = o.collectHost(id)
 		}
 		if err != nil {
-			s.failure, s.failHost = err, id
+			s.failure, s.failRank = err, id
 		}
 	}
 }
@@ -1111,7 +1212,7 @@ func (o *Orchestrator) handle(ev clusterEvent) error {
 		}
 	case evAdmit:
 		h := o.hosts[ev.host]
-		if err := o.admit(h, ev.slot); err != nil {
+		if err := o.admit(h, ev.slot, ev.time); err != nil {
 			return err
 		}
 		o.migrations++
@@ -1197,7 +1298,7 @@ func (o *Orchestrator) place(vcpus int, now, arrived float64) (bool, error) {
 		// rather than crash — a policy bug must not kill the replication.
 		return false, nil
 	}
-	if err := o.admit(h, slot); err != nil {
+	if err := o.admit(h, slot, now); err != nil {
 		return false, err
 	}
 	o.dispatches++
@@ -1211,21 +1312,17 @@ func (o *Orchestrator) place(vcpus int, now, arrived float64) (bool, error) {
 	return true, nil
 }
 
-// admit makes slot resident on host h: unpark it in the scheduler's view
-// and re-enable its workload generator. Both are non-marking state, so
-// admission needs no model event — the VM starts at the host's next
-// scheduler tick.
-func (o *Orchestrator) admit(h *hostShard, slot int) error {
-	if err := h.sys.SetVMParked(slot, false); err != nil {
-		return fmt.Errorf("cluster: host %s: admitting slot %d: %w", h.name, slot, err)
-	}
-	if !h.genEnabled[slot] {
-		if err := h.inst.SetActivityEnabled(h.genName[slot], true); err != nil {
-			return fmt.Errorf("cluster: host %s: admitting slot %d: %w", h.name, slot, err)
-		}
-		h.genEnabled[slot] = true
-	}
+// admit makes slot of host h resident at time now. The fleet view moves
+// at once. The host's side is applied at once when the hosts sit at now,
+// and otherwise is deferred to the host's pending list, for the window
+// that steps the host through now.
+func (o *Orchestrator) admit(h *hostShard, slot int, now float64) error {
 	o.setPhase(h, slot, slotAdmitted)
+	if now == o.reached {
+		return h.admit(slot)
+	}
+	h.pending = append(h.pending, admission{time: now, rank: admissionRank + o.admissions, slot: slot})
+	o.admissions++
 	return nil
 }
 
@@ -1309,7 +1406,7 @@ func (o *Orchestrator) migrationCheck(t float64) error {
 		// Begin drain: stop generating on the source slot (non-marking)
 		// and reserve the target slot so nothing else books it.
 		if src.genEnabled[slot] {
-			if err := src.inst.SetActivityEnabled(src.genName[slot], false); err != nil {
+			if err := src.inst.SetEnabled(src.gen[slot], false); err != nil {
 				return err
 			}
 			src.genEnabled[slot] = false

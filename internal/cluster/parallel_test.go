@@ -16,6 +16,7 @@ import (
 	"vcpusim/internal/config"
 	"vcpusim/internal/faults"
 	"vcpusim/internal/obs"
+	"vcpusim/internal/san"
 )
 
 // atProcs runs f with runtime.GOMAXPROCS set to procs and restores the
@@ -437,19 +438,20 @@ func TestCrewFailuresLeaveNoGoroutines(t *testing.T) {
 			}
 
 			// Arm: a parked slot's generator, flagged enabled so arming
-			// disables it, has a name the instance does not know.
-			names := map[int]string{}
+			// disables it, is resolved in host 0's program, which the
+			// host's instance rejects.
+			slots := map[int]int{}
+			refs := map[int]san.ActivityRef{}
 			for _, id := range bad {
 				h := o.hosts[id]
 				i := slices.IndexFunc(h.slots, func(s slotState) bool { return !s.startsUp })
-				names[id] = h.genName[i]
-				h.genName[i], h.genEnabled[i] = "no-such-generator", true
+				slots[id], refs[id] = i, h.gen[i]
+				h.gen[i], h.genEnabled[i] = o.hosts[0].gen[0], true
 			}
 			_, err = o.Replicate(ctx, 1)
 			failed("arm", err)
-			for id, name := range names {
-				h := o.hosts[id]
-				h.genName[slices.Index(h.genName, "no-such-generator")] = name
+			for id, i := range slots {
+				o.hosts[id].gen[i] = refs[id]
 			}
 
 			// Collect: Replicate's steps, with both hosts' instances failed
@@ -491,9 +493,9 @@ func TestCrewFailuresLeaveNoGoroutines(t *testing.T) {
 }
 
 // TestWindowCounters pins LastStats' window counters on
-// parallelTopology, neither of which reaches the metric map: the same
-// number of windows at every GOMAXPROCS, every one of them parallel
-// above 1 and none at 1. It also checks the internal steal count: none
+// parallelTopology, neither of which reaches the metric map: one window
+// per migration check plus the last one to the horizon, at every
+// GOMAXPROCS, every one of them parallel above 1 and none at 1. It also checks the internal steal count: none
 // without a second worker, some with one, since the idle hosts (the
 // upper half of the IDs) have far fewer events than the busy ones and
 // their workers run out first.
@@ -511,8 +513,10 @@ func TestWindowCounters(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := o.LastStats()
-			if st.Windows == 0 {
-				t.Fatalf("GOMAXPROCS %d: no windows counted", procs)
+			// Checks at 10, 20, ..., 190 end 19 windows, the horizon the
+			// 20th; arrivals and admissions end none.
+			if st.Windows != 20 {
+				t.Fatalf("GOMAXPROCS %d: %d windows, want 20", procs, st.Windows)
 			}
 			if procs == 1 {
 				windows = st.Windows

@@ -10,6 +10,7 @@ import (
 
 	"vcpusim/internal/config"
 	"vcpusim/internal/faults"
+	"vcpusim/internal/obs"
 )
 
 // flipCtx reports cancellation from its at-th Err call on, so a test can
@@ -81,8 +82,28 @@ func TestCancelMidWindow(t *testing.T) {
 	if ev := o.LastStats().Events; ev != uint64(ctx.at*ctxCheckEvery) {
 		t.Errorf("%d host events before returning, want %d (one check interval per poll)", ev, ctx.at*ctxCheckEvery)
 	}
-	if o.dispatches != 0 {
-		t.Errorf("%d dispatches before the cancellation: it did not land in the first window", o.dispatches)
+	if o.windows != 1 {
+		t.Errorf("cancelled in window %d: the cancellation did not land in the first window", o.windows)
+	}
+	// The arrival at 25 was placed before the window, and the hosts not
+	// yet stepped past 25 still hold its admissions. The replay below
+	// makes the same admissions, so only a direct look shows that arming
+	// drops them.
+	pending := 0
+	for _, h := range o.hosts {
+		pending += len(h.pending) - h.applied
+	}
+	if pending == 0 {
+		t.Fatal("no admission pending at the cancellation")
+	}
+	if err := o.arm(seed); err != nil {
+		t.Fatal(err)
+	}
+	o.dismiss()
+	for _, h := range o.hosts {
+		if len(h.pending) != 0 {
+			t.Fatalf("host %s: %d admissions of the cancelled replication still pending after arming", h.name, len(h.pending))
+		}
 	}
 
 	got, err := o.Replicate(context.Background(), seed)
@@ -150,23 +171,42 @@ func failingGroup(name string, count int, at float64) HostGroup {
 	return g
 }
 
-// TestFailureChoice pins which host failure a replication reports when
-// several hosts fail: the one with the smallest (virtual time, host ID),
-// whatever window each failure falls in.
+// TestFailureChoice pins which failure a replication reports when several
+// hosts fail: the one the serial loop meets first, whatever window each
+// failure falls in. Host events rank by (virtual time, host ID); an
+// admission that fails ranks ahead of every host event at its time, and
+// two failing admissions at one time rank in the order they were made.
+// An admission fails here because its slot's generator activity was
+// resolved in another host's program.
 func TestFailureChoice(t *testing.T) {
 	arrivals := []Arrival{{At: 10, VCPUs: 1}, {At: 55, VCPUs: 1}}
+	// noParked drops the group's parked slot, so arrivals go elsewhere.
+	noParked := func(g HostGroup) HostGroup { g.Slots = g.Slots[:1]; return g }
+	load := config.Distribution{Dist: "uniform", Low: 1, High: 10}
+	wide := HostGroup{Name: "w", PCPUs: 2, Slots: []Slot{{VM: config.VM{VCPUs: 2, Load: load}}}}
+	const nanDelay, badAdmit = "invalid delay NaN", "admitting slot"
 	for _, tc := range []struct {
 		name     string
 		hosts    []HostGroup
 		arrivals []Arrival
 		want     string
+		cause    string
 	}{
-		{"one host fails", []HostGroup{failingGroup("ok", 2, 0), failingGroup("bad", 1, 30)}, nil, "bad-0"},
-		{"lower ID fails first", []HostGroup{failingGroup("a", 1, 20), failingGroup("b", 1, 30)}, nil, "a-0"},
-		{"higher ID fails first", []HostGroup{failingGroup("a", 1, 30), failingGroup("b", 1, 20)}, nil, "b-0"},
-		{"same time, lower ID wins", []HostGroup{failingGroup("ok", 1, 0), failingGroup("a", 3, 40)}, nil, "a-0"},
-		{"higher ID fails first, across windows", []HostGroup{failingGroup("a", 1, 60), failingGroup("b", 1, 20)}, arrivals, "b-0"},
-		{"higher ID fails first, same window", []HostGroup{failingGroup("a", 1, 50), failingGroup("b", 1, 20)}, arrivals, "b-0"},
+		{"one host fails", []HostGroup{failingGroup("ok", 2, 0), failingGroup("bad", 1, 30)}, nil, "bad-0", nanDelay},
+		{"lower ID fails first", []HostGroup{failingGroup("a", 1, 20), failingGroup("b", 1, 30)}, nil, "a-0", nanDelay},
+		{"higher ID fails first", []HostGroup{failingGroup("a", 1, 30), failingGroup("b", 1, 20)}, nil, "b-0", nanDelay},
+		{"same time, lower ID wins", []HostGroup{failingGroup("ok", 1, 0), failingGroup("a", 3, 40)}, nil, "a-0", nanDelay},
+		{"higher ID fails first, across windows", []HostGroup{failingGroup("a", 1, 60), failingGroup("b", 1, 20)}, arrivals, "b-0", nanDelay},
+		{"higher ID fails first, same window", []HostGroup{failingGroup("a", 1, 50), failingGroup("b", 1, 20)}, arrivals, "b-0", nanDelay},
+		// The arrival at 20 lands on b-0 (ID 1), whose admission fails at
+		// the time a-0 (ID 0) fails: the admission comes first.
+		{"admission before a host event at its time", []HostGroup{noParked(failingGroup("a", 1, 20)), failingGroup("b", 1, 0)},
+			[]Arrival{{At: 20, VCPUs: 1}}, "b-0", badAdmit},
+		// The wide arrival, made first, lands on w-0 (ID 1), the narrow
+		// one on a-0 (ID 0): both admissions fail at 20, and the one
+		// made first is reported.
+		{"admissions at one time, in the order made", []HostGroup{failingGroup("a", 1, 0), wide},
+			[]Arrival{{At: 20, VCPUs: 2}, {At: 20, VCPUs: 1}}, "w-0", badAdmit},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			topo := &Topology{Horizon: 100, Hosts: tc.hosts, Arrivals: tc.arrivals}
@@ -175,16 +215,153 @@ func TestFailureChoice(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = o.Replicate(context.Background(), 1)
+			defer o.dismiss()
+			if err := o.arm(1); err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range o.hosts {
+				for i := range h.slots {
+					if tc.cause == badAdmit && !h.genEnabled[i] {
+						h.gen[i] = o.hosts[(h.id+1)%len(o.hosts)].gen[0]
+					}
+				}
+			}
+			err = o.run(context.Background())
 			if err == nil {
 				t.Fatal("replication with failing hosts succeeded")
 			}
 			if prefix := "cluster: host " + tc.want + ": "; !strings.HasPrefix(err.Error(), prefix) {
 				t.Fatalf("error %q, want the failure of host %s", err, tc.want)
 			}
-			if !strings.Contains(err.Error(), "invalid delay NaN") {
-				t.Fatalf("error %q is not the injected NaN-delay failure", err)
+			if !strings.Contains(err.Error(), tc.cause) {
+				t.Fatalf("error %q is not the injected failure (%q)", err, tc.cause)
 			}
 		})
+	}
+}
+
+// noopSink drops every span. Installing it makes every cluster event end
+// a window, as a serial loop does.
+type noopSink struct{}
+
+func (noopSink) Emit(obs.Event) {}
+
+// TestDeferredAdmissionsMatchEveryEventWindows replicates each topology
+// twice at GOMAXPROCS 1, 2 and 4: without a sink, where only checks end
+// windows and arrivals and admissions run ahead of the hosts, and with a
+// sink that drops every span, where every cluster event ends a window.
+// The fleet and every host's metrics must match as hex floats. Two
+// topologies put admissions on check times (TransferDelay equals
+// CheckEvery) and arrivals on check times, where a deferred admission is
+// applied as its window ends; the third puts admissions between checks.
+func TestDeferredAdmissionsMatchEveryEventWindows(t *testing.T) {
+	onChecks := func(topo *Topology) *Topology {
+		topo.Migration.TransferDelay = topo.Migration.CheckEvery
+		return topo
+	}
+	mig := onChecks(migrationTopology(t))
+	mig.Arrivals = []Arrival{{At: 100, Count: 1, VCPUs: 1}, {At: 300, Count: 2, VCPUs: 1}}
+	topos := map[string]*Topology{
+		"migration":            mig,
+		"parallel":             onChecks(parallelTopology(t)),
+		"parallel, off checks": parallelTopology(t),
+	}
+	for name, topo := range topos {
+		for _, procs := range []int{1, 2, 4} {
+			atProcs(procs, func() {
+				var runs [2]parallelRun
+				var windows [2]uint64
+				var deferred [2]int
+				for k, sink := range []obs.Sink{nil, noopSink{}} {
+					o, err := New(topo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.SetSink(sink)
+					m, err := o.Replicate(context.Background(), 3)
+					if err != nil {
+						t.Fatalf("%s, GOMAXPROCS %d: %v", name, procs, err)
+					}
+					if m[DispatchesMetric] == 0 || m[MigrationsMetric] == 0 {
+						t.Fatalf("%s: dispatches %g, migrations %g; the topology must exercise both", name, m[DispatchesMetric], m[MigrationsMetric])
+					}
+					runs[k] = parallelRun{fleet: fmt.Sprint(hexMap(m)), events: o.LastStats().Events}
+					for h := range o.hosts {
+						runs[k].hosts = append(runs[k].hosts, fmt.Sprint(hexMap(o.HostMetrics(h))))
+					}
+					windows[k], deferred[k] = o.LastStats().Windows, o.admissions
+				}
+				if deferred[0] == 0 || deferred[1] != 0 || windows[0] > windows[1] {
+					t.Fatalf("%s, GOMAXPROCS %d: %d admissions deferred in %d windows without a sink, %d in %d with one", name, procs, deferred[0], windows[0], deferred[1], windows[1])
+				}
+				got, want := runs[0], runs[1]
+				if got.fleet != want.fleet || got.events != want.events {
+					t.Fatalf("%s, GOMAXPROCS %d: fleet metrics\n%s (%d events)\nwant\n%s (%d events)", name, procs, got.fleet, got.events, want.fleet, want.events)
+				}
+				for h := range want.hosts {
+					if got.hosts[h] != want.hosts[h] {
+						t.Fatalf("%s, GOMAXPROCS %d: host %d metrics\n%s\nwant\n%s", name, procs, h, got.hosts[h], want.hosts[h])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestLateAdmissionAcrossReplications admits a VM at 99.5 on a host whose
+// only events are its clock's ticks on integer times, so the admission
+// follows the host's last event before the horizon of 100 and is applied
+// only as the last window ends. The next replication on the same
+// orchestrator must equal a fresh orchestrator's: no admission outlives
+// its replication.
+func TestLateAdmissionAcrossReplications(t *testing.T) {
+	load := config.Distribution{Dist: "uniform", Low: 1, High: 10}
+	topo := &Topology{
+		Horizon:  100,
+		Hosts:    []HostGroup{{Name: "late", Count: 2, PCPUs: 2, Slots: []Slot{{VM: config.VM{VCPUs: 1, Load: load}, Count: 2}}}},
+		Arrivals: []Arrival{{At: 99.5, VCPUs: 1}},
+	}
+	topo.applyDefaults()
+	ctx := context.Background()
+	o, err := New(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := o.Replicate(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m[DispatchesMetric] != 1 {
+		t.Fatalf("dispatches = %g, want 1", m[DispatchesMetric])
+	}
+	for _, h := range o.hosts {
+		if len(h.pending) != 0 {
+			t.Fatalf("host %s: %d admissions pending after the replication", h.name, len(h.pending))
+		}
+		for i, s := range h.slots {
+			if (s.phase == slotAdmitted) != h.genEnabled[i] {
+				t.Fatalf("host %s slot %d: phase %d, generator enabled %v", h.name, i, s.phase, h.genEnabled[i])
+			}
+		}
+	}
+	got, err := o.Replicate(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Replicate(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(hexMap(got)) != fmt.Sprint(hexMap(want)) {
+		t.Fatalf("second replication diverged from a fresh orchestrator:\n%v\n%v", got, want)
+	}
+	for h := range o.hosts {
+		if a, b := fmt.Sprint(hexMap(o.HostMetrics(h))), fmt.Sprint(hexMap(fresh.HostMetrics(h))); a != b {
+			t.Fatalf("host %d diverged:\n%s\n%s", h, a, b)
+		}
 	}
 }

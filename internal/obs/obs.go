@@ -163,8 +163,9 @@ type Counters struct {
 	Migrations uint64 `json:"migrations,omitempty"`
 	// Windows / ParallelWindows count the cluster orchestrator's windows
 	// stepped and those stepped on more than one worker; zero on
-	// single-host runs. ParallelWindows follows GOMAXPROCS as well as
-	// the seed.
+	// single-host runs. Windows rises while the orchestrator has a sink,
+	// which makes every cluster event end a window. ParallelWindows
+	// follows GOMAXPROCS as well as the seed.
 	Windows         uint64 `json:"windows,omitempty"`
 	ParallelWindows uint64 `json:"parallel_windows,omitempty"`
 	// WallNS is measured wall time; EventsPerSec is Events over WallNS.

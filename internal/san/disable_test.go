@@ -124,3 +124,55 @@ func TestSetActivityEnabledUnknownName(t *testing.T) {
 		t.Errorf("error %q does not name the activity", err)
 	}
 }
+
+// TestSetEnabledByRef checks the resolved-once surface: a ref from the
+// instance's own program disables like the name does, and a ref resolved
+// in another compilation of the same model is rejected by name.
+func TestSetEnabledByRef(t *testing.T) {
+	m, marking := buildTicker()
+	prog, err := Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick, err := prog.Activity("S/tick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prog.Activity("S/nope"); err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Errorf("Activity(unknown) = %v, want an error naming it", err)
+	}
+	inst, err := prog.NewInstance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.SetEnabled(tick, false); err != nil {
+		t.Fatal(err)
+	}
+	inst.Reset(1)
+	if _, err := inst.Run(10.5); err != nil {
+		t.Fatal(err)
+	}
+	if q, done := marking(inst); q != 0 || done != 0 {
+		t.Fatalf("disabled tick still produced: Q=%d Done=%d", q, done)
+	}
+
+	other, _ := buildTicker()
+	otherProg, err := Compile(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherInst, err := otherProg.NewInstance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = otherInst.SetEnabled(tick, false)
+	if err == nil {
+		t.Fatal("a ref from another program was accepted")
+	}
+	if !strings.Contains(err.Error(), "S/tick") {
+		t.Errorf("error %q does not name the activity", err)
+	}
+	if err := otherInst.SetEnabled(ActivityRef{}, false); err == nil {
+		t.Fatal("the zero ref was accepted")
+	}
+}

@@ -275,10 +275,22 @@ func (in *Instance) Reset(seed uint64) {
 // runs; it is the public injection surface internal/faults uses to honor
 // a plan's Disabled flags without touching private executive state.
 func (in *Instance) SetActivityEnabled(name string, enabled bool) error {
-	ref, ok := in.prog.activityRef(name)
-	if !ok {
-		return fmt.Errorf("san: no activity %q in model %q", name, in.prog.model.Name())
+	a, err := in.prog.Activity(name)
+	if err != nil {
+		return err
 	}
+	return in.SetEnabled(a, enabled)
+}
+
+// SetEnabled is SetActivityEnabled for an activity resolved once with
+// Program.Activity, so a caller that flips the same activity again and
+// again pays no name lookup. An ActivityRef resolved in another program
+// is an error.
+func (in *Instance) SetEnabled(a ActivityRef, enabled bool) error {
+	if a.prog != in.prog {
+		return fmt.Errorf("san: activity %q is not in the program of model %q", a.name, in.prog.model.Name())
+	}
+	ref := a.ref
 	if in.disabledTimed == nil {
 		in.disabledTimed = newBitset(len(in.timed))
 		in.disabledInst = newBitset(len(in.instants))

@@ -183,6 +183,24 @@ func (p *Program) activityRef(name string) (actRef, bool) {
 	return ref, ok
 }
 
+// ActivityRef is one activity of one compiled program, resolved by name
+// once for Instance.SetEnabled.
+type ActivityRef struct {
+	prog *Program
+	name string
+	ref  actRef
+}
+
+// Activity resolves a fully qualified activity name to an ActivityRef
+// for the instances of p.
+func (p *Program) Activity(name string) (ActivityRef, error) {
+	ref, ok := p.activityRef(name)
+	if !ok {
+		return ActivityRef{}, fmt.Errorf("san: no activity %q in model %q", name, p.model.Name())
+	}
+	return ActivityRef{prog: p, name: name, ref: ref}, nil
+}
+
 // Model returns the model the program was compiled from.
 func (p *Program) Model() *Model { return p.model }
 
