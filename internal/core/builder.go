@@ -168,12 +168,11 @@ type System struct {
 	tickNow int64
 
 	// Per-tick scratch reused across schedulerStep calls so the hot path
-	// does not allocate: view slices handed to the Scheduler, the pending
-	// schedule-out mask, and the Actions accumulator.
-	viewBuf    []VCPUView
-	pviewBuf   []PCPUView
-	pendingOut []bool
-	acts       Actions
+	// does not allocate: view slices handed to the Scheduler and the
+	// Actions accumulator.
+	viewBuf  []VCPUView
+	pviewBuf []PCPUView
+	acts     Actions
 
 	// parked, when non-nil, marks VMs not admitted on this host (cluster
 	// orchestration): their VCPUs appear Parked in scheduler views. nil
@@ -389,7 +388,7 @@ func buildVCPUActivities(sys *System, sub *san.Sub, vm *vmRef, vc *vcpuRef) {
 		if vc.slot.Peek().Status != Busy {
 			return
 		}
-		if vm.spinning(vc) {
+		if vm.syncKind == workload.SyncSpinlock && vm.spinning(vc) {
 			// Spinlock extension: a sibling holds the VM's lock but was
 			// descheduled, so this VCPU burns the tick without progress.
 			return
@@ -560,8 +559,7 @@ func (sys *System) schedulerStep(timestamp *san.ExtPlace[int64]) {
 	pc := sys.pcpus.Peek()
 	n := len(sys.vcpus)
 
-	if sys.pendingOut == nil {
-		sys.pendingOut = make([]bool, n)
+	if sys.viewBuf == nil {
 		sys.viewBuf = make([]VCPUView, n)
 		sys.pviewBuf = make([]PCPUView, len(*pc))
 		// A VCPU's identity never changes: write it once.
@@ -572,7 +570,6 @@ func (sys *System) schedulerStep(timestamp *san.ExtPlace[int64]) {
 			v.Sibling = vc.sibling
 		}
 	}
-	pendingOut := sys.pendingOut
 	if flt := sys.flt; flt != nil {
 		// Per-tick fault scratch: read by the impulse rewards that fire on
 		// Scheduling_Func right after this gate returns.
@@ -580,32 +577,24 @@ func (sys *System) schedulerStep(timestamp *san.ExtPlace[int64]) {
 		flt.tickReseats = 0
 		flt.tickMisdecisions = 0
 	}
-	if now > 0 { // no time has elapsed before the very first tick
-		for _, vc := range sys.vcpus {
-			if vc.host.Peek().PCPU < 0 {
-				continue
-			}
-			h := vc.host.Get()
+	// One pass charges each running VCPU's tick, expires its timeslice,
+	// and refreshes its view: a view reads only its own VCPU's slot and
+	// host state, so no VCPU's accounting can move another's view.
+	views := sys.viewBuf
+	for _, vc := range sys.vcpus {
+		s := vc.slot.Peek()
+		h := vc.host.Peek()
+		status := s.Status
+		if now > 0 && h.PCPU >= 0 { // no time has elapsed before the very first tick
+			h = vc.host.Get()
 			h.Runtime++
 			h.Timeslice--
 			if h.Timeslice <= 0 {
 				(*sys.pcpus.Get())[h.PCPU] = -1
 				h.PCPU = -1
 				vc.schedOut.Add(1)
-				pendingOut[vc.id] = true
+				status = Inactive
 			}
-		}
-	}
-
-	views := sys.viewBuf
-	for _, vc := range sys.vcpus {
-		s := vc.slot.Peek()
-		h := vc.host.Peek()
-		status := s.Status
-		if pendingOut[vc.id] {
-			// Read once per tick: clear it for the next one here.
-			pendingOut[vc.id] = false
-			status = Inactive
 		}
 		if sys.parked != nil && sys.parked[vc.vm] {
 			status = Parked
