@@ -1,12 +1,12 @@
 package fastsim
 
 import (
-	"math"
-	"strings"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"vcpusim/internal/core"
+	"vcpusim/internal/enginetest"
 	"vcpusim/internal/rng"
 	"vcpusim/internal/workload"
 )
@@ -32,8 +32,8 @@ func spinlockConfig(pcpus, vms, seed uint64) core.SystemConfig {
 // TestQuickSpinlockEngineParity fuzzes spinlock-synchronized systems
 // through every scheduler and requires the SAN engine and the fast engine
 // to agree bit-for-bit on every per-entity metric. Fleet-average metrics
-// get a 1e-9 tolerance instead: the engines sum per-entity values in
-// different orders, which legitimately perturbs the last bits. The SAN
+// get enginetest's ulp bound instead: the engines sum per-entity values
+// in different orders, which legitimately perturbs the last bits. The SAN
 // side runs through the compiled executor (dependency graph, fused
 // chains, arena markings), so this doubles as a cross-engine check that
 // compilation did not change a single trajectory.
@@ -41,6 +41,7 @@ func TestQuickSpinlockEngineParity(t *testing.T) {
 	factorySet := factories()
 	order := []string{"RRS", "SCS", "RCS", "Balance", "Credit"}
 	i := 0
+	d := enginetest.New(t)
 	f := func(pcpus, vms, seed uint64) bool {
 		cfg := spinlockConfig(pcpus, vms, seed)
 		name := order[i%len(order)]
@@ -56,30 +57,7 @@ func TestQuickSpinlockEngineParity(t *testing.T) {
 			t.Logf("%s san: %v", name, err)
 			return false
 		}
-		if len(fast) != len(ref) {
-			t.Logf("%s: metric sets differ: fast %d san %d", name, len(fast), len(ref))
-			return false
-		}
-		for metric, v := range fast {
-			r, ok := ref[metric]
-			if !ok {
-				t.Logf("%s: metric %s missing from san engine", name, metric)
-				return false
-			}
-			if strings.Contains(metric, "avg") {
-				if math.Abs(v-r) > 1e-9 {
-					t.Logf("%s: %s fast=%g san=%g cfg=%+v", name, metric, v, r, cfg)
-					return false
-				}
-				continue
-			}
-			if math.Float64bits(v) != math.Float64bits(r) {
-				t.Logf("%s: %s fast=%x san=%x (Δ=%g) cfg=%+v",
-					name, metric, math.Float64bits(v), math.Float64bits(r), v-r, cfg)
-				return false
-			}
-		}
-		return true
+		return d.Compare(fmt.Sprintf("%s cfg=%+v", name, cfg), fast, ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

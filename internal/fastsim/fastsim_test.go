@@ -1,11 +1,13 @@
 package fastsim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"vcpusim/internal/core"
+	"vcpusim/internal/enginetest"
 	"vcpusim/internal/rng"
 	"vcpusim/internal/sched"
 	"vcpusim/internal/workload"
@@ -112,7 +114,8 @@ func TestMetricsWithinUnitInterval(t *testing.T) {
 
 // TestEngineCrossValidation is the fidelity check: the SAN engine and the
 // direct engine, sharing only the documented tick semantics, must produce
-// identical metrics for identical seeds across algorithms and topologies.
+// bit-identical per-entity metrics, and fleet averages within enginetest's
+// ulp bound, for identical seeds across algorithms and topologies.
 func TestEngineCrossValidation(t *testing.T) {
 	configs := []core.SystemConfig{
 		{PCPUs: 1, Timeslice: 30, VMs: []core.VMConfig{
@@ -130,6 +133,7 @@ func TestEngineCrossValidation(t *testing.T) {
 		"Credit":  func() core.Scheduler { return sched.NewCredit(sched.CreditParams{Timeslice: 30}) },
 	}
 	const horizon = 3000
+	d := enginetest.New(t)
 	for name, factory := range factories {
 		for ci, cfg := range configs {
 			for seed := uint64(1); seed <= 3; seed++ {
@@ -141,19 +145,7 @@ func TestEngineCrossValidation(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s config %d seed %d: san: %v", name, ci, seed, err)
 				}
-				if len(fast) != len(san) {
-					t.Fatalf("%s config %d: metric sets differ: %d vs %d", name, ci, len(fast), len(san))
-				}
-				for metric, v := range fast {
-					sv, ok := san[metric]
-					if !ok {
-						t.Fatalf("%s config %d: SAN missing metric %s", name, ci, metric)
-					}
-					if math.Abs(v-sv) > 1e-9 {
-						t.Errorf("%s config %d seed %d: %s differs: fast %g vs san %g",
-							name, ci, seed, metric, v, sv)
-					}
-				}
+				d.Compare(fmt.Sprintf("%s config %d seed %d", name, ci, seed), fast, san)
 			}
 		}
 	}

@@ -1,12 +1,14 @@
 package fastsim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"vcpusim/internal/core"
+	"vcpusim/internal/enginetest"
 	"vcpusim/internal/rng"
 	"vcpusim/internal/sched"
 	"vcpusim/internal/workload"
@@ -94,11 +96,13 @@ func TestQuickInvariantsAllSchedulers(t *testing.T) {
 }
 
 // TestQuickEngineParity fuzzes configurations and seeds, requiring the two
-// engines to agree exactly.
+// engines to agree bit for bit on every per-entity metric and within
+// enginetest's ulp bound on the fleet averages.
 func TestQuickEngineParity(t *testing.T) {
 	factorySet := factories()
 	order := []string{"RRS", "SCS", "RCS", "Balance", "Credit"}
 	i := 0
+	d := enginetest.New(t)
 	f := func(pcpus, vms, seed uint64) bool {
 		cfg := randomConfig(pcpus, vms, seed)
 		name := order[i%len(order)]
@@ -114,13 +118,7 @@ func TestQuickEngineParity(t *testing.T) {
 			t.Logf("%s san: %v", name, err)
 			return false
 		}
-		for metric, v := range fast {
-			if math.Abs(v-san[metric]) > 1e-9 {
-				t.Logf("%s: %s fast=%g san=%g cfg=%+v", name, metric, v, san[metric], cfg)
-				return false
-			}
-		}
-		return true
+		return d.Compare(fmt.Sprintf("%s cfg=%+v", name, cfg), fast, san)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,12 @@
 package fastsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"vcpusim/internal/core"
+	"vcpusim/internal/enginetest"
 	"vcpusim/internal/rng"
 	"vcpusim/internal/sched"
 	"vcpusim/internal/workload"
@@ -133,6 +135,7 @@ func TestSpinlockEngineParity(t *testing.T) {
 				Load: rng.Uniform{Low: 1, High: 10}, SyncEveryN: 4, SyncKind: workload.SyncBarrier}},
 		},
 	}
+	d := enginetest.New(t)
 	for name, factory := range factories() {
 		for seed := uint64(1); seed <= 3; seed++ {
 			fast, err := RunReplication(cfg, factory, 2000, seed)
@@ -143,11 +146,7 @@ func TestSpinlockEngineParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: san: %v", name, err)
 			}
-			for metric, v := range fast {
-				if math.Abs(v-san[metric]) > 1e-9 {
-					t.Errorf("%s seed %d: %s fast=%g san=%g", name, seed, metric, v, san[metric])
-				}
-			}
+			d.Compare(fmt.Sprintf("%s seed %d", name, seed), fast, san)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package fastsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"vcpusim/internal/core"
+	"vcpusim/internal/enginetest"
 	"vcpusim/internal/sched"
 )
 
@@ -73,6 +75,7 @@ func TestWarmupEngineParity(t *testing.T) {
 			{VCPUs: 2, Workload: uniWL(0)},
 		},
 	}
+	d := enginetest.New(t)
 	for name, factory := range factories() {
 		for _, warmup := range []int64{1, 100, 999} {
 			fast, err := RunReplicationInterval(cfg, factory, warmup, 2000, 5)
@@ -83,11 +86,7 @@ func TestWarmupEngineParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s san: %v", name, err)
 			}
-			for metric, v := range fast {
-				if math.Abs(v-san[metric]) > 1e-9 {
-					t.Errorf("%s warmup=%d: %s fast=%g san=%g", name, warmup, metric, v, san[metric])
-				}
-			}
+			d.Compare(fmt.Sprintf("%s warmup=%d", name, warmup), fast, san)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vcpusim/internal/core"
+	"vcpusim/internal/enginetest"
 	"vcpusim/internal/fastsim"
 	"vcpusim/internal/rng"
 	"vcpusim/internal/workload"
@@ -134,11 +135,7 @@ func TestHybridEngineParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for metric, v := range fast {
-		if d := v - san[metric]; d > 1e-9 || d < -1e-9 {
-			t.Errorf("%s: fast %g vs san %g", metric, v, san[metric])
-		}
-	}
+	enginetest.New(t).Compare("Hybrid", fast, san)
 }
 
 func TestHybridInRegistry(t *testing.T) {

@@ -2,11 +2,11 @@ package vcpusim_test
 
 import (
 	"context"
-	"math"
 	"strings"
 	"testing"
 
 	"vcpusim"
+	"vcpusim/internal/enginetest"
 )
 
 func testConfig() vcpusim.SystemConfig {
@@ -54,6 +54,7 @@ func TestRunProducesMetrics(t *testing.T) {
 
 func TestRunMatchesRunSAN(t *testing.T) {
 	cfg := testConfig()
+	d := enginetest.New(t)
 	for _, factory := range []vcpusim.SchedulerFactory{
 		vcpusim.RoundRobin(20),
 		vcpusim.StrictCo(20),
@@ -69,11 +70,7 @@ func TestRunMatchesRunSAN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, v := range fast {
-			if math.Abs(v-san[name]) > 1e-9 {
-				t.Errorf("%s: %s fast=%g san=%g", factory().Name(), name, v, san[name])
-			}
-		}
+		d.Compare(factory().Name(), fast, san)
 	}
 }
 
