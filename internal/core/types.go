@@ -165,14 +165,16 @@ func (a *Actions) Reset() {
 
 // Scheduler is the pluggable VCPU scheduling algorithm, the Go counterpart
 // of the paper's C function-call interface. Schedule is invoked once per
-// clock tick after timeslice accounting; vcpus and pcpus describe the
-// complete system state, and decisions are recorded on acts.
+// clock tick after timeslice accounting, except that the fast engine lets
+// a TickSkipper stand in for a run of calls that would record nothing;
+// vcpus and pcpus describe the complete system state, and decisions are
+// recorded on acts.
 //
 // Implementations may keep internal state across calls (run queues, skew
 // counters); a fresh Scheduler is constructed for every replication, so no
 // reset mechanism is needed.
 //
-// The vcpus and pcpus slices are engine-owned and reused every tick: the
+// The vcpus and pcpus slices are engine-owned and reused on every call: the
 // fast engine (internal/fastsim) hands its live VCPU and PCPU state, the
 // SAN engine a buffer it refills from the marking. A scheduler must
 // therefore not modify them — on the fast engine a write would change the
@@ -188,6 +190,20 @@ type Scheduler interface {
 	// Schedule records assignment/preemption decisions for the current
 	// tick. now is the tick timestamp, starting at 0.
 	Schedule(now int64, vcpus []VCPUView, pcpus []PCPUView, acts *Actions)
+}
+
+// TickSkipper is an optional Scheduler extension that lets the fast engine
+// advance over quiet ticks in one step. SkipTicks reports how many of the
+// coming Schedule calls, at most limit, would record nothing while the
+// views' statuses and PCPU assignments stay as they are now, and leaves
+// the scheduler's state as those calls would have left it. The engine
+// asks only when the statuses and assignments do stay put over the next
+// limit ticks: in the calls skipped, only each view's Timeslice, Runtime
+// and RemainingLoad would differ from what SkipTicks sees. The views are
+// read-only, as for Schedule. Returning 0 is always correct: the engine
+// then calls Schedule as usual.
+type TickSkipper interface {
+	SkipTicks(vcpus []VCPUView, pcpus []PCPUView, limit int64) int64
 }
 
 // SchedulerFactory constructs a fresh Scheduler for one replication.

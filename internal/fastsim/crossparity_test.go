@@ -1,12 +1,9 @@
 package fastsim
 
 import (
-	"fmt"
 	"testing"
-	"testing/quick"
 
 	"vcpusim/internal/core"
-	"vcpusim/internal/enginetest"
 	"vcpusim/internal/rng"
 	"vcpusim/internal/workload"
 )
@@ -29,7 +26,7 @@ func spinlockConfig(pcpus, vms, seed uint64) core.SystemConfig {
 	return cfg
 }
 
-// TestQuickSpinlockEngineParity fuzzes spinlock-synchronized systems
+// TestQuickSpinlockEngineParity draws spinlock-synchronized systems
 // through every scheduler and requires the SAN engine and the fast engine
 // to agree bit-for-bit on every per-entity metric. Fleet-average metrics
 // get enginetest's ulp bound instead: the engines sum per-entity values
@@ -38,28 +35,5 @@ func spinlockConfig(pcpus, vms, seed uint64) core.SystemConfig {
 // chains, arena markings), so this doubles as a cross-engine check that
 // compilation did not change a single trajectory.
 func TestQuickSpinlockEngineParity(t *testing.T) {
-	factorySet := factories()
-	order := []string{"RRS", "SCS", "RCS", "Balance", "Credit"}
-	i := 0
-	d := enginetest.New(t)
-	f := func(pcpus, vms, seed uint64) bool {
-		cfg := spinlockConfig(pcpus, vms, seed)
-		name := order[i%len(order)]
-		i++
-		factory := factorySet[name]
-		fast, err := RunReplication(cfg, factory, 400, seed)
-		if err != nil {
-			t.Logf("%s fast: %v", name, err)
-			return false
-		}
-		ref, err := core.RunReplication(cfg, factory, 400, seed)
-		if err != nil {
-			t.Logf("%s san: %v", name, err)
-			return false
-		}
-		return d.Compare(fmt.Sprintf("%s cfg=%+v", name, cfg), fast, ref)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
+	engineParityDraws(t, spinlockConfig, 2)
 }

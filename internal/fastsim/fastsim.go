@@ -13,11 +13,14 @@
 //
 // The per-tick ordering is the canonical one from DESIGN.md: process →
 // VM job flow → hypervisor (timeslice accounting, expiry, scheduling
-// function) → job flow again → reward sampling. Given the same seed, the
-// fast engine and the SAN engine produce bit-identical per-entity reward
-// values (per VCPU, per PCPU and per VM); the six fleet averages (the
-// "*/avg" keys) agree within 1e-9 only, because the two engines accumulate
-// them in different orders.
+// function) → job flow again → reward sampling. Ticks in which nothing
+// but the load, timeslice and runtime counters would move are advanced in
+// one step when the scheduler is a core.TickSkipper (see Engine.skip).
+// Given the same seed, the fast engine and the SAN engine produce
+// bit-identical per-entity reward values (per VCPU, per PCPU and per VM);
+// the six fleet averages (the "*/avg" keys) agree within the ulp bound of
+// internal/enginetest only, because the two engines accumulate them in
+// different orders.
 package fastsim
 
 import (
@@ -42,10 +45,12 @@ type vmState struct {
 	hasPending bool
 
 	// blocked is the barrier state; since is the first tick of it (or of
-	// its absence) not yet credited. blocked sits beside hasPending so
-	// the two bools share a word.
-	blocked bool
-	since   int64
+	// its absence) not yet credited. preempted is set, under the
+	// spinlock extension, while the VM's lock holder is descheduled (see
+	// markPreempted). The three bools share a word with hasPending.
+	blocked   bool
+	preempted bool
+	since     int64
 
 	jobs     int64 // workloads dispatched (in the measured window)
 	unblocks int64 // barrier releases (in the measured window)
@@ -54,15 +59,19 @@ type vmState struct {
 // Engine simulates one replication. Construct with New; single-use.
 //
 // The engine's VCPU and PCPU state is the view slices it hands to the
-// scheduling function: each tick Schedule reads the live state, as the
+// scheduling function: each Schedule call reads the live state, as the
 // paper's C function reads the host's VCPU_host_external and PCPU_external
 // arrays, and the core.Scheduler contract forbids it to write them. New
-// writes each view's ID, VM and Sibling (and each PCPU's ID) once.
+// writes each view's ID, VM and Sibling (and each PCPU's ID) once. A
+// scheduler that is a core.TickSkipper stands in for the calls of quiet
+// ticks, which the engine then advances in one step.
 type Engine struct {
 	sched core.Scheduler
-	vcpus []core.VCPUView
-	vms   []vmState
-	pcpus []core.PCPUView
+	// skipper is sched as a core.TickSkipper, or nil.
+	skipper core.TickSkipper
+	vcpus   []core.VCPUView
+	vms     []vmState
+	pcpus   []core.PCPUView
 
 	// spinlock reports whether any VM uses the spinlock extension; without
 	// one no VCPU can spin, and sample skips the per-VCPU check.
@@ -96,10 +105,8 @@ type Engine struct {
 	hook   func(now int64)
 	vmCfgs []core.VMConfig
 
-	// Per-tick scratch reused in place: the scheduler's Actions
-	// accumulator and process's per-VM spinlock-preemption mask.
-	acts      core.Actions
-	preempted []bool
+	// acts is the scheduler's Actions accumulator, reused every call.
+	acts core.Actions
 }
 
 // Stats is the fast engine's counter snapshot, the tick-loop counterpart
@@ -158,6 +165,7 @@ func New(cfg core.SystemConfig, sched core.Scheduler, seed uint64) (*Engine, err
 		pcpus:  make([]core.PCPUView, cfg.PCPUs),
 		vmCfgs: cfg.VMs,
 	}
+	e.skipper, _ = sched.(core.TickSkipper)
 	ids := make([]int, n)
 	for i, vmCfg := range cfg.VMs {
 		gen, err := workload.NewGenerator(vmCfg.Workload, src.Split())
@@ -188,6 +196,7 @@ func New(cfg core.SystemConfig, sched core.Scheduler, seed uint64) (*Engine, err
 // SetTickHook attaches fn, called once per tick with the tick's number
 // after the tick's last job flow and before its sampling: the state it
 // reads through the Inspect methods is the state the tick is sampled in.
+// While a hook is attached the engine steps every tick, skipping none.
 // Pass nil to detach.
 func (e *Engine) SetTickHook(fn func(now int64)) { e.hook = fn }
 
@@ -270,8 +279,11 @@ func checkRun(warmup, horizon, window int64) error {
 // run is the tick loop. It simulates from the engine's current tick up to
 // horizon, measuring from warmup on; at the end of every window of window
 // sampled ticks it settles the open states, calls emit to read the reward
-// accumulators and clears them for the next window. A later call with the
-// same warmup and window resumes where the last one stopped.
+// accumulators and clears them for the next window. After each tick it
+// advances over the quiet ticks that follow (skip), never into the
+// window's last tick, so every window end runs in full, nor past the
+// horizon. A later call with the same warmup and window resumes where the
+// last one stopped.
 func (e *Engine) run(warmup, horizon, window int64, emit func()) error {
 	e.warmup = warmup
 	// end is the first tick past the current window.
@@ -282,14 +294,20 @@ func (e *Engine) run(warmup, horizon, window int64, emit func()) error {
 	for ; e.now < horizon; e.now++ {
 		// Tick 0 opens with the initial hypervisor invocation (the SAN
 		// model's initial HV_Tick token): nothing is loaded to process yet.
-		if e.now > 0 {
-			e.process()
+		// Job flow starts each tick at the fixpoint the last tick left,
+		// and only a workload completion in process or a grant or
+		// revocation in the hypervisor step can enable a step of it, so
+		// each job flow runs only after one of those.
+		if e.now > 0 && e.process() {
 			e.jobFlow()
 		}
+		moves := e.schedIns + e.schedOuts
 		if err := e.hypervisorStep(); err != nil {
 			return err
 		}
-		e.jobFlow()
+		if e.schedIns+e.schedOuts != moves {
+			e.jobFlow()
+		}
 		if e.hook != nil {
 			e.hook(e.now)
 		}
@@ -303,26 +321,78 @@ func (e *Engine) run(warmup, horizon, window int64, emit func()) error {
 			e.blockedTicks, e.spinTicks = 0, 0
 			end += window
 		}
+		if e.skipper != nil && e.hook == nil {
+			e.skip(min(end-1, horizon) - e.now - 1)
+		}
 	}
 	return nil
 }
 
-// process advances every BUSY VCPU's workload by one tick. Under the
-// spinlock extension, BUSY VCPUs whose VM's lock holder is descheduled spin
-// without progress (an inactive holder cannot complete mid-step, so the
-// per-VM predicate is stable across the loop).
-func (e *Engine) process() {
-	preempted := e.preempted
-	for vi := range e.vms {
-		preempted[vi] = e.vms[vi].syncKind == workload.SyncSpinlock && e.lockHolderPreempted(vi)
+// skip advances over the ticks after the current one that are quiet, at
+// most limit of them: ticks in which no BUSY, non-spinning VCPU finishes
+// its workload, no timeslice expires and the scheduler, asked through
+// core.TickSkipper, would record nothing. Such a tick changes no status,
+// no assignment and no job-flow state, so the engine applies n of them at
+// once: each progressing BUSY VCPU's load falls by n, each PCPU holder's
+// timeslice falls and its runtime grows by n, and each spinning VCPU
+// spins n ticks, of which those at or after the warmup are sampled.
+// Occupancy is credited on transitions, so nothing else moves.
+func (e *Engine) skip(limit int64) {
+	if limit <= 0 {
+		return
 	}
+	e.markPreempted()
+	n := limit
 	for id := range e.vcpus {
 		v := &e.vcpus[id]
+		if v.PCPU < 0 {
+			continue
+		}
+		n = min(n, v.Timeslice-1)
+		if v.Status == core.Busy && !e.spins(v) {
+			n = min(n, v.RemainingLoad-1)
+		}
+		if n <= 0 {
+			return
+		}
+	}
+	if n = e.skipper.SkipTicks(e.vcpus, e.pcpus, n); n <= 0 {
+		return
+	}
+	var spinners int64
+	for id := range e.vcpus {
+		v := &e.vcpus[id]
+		if v.PCPU < 0 {
+			continue
+		}
+		v.Timeslice -= n
+		v.Runtime += n
 		if v.Status != core.Busy {
 			continue
 		}
-		if preempted[v.VM] && !(v.SyncPoint && v.RemainingLoad > 0) {
-			continue // spinning
+		if e.spins(v) {
+			spinners++
+		} else {
+			v.RemainingLoad -= n
+		}
+	}
+	if sampled := e.now + n + 1 - max(e.now+1, e.warmup); spinners > 0 && sampled > 0 {
+		e.spinTicks += spinners * sampled
+	}
+	e.now += n
+}
+
+// process advances every BUSY VCPU's workload by one tick and reports
+// whether any finished. Under the spinlock extension, BUSY VCPUs whose
+// VM's lock holder is descheduled spin without progress (an inactive
+// holder cannot complete mid-step, so the per-VM predicate is stable
+// across the loop).
+func (e *Engine) process() (completed bool) {
+	e.markPreempted()
+	for id := range e.vcpus {
+		v := &e.vcpus[id]
+		if v.Status != core.Busy || e.spins(v) {
+			continue
 		}
 		v.RemainingLoad--
 		if v.RemainingLoad <= 0 {
@@ -333,8 +403,30 @@ func (e *Engine) process() {
 			vm := &e.vms[v.VM]
 			vm.numReady++
 			vm.loaded--
+			completed = true
 		}
 	}
+	return completed
+}
+
+// markPreempted sets each VM's preempted flag from the current state: a
+// VM's flag is set when it synchronizes through a spinlock and its lock
+// holder is descheduled. Without a spinlock VM every flag stays false.
+func (e *Engine) markPreempted() {
+	if !e.spinlock {
+		return
+	}
+	for vi := range e.vms {
+		vm := &e.vms[vi]
+		vm.preempted = vm.syncKind == workload.SyncSpinlock && e.lockHolderPreempted(vi)
+	}
+}
+
+// spins reports whether BUSY VCPU v spins rather than progresses, given
+// the preempted flags markPreempted last set: every BUSY VCPU of a
+// preempted VM spins except a holder of in-flight sync load.
+func (e *Engine) spins(v *core.VCPUView) bool {
+	return e.vms[v.VM].preempted && !(v.SyncPoint && v.RemainingLoad > 0)
 }
 
 // jobFlow runs each VM's workload generator and job scheduler to fixpoint,
@@ -468,13 +560,6 @@ func (e *Engine) hypervisorStep() error {
 		}
 	}
 
-	if e.preempted == nil {
-		// Sized at the first tick rather than in New, so building an
-		// engine costs no more than its model state. The tick loop runs
-		// this step at tick 0, before any process, so process finds it
-		// sized.
-		e.preempted = make([]bool, len(e.vms))
-	}
 	e.acts.Reset()
 	e.sched.Schedule(e.now, e.vcpus, e.pcpus, &e.acts)
 	return e.apply(&e.acts)

@@ -95,33 +95,37 @@ func TestQuickInvariantsAllSchedulers(t *testing.T) {
 	}
 }
 
-// TestQuickEngineParity fuzzes configurations and seeds, requiring the two
-// engines to agree bit for bit on every per-entity metric and within
-// enginetest's ulp bound on the fleet averages.
+// TestQuickEngineParity draws random configurations and seeds, requiring
+// the two engines to agree bit for bit on every per-entity metric and
+// within enginetest's ulp bound on the fleet averages.
 func TestQuickEngineParity(t *testing.T) {
+	engineParityDraws(t, randomConfig, 1)
+}
+
+// engineParityDraws makes 40 draws from a source seeded with drawSeed, each
+// a configuration from mkConfig and a replication seed, and runs every
+// draw on both engines under the next scheduler of a fixed rotation,
+// comparing them through enginetest. A failure names the draw's index, so
+// rerunning the test replays it.
+func engineParityDraws(t *testing.T, mkConfig func(pcpus, vms, seed uint64) core.SystemConfig, drawSeed uint64) {
 	factorySet := factories()
 	order := []string{"RRS", "SCS", "RCS", "Balance", "Credit"}
-	i := 0
 	d := enginetest.New(t)
-	f := func(pcpus, vms, seed uint64) bool {
-		cfg := randomConfig(pcpus, vms, seed)
-		name := order[i%len(order)]
-		i++
+	src := rng.New(drawSeed)
+	for draw := 0; draw < 40; draw++ {
+		pcpus, vms, seed := src.Uint64(), src.Uint64(), src.Uint64()
+		cfg := mkConfig(pcpus, vms, seed)
+		name := order[draw%len(order)]
 		factory := factorySet[name]
 		fast, err := RunReplication(cfg, factory, 400, seed)
 		if err != nil {
-			t.Logf("%s fast: %v", name, err)
-			return false
+			t.Fatalf("draw %d, %s fast: %v", draw, name, err)
 		}
 		san, err := core.RunReplication(cfg, factory, 400, seed)
 		if err != nil {
-			t.Logf("%s san: %v", name, err)
-			return false
+			t.Fatalf("draw %d, %s san: %v", draw, name, err)
 		}
-		return d.Compare(fmt.Sprintf("%s cfg=%+v", name, cfg), fast, san)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+		d.Compare(fmt.Sprintf("draw %d, %s cfg=%+v", draw, name, cfg), fast, san)
 	}
 }
 

@@ -109,6 +109,52 @@ func (h *harness) tick() {
 	h.now++
 }
 
+// skip lets a scheduler that is a core.TickSkipper stand in for the
+// Schedule calls of the quiet ticks ahead, as the fast engine does: it
+// asks for at most 50 ticks, and never for the tick in which a timeslice
+// expires. Like tick, it fails if SkipTicks changes a view. It advances
+// the ticks skipped and returns their number.
+func (h *harness) skip() int64 {
+	h.t.Helper()
+	ts, ok := h.sched.(core.TickSkipper)
+	if !ok {
+		return 0
+	}
+	limit := int64(50)
+	for _, v := range h.vcpus {
+		if v.PCPU >= 0 {
+			limit = min(limit, v.Timeslice-1)
+		}
+	}
+	if limit <= 0 {
+		return 0
+	}
+	h.vbuf = append(h.vbuf[:0], h.vcpus...)
+	h.pbuf = append(h.pbuf[:0], h.pcpus...)
+	n := ts.SkipTicks(h.vbuf, h.pbuf, limit)
+	for i := range h.vcpus {
+		if h.vbuf[i] != h.vcpus[i] {
+			h.t.Fatalf("t=%d: %s SkipTicks modified VCPU view %d: %+v, was %+v", h.now, h.sched.Name(), i, h.vbuf[i], h.vcpus[i])
+		}
+	}
+	for i := range h.pcpus {
+		if h.pbuf[i] != h.pcpus[i] {
+			h.t.Fatalf("t=%d: %s SkipTicks modified PCPU view %d: %+v, was %+v", h.now, h.sched.Name(), i, h.pbuf[i], h.pcpus[i])
+		}
+	}
+	if n < 0 || n > limit {
+		h.t.Fatalf("t=%d: %s SkipTicks(%d) = %d", h.now, h.sched.Name(), limit, n)
+	}
+	for i := range h.vcpus {
+		if v := &h.vcpus[i]; v.PCPU >= 0 {
+			v.Runtime += n
+			v.Timeslice -= n
+		}
+	}
+	h.now += n
+	return n
+}
+
 func (h *harness) deschedule(id int) {
 	v := &h.vcpus[id]
 	h.pcpus[v.PCPU].VCPU = -1
@@ -160,7 +206,8 @@ func fmtShares(s []float64) string {
 
 // TestScheduleLeavesViewsUnchanged runs every registered scheduler on
 // under-, fully and over-committed hosts through the harness, whose tick
-// fails if Schedule changes any field of the views it was handed. The
+// fails if Schedule changes any field of the views it was handed, and
+// whose skip fails the same way for SkipTicks (RRS, SCS and RCS). The
 // views also carry nonzero values in the fields no built-in scheduler
 // reads (a held workload, a stall, a throttle), so a write that clears
 // one shows too.
@@ -189,7 +236,14 @@ func TestScheduleLeavesViewsUnchanged(t *testing.T) {
 				for p := range h.pcpus {
 					h.pcpus[p].Throttle = 0.5
 				}
-				h.run(300)
+				var skipped int64
+				for h.now < 300 {
+					h.tick()
+					skipped += h.skip()
+				}
+				if _, ok := h.sched.(core.TickSkipper); ok && skipped == 0 {
+					t.Errorf("%d PCPUs, VMs %v: SkipTicks never skipped a tick", host.pcpus, host.vmSizes)
+				}
 			}
 		})
 	}

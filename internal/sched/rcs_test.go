@@ -2,6 +2,7 @@ package sched
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"vcpusim/internal/core"
@@ -296,5 +297,137 @@ func TestRelaxedCoOnePassSkewMatchesTwoPass(t *testing.T) {
 	}
 	if enters == 0 || exits == 0 {
 		t.Fatalf("co-mode entered %d and left %d times: the sequences never crossed the thresholds", enters, exits)
+	}
+}
+
+// clone returns a copy of r that shares no mutable state with it.
+func (r *RelaxedCo) clone() *RelaxedCo {
+	c := *r
+	c.skew = slices.Clone(r.skew)
+	c.coMode = slices.Clone(r.coMode)
+	c.inactive = slices.Clone(r.inactive)
+	c.idle = nil
+	c.queue = &vcpuQueue{order: slices.Clone(r.queue.order), member: slices.Clone(r.queue.member)}
+	return &c
+}
+
+// randomGangs returns INACTIVE views of one to four VMs of one to four
+// VCPUs each.
+func randomGangs(src *rng.Source) []core.VCPUView {
+	var vcpus []core.VCPUView
+	for vm, n := 0, 1+src.Intn(4); vm < n; vm++ {
+		for k, size := 0, 1+src.Intn(4); k < size; k++ {
+			vcpus = append(vcpus, core.VCPUView{ID: len(vcpus), VM: vm, Sibling: k, Status: core.Inactive, PCPU: -1, LastScheduledIn: -1})
+		}
+	}
+	return vcpus
+}
+
+// randomHistory makes one to 80 Schedule calls of s on random hosts
+// (randomHost), so its state holds whatever such a history leaves:
+// skews, co-modes, queue entries gone stale, cursors.
+func randomHistory(src *rng.Source, s core.Scheduler, vcpus []core.VCPUView) {
+	var acts core.Actions
+	for call, calls := 0, 1+src.Intn(80); call < calls; call++ {
+		pcpus := randomHost(src, vcpus)
+		acts.Reset()
+		s.Schedule(int64(call), vcpus, pcpus, &acts)
+	}
+}
+
+// randomHost moves each VCPU to a random status (one in eight PARKED)
+// with probability 1/5 and returns PCPU views that agree with the
+// statuses: a PCPU of its own for each ACTIVE VCPU, and half the time up
+// to two idle PCPUs more.
+func randomHost(src *rng.Source, vcpus []core.VCPUView) []core.PCPUView {
+	statuses := [...]core.Status{core.Inactive, core.Inactive, core.Inactive, core.Ready, core.Ready, core.Busy, core.Busy, core.Parked}
+	var pcpus []core.PCPUView
+	for i := range vcpus {
+		v := &vcpus[i]
+		if src.Intn(5) == 0 {
+			v.Status = statuses[src.Intn(len(statuses))]
+		}
+		v.PCPU = -1
+		if v.Status.Active() {
+			v.PCPU = len(pcpus)
+			pcpus = append(pcpus, core.PCPUView{ID: len(pcpus), VCPU: v.ID})
+		}
+	}
+	for extra := src.Intn(4) - 1; extra > 0; extra-- {
+		pcpus = append(pcpus, core.PCPUView{ID: len(pcpus), VCPU: -1})
+	}
+	return pcpus
+}
+
+// TestRelaxedCoSkipTicksMatchesNoOpCalls gives SkipTicks and a copy of the
+// same scheduler the same views, over random gangs, call histories,
+// statuses and skew thresholds (EnterSkew 1 with ExitSkew 0, and ExitSkew
+// above EnterSkew, included). The copy makes as many Schedule calls as
+// SkipTicks skipped, each of which must record nothing; if SkipTicks
+// stopped short of its limit, the copy's next call must record
+// something. Both must then hold the same skews, co-modes and queue, and
+// one more Schedule call must record the same Actions on both.
+func TestRelaxedCoSkipTicksMatchesNoOpCalls(t *testing.T) {
+	src := rng.New(34)
+	var skipped, cut, flips int
+	for trial := 0; trial < 4000; trial++ {
+		vcpus := randomGangs(src)
+		p := RelaxedCoParams{Timeslice: 30, EnterSkew: 1 + int64(src.Intn(8))}
+		switch trial % 4 {
+		case 0:
+			p.EnterSkew = 1 // the default exit is then 0
+		case 1:
+			p.ExitSkew = p.EnterSkew + 1 + int64(src.Intn(3))
+		default:
+			p.ExitSkew = 1 + int64(src.Intn(int(p.EnterSkew)))
+		}
+		r := NewRelaxedCo(p)
+		randomHistory(src, r, vcpus)
+		var acts core.Actions
+		pcpus := randomHost(src, vcpus)
+		limit := 1 + int64(src.Intn(40))
+		ref := r.clone()
+		before := slices.Clone(r.coMode)
+		n := r.SkipTicks(vcpus, pcpus, limit)
+		if n < 0 || n > limit {
+			t.Fatalf("trial %d: SkipTicks(%d) = %d", trial, limit, n)
+		}
+		for i := int64(0); i < n; i++ {
+			acts.Reset()
+			ref.Schedule(0, vcpus, pcpus, &acts)
+			if !acts.Empty() {
+				a, pr := acts.Recorded()
+				t.Fatalf("trial %d (enter %d, exit %d): SkipTicks skipped %d calls, but call %d assigns %v and preempts %v",
+					trial, r.enterSkew, r.exitSkew, n, i+1, a, pr)
+			}
+		}
+		if !reflect.DeepEqual(r.skew, ref.skew) || !reflect.DeepEqual(r.coMode, ref.coMode) || !slices.Equal(r.queue.order, ref.queue.order) {
+			t.Fatalf("trial %d (enter %d, exit %d), %d calls skipped: skew %v co-mode %v queue %v, calls made: skew %v co-mode %v queue %v",
+				trial, r.enterSkew, r.exitSkew, n, r.skew, r.coMode, r.queue.order, ref.skew, ref.coMode, ref.queue.order)
+		}
+		if n > 0 && !slices.Equal(before, r.coMode) {
+			flips++
+		}
+		var got, want core.Actions
+		r.Schedule(0, vcpus, pcpus, &got)
+		ref.Schedule(0, vcpus, pcpus, &want)
+		if n < limit && want.Empty() {
+			t.Fatalf("trial %d (enter %d, exit %d): SkipTicks stopped after %d of %d calls, but the next records nothing", trial, r.enterSkew, r.exitSkew, n, limit)
+		}
+		if !reflect.DeepEqual(got.Assigns(), want.Assigns()) || !reflect.DeepEqual(got.Preempts(), want.Preempts()) ||
+			!reflect.DeepEqual(r.skew, ref.skew) || !reflect.DeepEqual(r.coMode, ref.coMode) || !slices.Equal(r.queue.order, ref.queue.order) {
+			t.Fatalf("trial %d: the call after the skip differs: assigns %v preempts %v, calls made: assigns %v preempts %v",
+				trial, got.Assigns(), got.Preempts(), want.Assigns(), want.Preempts())
+		}
+		if n > 0 {
+			skipped++
+			if n < limit {
+				cut++
+			}
+		}
+	}
+	t.Logf("%d skips, %d stopped short of the limit, %d across a co-mode change", skipped, cut, flips)
+	if skipped < 400 || cut < 80 || flips < 16 {
+		t.Fatalf("%d skips, %d stopped short, %d across a co-mode change: the draws rarely skipped", skipped, cut, flips)
 	}
 }

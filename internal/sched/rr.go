@@ -30,7 +30,10 @@ type RoundRobin struct {
 	idle      []int // per-call idle-PCPU scratch
 }
 
-var _ core.Scheduler = (*RoundRobin)(nil)
+var (
+	_ core.Scheduler   = (*RoundRobin)(nil)
+	_ core.TickSkipper = (*RoundRobin)(nil)
+)
 
 // NewRoundRobin returns an RRS scheduler granting the given timeslice per
 // assignment.
@@ -66,6 +69,30 @@ func (r *RoundRobin) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUV
 	}
 	r.cursor = (r.cursor + scanned) % len(vcpus)
 }
+
+// SkipTicks implements core.TickSkipper. A call records nothing while no
+// PCPU is idle or no VCPU is INACTIVE; it then scans every VCPU or none,
+// so the cursor stays where it is.
+func (r *RoundRobin) SkipTicks(vcpus []core.VCPUView, pcpus []core.PCPUView, limit int64) int64 {
+	if idlePCPUs(pcpus) > 0 && slices.ContainsFunc(vcpus, isInactive) {
+		return 0
+	}
+	return limit
+}
+
+// idlePCPUs counts the idle PCPUs.
+func idlePCPUs(pcpus []core.PCPUView) int {
+	n := 0
+	for _, p := range pcpus {
+		if p.Idle() {
+			n++
+		}
+	}
+	return n
+}
+
+// isInactive reports whether v is INACTIVE.
+func isInactive(v core.VCPUView) bool { return v.Status == core.Inactive }
 
 // vcpuQueue is a FIFO of waiting VCPUs with set semantics: a VCPU appears
 // at most once. Membership is a slice indexed by VCPU id, grown on demand,

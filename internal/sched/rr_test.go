@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 
 	"vcpusim/internal/core"
+	"vcpusim/internal/rng"
 )
 
 func TestRoundRobinName(t *testing.T) {
@@ -166,5 +168,67 @@ func TestWorkConservation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRoundRobinAndStrictCoSkipTicksMatchNoOpCalls is the RRS and SCS
+// counterpart of TestRelaxedCoSkipTicksMatchesNoOpCalls: over random
+// gangs, call histories and statuses, a copy of the scheduler makes as
+// many Schedule calls as SkipTicks skipped, each of which must record
+// nothing; if SkipTicks stopped short of its limit, the copy's next call
+// must record something. One more call must then record the same Actions
+// on both and leave the same rotation state.
+func TestRoundRobinAndStrictCoSkipTicksMatchNoOpCalls(t *testing.T) {
+	src := rng.New(35)
+	for _, name := range []string{"RRS", "SCS"} {
+		var skipped, stopped int
+		for trial := 0; trial < 2000; trial++ {
+			vcpus := randomGangs(src)
+			var s, ref core.Scheduler
+			switch name {
+			case "RRS":
+				r := NewRoundRobin(30)
+				randomHistory(src, r, vcpus)
+				c := *r
+				s, ref = r, &c
+			case "SCS":
+				r := NewStrictCo(30)
+				randomHistory(src, r, vcpus)
+				c := *r
+				s, ref = r, &c
+			}
+			pcpus := randomHost(src, vcpus)
+			limit := 1 + int64(src.Intn(40))
+			n := s.(core.TickSkipper).SkipTicks(vcpus, pcpus, limit)
+			if n < 0 || n > limit {
+				t.Fatalf("%s trial %d: SkipTicks(%d) = %d", name, trial, limit, n)
+			}
+			var acts core.Actions
+			for i := int64(0); i < n; i++ {
+				acts.Reset()
+				ref.Schedule(0, vcpus, pcpus, &acts)
+				if !acts.Empty() {
+					t.Fatalf("%s trial %d: SkipTicks skipped %d calls, but call %d assigns %v", name, trial, n, i+1, acts.Assigns())
+				}
+			}
+			var got, want core.Actions
+			s.Schedule(0, vcpus, pcpus, &got)
+			ref.Schedule(0, vcpus, pcpus, &want)
+			if n < limit && want.Empty() {
+				t.Fatalf("%s trial %d: SkipTicks stopped after %d of %d calls, but the next records nothing", name, trial, n, limit)
+			}
+			if !reflect.DeepEqual(got.Assigns(), want.Assigns()) || !reflect.DeepEqual(got.Preempts(), want.Preempts()) || !reflect.DeepEqual(s, ref) {
+				t.Fatalf("%s trial %d: the call after the skip differs: assigns %v, state %+v; calls made: assigns %v, state %+v",
+					name, trial, got.Assigns(), s, want.Assigns(), ref)
+			}
+			if n > 0 {
+				skipped++
+			} else {
+				stopped++
+			}
+		}
+		if skipped < 200 || stopped < 200 {
+			t.Fatalf("%s: %d draws skipped and %d did not: the draws miss a case", name, skipped, stopped)
+		}
 	}
 }

@@ -21,7 +21,10 @@ type StrictCo struct {
 	idle      []int // per-call idle-PCPU scratch
 }
 
-var _ core.Scheduler = (*StrictCo)(nil)
+var (
+	_ core.Scheduler   = (*StrictCo)(nil)
+	_ core.TickSkipper = (*StrictCo)(nil)
+)
 
 // NewStrictCo returns an SCS scheduler granting the given gang timeslice.
 func NewStrictCo(timeslice int64) *StrictCo {
@@ -63,6 +66,23 @@ func (s *StrictCo) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUVie
 	if scheduledFirst >= 0 {
 		s.next = (scheduledFirst + 1) % n
 	}
+}
+
+// SkipTicks implements core.TickSkipper. A call records nothing while no
+// PCPU is idle or no whole INACTIVE gang fits the idle PCPUs, and it then
+// leaves the round-robin pointer where it is.
+func (s *StrictCo) SkipTicks(vcpus []core.VCPUView, pcpus []core.PCPUView, limit int64) int64 {
+	idle := idlePCPUs(pcpus)
+	if idle == 0 {
+		return limit
+	}
+	s.gangs.Derive(vcpus)
+	for i := 0; i < s.gangs.Len(); i++ {
+		if gang := s.gangs.Members(i); len(gang) <= idle && allInactive(gang, vcpus) {
+			return 0
+		}
+	}
+	return limit
 }
 
 // allInactive reports whether every listed VCPU is INACTIVE.
