@@ -508,19 +508,6 @@ func (e *Engine) lockHolderPreempted(vi int) bool {
 	return false
 }
 
-// spinning reports whether VCPU id is burning its PCPU on a preempted
-// spinlock.
-func (e *Engine) spinning(id int) bool {
-	v := &e.vcpus[id]
-	if e.vms[v.VM].syncKind != workload.SyncSpinlock || v.Status != core.Busy {
-		return false
-	}
-	if v.SyncPoint && v.RemainingLoad > 0 {
-		return false
-	}
-	return e.lockHolderPreempted(v.VM)
-}
-
 // dispatch assigns a workload to VM vi's lowest-sibling READY VCPU.
 func (e *Engine) dispatch(vi int, w workload.Workload) {
 	vm := &e.vms[vi]
@@ -629,8 +616,9 @@ func (e *Engine) sample() {
 	if !e.spinlock || e.now < e.warmup {
 		return
 	}
+	e.markPreempted()
 	for id := range e.vcpus {
-		if e.spinning(id) {
+		if v := &e.vcpus[id]; v.Status == core.Busy && e.spins(v) {
 			e.spinTicks++
 		}
 	}

@@ -11,6 +11,20 @@ import (
 	"vcpusim/internal/workload"
 )
 
+// spinningRef reports, from e's state alone, whether VCPU id burns its
+// PCPU on a preempted spinlock: it is BUSY without in-flight sync load in
+// a spinlock VM whose in-flight lock holder is descheduled.
+func spinningRef(e *Engine, id int) bool {
+	v := &e.vcpus[id]
+	if e.vms[v.VM].syncKind != workload.SyncSpinlock || v.Status != core.Busy {
+		return false
+	}
+	if v.SyncPoint && v.RemainingLoad > 0 {
+		return false
+	}
+	return e.lockHolderPreempted(v.VM)
+}
+
 // sampleRef is per-tick occupancy sampling: it reads every VCPU, PCPU and
 // VM of e at the end of tick and adds one tick to the accumulator of ref
 // for the state each is in (ticks before the warmup point are discarded).
@@ -25,7 +39,7 @@ func sampleRef(ref, e *Engine, tick int64) {
 		case core.Busy:
 			ref.busyTicks[id]++
 			ref.activeTicks[id]++
-			if e.spinning(id) {
+			if spinningRef(e, id) {
 				ref.spinTicks++
 			}
 		case core.Ready:

@@ -206,11 +206,12 @@ func fmtShares(s []float64) string {
 
 // TestScheduleLeavesViewsUnchanged runs every registered scheduler on
 // under-, fully and over-committed hosts through the harness, whose tick
-// fails if Schedule changes any field of the views it was handed, and
-// whose skip fails the same way for SkipTicks (RRS, SCS and RCS). The
-// views also carry nonzero values in the fields no built-in scheduler
-// reads (a held workload, a stall, a throttle), so a write that clears
-// one shows too.
+// fails if Schedule changes any field of the views it was handed. A second
+// pass on a fresh harness lets RRS, SCS and RCS skip the quiet ticks
+// between Schedule calls, and the harness's skip fails the same way for
+// SkipTicks. The views also carry nonzero values in the fields no built-in
+// scheduler reads (a held workload, a stall, a throttle), so a write that
+// clears one shows too.
 func TestScheduleLeavesViewsUnchanged(t *testing.T) {
 	hosts := []struct {
 		pcpus   int
@@ -228,20 +229,28 @@ func TestScheduleLeavesViewsUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, host := range hosts {
-				h := newHarness(t, f(), host.pcpus, host.vmSizes...)
-				for i := range h.vcpus {
-					v := &h.vcpus[i]
-					v.RemainingLoad, v.SyncPoint, v.Stalled = int64(7*i+3), i%2 == 0, i%3 == 0
+				build := func() *harness {
+					h := newHarness(t, f(), host.pcpus, host.vmSizes...)
+					for i := range h.vcpus {
+						v := &h.vcpus[i]
+						v.RemainingLoad, v.SyncPoint, v.Stalled = int64(7*i+3), i%2 == 0, i%3 == 0
+					}
+					for p := range h.pcpus {
+						h.pcpus[p].Throttle = 0.5
+					}
+					return h
 				}
-				for p := range h.pcpus {
-					h.pcpus[p].Throttle = 0.5
+				build().run(300)
+				h := build()
+				if _, ok := h.sched.(core.TickSkipper); !ok {
+					continue
 				}
 				var skipped int64
 				for h.now < 300 {
 					h.tick()
 					skipped += h.skip()
 				}
-				if _, ok := h.sched.(core.TickSkipper); ok && skipped == 0 {
+				if skipped == 0 {
 					t.Errorf("%d PCPUs, VMs %v: SkipTicks never skipped a tick", host.pcpus, host.vmSizes)
 				}
 			}

@@ -154,7 +154,8 @@ func (r *RelaxedCo) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUVi
 // skew and co-mode updates and their queue upkeep.
 func (r *RelaxedCo) SkipTicks(vcpus []core.VCPUView, pcpus []core.PCPUView, limit int64) int64 {
 	r.derive(vcpus)
-	idle := idlePCPUs(pcpus)
+	r.idle = core.AppendIdlePCPUs(r.idle[:0], pcpus)
+	idle := len(r.idle)
 	n := limit
 	var t trend
 	for vi := range r.coMode {

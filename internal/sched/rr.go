@@ -74,21 +74,11 @@ func (r *RoundRobin) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUV
 // PCPU is idle or no VCPU is INACTIVE; it then scans every VCPU or none,
 // so the cursor stays where it is.
 func (r *RoundRobin) SkipTicks(vcpus []core.VCPUView, pcpus []core.PCPUView, limit int64) int64 {
-	if idlePCPUs(pcpus) > 0 && slices.ContainsFunc(vcpus, isInactive) {
+	r.idle = core.AppendIdlePCPUs(r.idle[:0], pcpus)
+	if len(r.idle) > 0 && slices.ContainsFunc(vcpus, isInactive) {
 		return 0
 	}
 	return limit
-}
-
-// idlePCPUs counts the idle PCPUs.
-func idlePCPUs(pcpus []core.PCPUView) int {
-	n := 0
-	for _, p := range pcpus {
-		if p.Idle() {
-			n++
-		}
-	}
-	return n
 }
 
 // isInactive reports whether v is INACTIVE.

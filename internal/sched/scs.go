@@ -72,7 +72,8 @@ func (s *StrictCo) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUVie
 // PCPU is idle or no whole INACTIVE gang fits the idle PCPUs, and it then
 // leaves the round-robin pointer where it is.
 func (s *StrictCo) SkipTicks(vcpus []core.VCPUView, pcpus []core.PCPUView, limit int64) int64 {
-	idle := idlePCPUs(pcpus)
+	s.idle = core.AppendIdlePCPUs(s.idle[:0], pcpus)
+	idle := len(s.idle)
 	if idle == 0 {
 		return limit
 	}
